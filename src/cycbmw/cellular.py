@@ -1,22 +1,21 @@
 """Cellular basis machinery on top of the seminormal modules.
 
 Provides the index sets for the cellular basis, generator words for its
-elements, evaluation of words in the faithful direct sum of seminormal
-modules, certified full-rank verification of the evaluated basis, closed
-Gram values on the top annihilator layer, and the irreducible-label census.
+elements, evaluation of words over Q in the faithful direct sum of
+seminormal modules, a modular full-rank certificate for the evaluated basis,
+closed Gram values on the top annihilator layer, and the irreducible-label
+census.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
 
 from .matrices import mat_add, mat_diag, mat_identity, mat_mul, mat_scale, mat_sub
 from .params import GroundParams
-from .scalars import BallContext, BallReal
 from .seminormal import SeminormalModule, build_module
 from .tableaux import (
     CosetRep,
@@ -164,7 +163,6 @@ class FaithfulRep:
     n: int
     r: int
     params: GroundParams
-    precision: int
     blocks: list  # entries (f, lam, SeminormalModule)
 
     @property
@@ -172,22 +170,11 @@ class FaithfulRep:
         return sum(m.dim ** 2 for _, _, m in self.blocks)
 
 
-def build_rep(n: int, r: int, params: GroundParams, precision: int = 512) -> FaithfulRep:
+def build_rep(n: int, r: int, params: GroundParams) -> FaithfulRep:
     if params.r != r:
         raise ValueError("parameter family has a different number of eigenvalues")
-    blocks = [
-        (f, lam, build_module(lam, f, params, precision=precision))
-        for f, lam in shapes_with_f(n, r)
-    ]
-    return FaithfulRep(n, r, params, precision, blocks)
-
-
-def _module_cache(m: SeminormalModule) -> dict:
-    cache = getattr(m, "_word_cache", None)
-    if cache is None:
-        cache = {}
-        m._word_cache = cache
-    return cache
+    blocks = [(f, lam, build_module(lam, f, params)) for f, lam in shapes_with_f(n, r)]
+    return FaithfulRep(n, r, params, blocks)
 
 
 def _perm_matrix_word(m: SeminormalModule, word: list[int]):
@@ -214,7 +201,7 @@ def _rowsum_matrix(m: SeminormalModule, lam: RPartition):
 
 def token_matrix(tok: Token, m: SeminormalModule):
     """Matrix of one generator token on a single seminormal module."""
-    cache = _module_cache(m)
+    cache = m._word_cache
     if tok in cache:
         return cache[tok]
     kind = tok[0]
@@ -275,75 +262,62 @@ def eval_word(w: GenWord, rep: FaithfulRep) -> list:
 
 # -- certified rank -------------------------------------------------------------
 
-
-def _to_ball(ctx: BallContext, x) -> BallReal:
-    if isinstance(x, BallReal):
-        lo = ctx.from_fraction(x.lower())
-        hi = ctx.from_fraction(x.upper())
-        return BallReal(ctx, ctx.iv.make_mpf((lo.ival._mpi_[0], hi.ival._mpi_[1])))
-    return ctx.from_fraction(x)
+# Primes for the modular rank certificate.  None is a Mersenne prime: every
+# ground parameter is a power of 2, and 2 has order 61 modulo 2^61 - 1, so that
+# prime divides many differences of contents.
+RANK_PRIMES = (2**64 - 59, 2**63 - 25, 2**62 - 57)
 
 
-def _certified_full_rank(rows: list, ctx: BallContext) -> bool:
-    """Gaussian elimination with pivots certified bounded away from zero."""
+def full_rank_mod_p(rows: list) -> bool:
+    """True when the square matrix of rational rows has full rank modulo one
+    of RANK_PRIMES, which implies full rank over Q.
+
+    A prime that divides a denominator is skipped; a prime at which a pivot
+    column vanishes is followed by the next one.
+    """
     d = len(rows)
-    a = [[_to_ball(ctx, x) for x in row] for row in rows]
-    for col in range(d):
-        best, best_val = -1, Fraction(0)
-        for i in range(col, d):
-            v = a[i][col].abs_lower()
-            if v > best_val:
-                best, best_val = i, v
-        if best < 0:
-            return False
-        a[col], a[best] = a[best], a[col]
-        pivot = a[col][col]
-        for i in range(col + 1, d):
-            if a[i][col].contains_zero() and a[i][col].width() == 0:
-                continue
-            factor = a[i][col] / pivot
-            a[i] = (
-                a[i][: col + 1]
-                + [a[i][j] - factor * a[col][j] for j in range(col + 1, d)]
-            )
-    return True
+    dens = {x.denominator for row in rows for x in row}
+    for p in RANK_PRIMES:
+        if any(den % p == 0 for den in dens):
+            continue
+        inv = {den: pow(den, -1, p) for den in dens}
+        a = [[x.numerator * inv[x.denominator] % p for x in row] for row in rows]
+        for col in range(d):
+            pivot = next((i for i in range(col, d) if a[i][col]), None)
+            if pivot is None:
+                break
+            a[col], a[pivot] = a[pivot], a[col]
+            top = a[col]
+            scale = pow(top[col], -1, p)
+            for i in range(col + 1, d):
+                if a[i][col]:
+                    c = a[i][col] * scale % p
+                    a[i] = [(x - c * y) % p for x, y in zip(a[i], top)]
+        else:
+            return True
+    return False
 
 
-def rank_certify(
-    n: int,
-    r: int,
-    params: GroundParams,
-    precision: int = 512,
-    max_precision: int = 4096,
-) -> dict:
+def rank_certify(n: int, r: int, params: GroundParams) -> dict:
     """Evaluate every cellular basis element in the faithful representation
     and certify that the images are linearly independent.
     """
     t0 = time.perf_counter()
     d_target = target_dimension(n, r)
-    prec = precision
-    certified = False
-    while True:
-        rep = build_rep(n, r, params, precision=prec)
-        if rep.total_dim != d_target:
-            raise ArithmeticError("block dimensions do not add up")
-        rows = []
-        for f, lam in shapes_with_f(n, r):
-            idx = delta_index(f, lam, n, r)
-            for left in idx:
-                for right in idx:
-                    rows.append(eval_word(cell_word(f, lam, left, right, n, r), rep))
-        if len(rows) != d_target:
-            raise ArithmeticError("index census does not match the dimension")
-        ctx = BallContext(prec)
-        certified = _certified_full_rank(rows, ctx)
-        if certified or prec >= max_precision:
-            break
-        prec *= 2
+    rep = build_rep(n, r, params)
+    if rep.total_dim != d_target:
+        raise ArithmeticError("block dimensions do not add up")
+    rows = []
+    for f, lam in shapes_with_f(n, r):
+        idx = delta_index(f, lam, n, r)
+        for left in idx:
+            for right in idx:
+                rows.append(eval_word(cell_word(f, lam, left, right, n, r), rep))
+    if len(rows) != d_target:
+        raise ArithmeticError("index census does not match the dimension")
     return {
         "D": d_target,
-        "certified": certified,
-        "precision_bits": prec,
+        "certified": full_rank_mod_p(rows),
         "elapsed": time.perf_counter() - t0,
     }
 
@@ -357,7 +331,6 @@ def gram_half(
     params: GroundParams,
     omega=None,
     cross_check: bool = True,
-    precision: int = 512,
 ) -> dict:
     """Gram pairing of the arc idempotent against its eigenvector-power twist
     on the top annihilator layer: the closed value is a power of one moment.
@@ -371,28 +344,21 @@ def gram_half(
     value = omega_fn(ell) ** f
     form_zero = all(omega_fn(i) == 0 for i in range(params.r))
     if cross_check and omega is None and n <= 4:
-        _gram_matrix_check(n, ell, params, value, precision)
+        _gram_matrix_check(n, ell, params, value)
     return {"value": value, "form_zero": form_zero}
 
 
-def _gram_matrix_check(n, ell, params, value, precision):
+def _gram_matrix_check(n, ell, params, value):
     f = n // 2
-    m = build_module(rp_empty(params.r), f, params, precision=precision)
-    rep = FaithfulRep(n, params.r, params, precision, [(f, rp_empty(params.r), m)])
+    m = build_module(rp_empty(params.r), f, params)
+    rep = FaithfulRep(n, params.r, params, [(f, rp_empty(params.r), m)])
     arcs = e_arcs_word(f, n)
     kappa = tuple(ell if (n - i) % 2 == 1 else 0 for i in range(1, n + 1))
     sandwich = arcs + _x_power_word(kappa, f, n) + arcs
     lhs = eval_word_blocks(sandwich, rep)[0]
     rhs = mat_scale(value, eval_word_blocks(arcs, rep)[0])
-    tol = Fraction(1, 2 ** (precision // 2))
-    for row_l, row_r in zip(lhs, rhs):
-        for x, y in zip(row_l, row_r):
-            diff = x - y
-            if isinstance(diff, BallReal):
-                if not (diff.contains_zero() and diff.width() < tol):
-                    raise ArithmeticError("gram value mismatch in the block image")
-            elif diff != 0:
-                raise ArithmeticError("gram value mismatch in the block image")
+    if lhs != rhs:
+        raise ArithmeticError("gram value mismatch in the block image")
 
 
 def classify(n: int, r: int, params: GroundParams, omega=None) -> dict:

@@ -17,7 +17,6 @@ from .params import (
     generic_specialization,
     parse_preset,
 )
-from .scalars import BallReal
 from .seminormal import (
     br2_all,
     build_module,
@@ -36,8 +35,6 @@ def _shape_str(lam) -> str:
 
 def _jsonable(x):
     if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, BallReal):
         return str(x)
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
@@ -66,7 +63,13 @@ def _emit(report: dict, args, csv_rows=None, csv_header=None) -> None:
 
 def _load_params(args, parser) -> GroundParams:
     if args.preset:
-        return parse_preset(args.preset)
+        try:
+            p = parse_preset(args.preset)
+        except (OSError, ValueError) as exc:
+            parser.error(f"cannot read preset {args.preset}: {exc}")
+        if p.r != args.r:
+            parser.error(f"preset has r={p.r} but --r is {args.r}")
+        return p
     try:
         return generic_specialization(args.r, max(args.n, 2), seed=args.seed)
     except ValueError as exc:
@@ -130,7 +133,7 @@ def _cmd_rep(args, parser) -> tuple[dict, bool]:
     ok = True
     for f, lam in shapes_with_f(args.n, args.r):
         try:
-            m = build_module(lam, f, p, precision=args.precision)
+            m = build_module(lam, f, p)
             rel = verify_relations(m)
         except (ValueError, ArithmeticError) as exc:
             ok = False
@@ -148,8 +151,7 @@ def _cmd_rep(args, parser) -> tuple[dict, bool]:
                 "max_width": max((x["max_width"] for x in rel["relations"]), default=0.0),
             }
         )
-    return {"r": args.r, "n": args.n, "precision": args.precision,
-            "blocks": blocks, "ok": ok}, ok
+    return {"r": args.r, "n": args.n, "blocks": blocks, "ok": ok}, ok
 
 
 def _cmd_identities(args, parser) -> tuple[dict, bool]:
@@ -236,14 +238,14 @@ def _cmd_basis(args, parser) -> tuple[dict, bool]:
 
 def _cmd_rank(args, parser) -> tuple[dict, bool]:
     p = _load_params(args, parser)
-    rep = rank_certify(args.n, args.r, p, precision=args.precision)
+    rep = rank_certify(args.n, args.r, p)
     return rep, bool(rep["certified"])
 
 
 def _cmd_gram(args, parser) -> tuple[dict, bool]:
     p = _load_params(args, parser)
     try:
-        g = gram_half(args.n, args.ell, p, precision=args.precision)
+        g = gram_half(args.n, args.ell, p)
     except ValueError as exc:
         parser.error(str(exc))
     report = {"r": args.r, "n": args.n, "ell": args.ell,
@@ -302,7 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=int, default=2)
         sp.add_argument("--preset", type=str, default=None)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--precision", type=int, default=512)
         sp.add_argument("--format", choices=["json", "csv"], default="json")
         sp.add_argument("--out", type=str, default=None)
         if name == "tabs":

@@ -55,14 +55,5 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_word(factors) -> Matrix:
-    """Product of a nonempty sequence of matrices, left to right."""
-    factors = list(factors)
-    out = factors[0]
-    for m in factors[1:]:
-        out = mat_mul(out, m)
-    return out
-
-
 def mat_equal_exact(a: Matrix, b: Matrix) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))

@@ -9,7 +9,6 @@ are real and well conditioned.
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -125,7 +124,6 @@ class GroundParams:
         self.rho = scalar_inv(self.rho_inv)
         self.sym = SymCache(self.u)
         self._omega: dict[int, object] = {}
-        self._omega_lock = threading.Lock()
 
     @staticmethod
     def symbolic(r: int, alpha: int = 1) -> "GroundParams":
@@ -137,13 +135,9 @@ class GroundParams:
     # -- omega --------------------------------------------------------------
 
     def omega(self, a: int):
-        with self._omega_lock:
-            if a in self._omega:
-                return self._omega[a]
-        value = self._omega_closed_form(a)
-        with self._omega_lock:
-            self._omega[a] = value
-        return value
+        if a not in self._omega:
+            self._omega[a] = self._omega_closed_form(a)
+        return self._omega[a]
 
     def _omega_closed_form(self, a: int):
         dr = self.delta_inv * self.rho
@@ -164,11 +158,6 @@ class GroundParams:
             for k in range(b)
         )
         return head if tail is None else head + tail
-
-    def omega_zero_all(self, up_to: int | None = None) -> bool:
-        """True when omega_i = 0 for all 0 <= i <= r-1 (or up_to)."""
-        top = (self.r - 1) if up_to is None else up_to
-        return all(_is_zero_scalar(self.omega(i)) for i in range(top + 1))
 
     def __repr__(self):
         return f"GroundParams(r={self.r}, q={self.q}, u={self.u}, alpha={self.alpha})"
@@ -310,7 +299,6 @@ def generic_specialization(r: int, n: int, seed: int = 0) -> GroundParams:
     if not cert["ok"]:
         raise AssertionError(f"generic specialization failed certification: {cert}")
     params = GroundParams(r, q, u, alpha=1)
-    params.exponents = k
     params.certificate = cert
     return params
 
@@ -342,6 +330,4 @@ def parse_preset(path: str) -> GroundParams:
     if len(k) != r:
         raise ValueError(f"preset has {len(k)} exponents, expected r={r}")
     u = tuple(q ** (2 * ki) for ki in k)
-    params = GroundParams(r, q, u, alpha=alpha)
-    params.exponents = k
-    return params
+    return GroundParams(r, q, u, alpha=alpha)

@@ -2,20 +2,17 @@
 
 Provides big rationals (stdlib Fraction), multivariate Laurent polynomials,
 rational functions with a deterministic normal form, truncated power series,
-and arbitrary-precision interval ("ball") reals.  Every other module is
-generic over these scalars.
+and arbitrary-precision interval ("ball") reals, which only the interval test
+oracle uses.  Every other module is generic over these scalars.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Union
 
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
-
-Scalar = Union[Fraction, "LaurentPoly", "RatFunc"]
 
 
 def _var_key(name: str) -> tuple[bool, str]:
@@ -58,9 +55,6 @@ class LaurentPoly:
             raise ValueError("not a constant polynomial")
         zero = (0,) * len(self.variables)
         return self.terms.get(zero, Fraction(0))
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
 
     # -- variable alignment -------------------------------------------------
 
@@ -238,13 +232,6 @@ class LaurentPoly:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-def poly_from_terms(variables: Iterable[str], terms: dict[tuple[int, ...], Fraction]) -> LaurentPoly:
-    """Build a LaurentPoly, reordering variables into canonical order."""
-    variables = tuple(variables)
-    canon = tuple(sorted(variables, key=_var_key))
-    return LaurentPoly(variables, dict(terms))._with_vars(canon)
 
 
 class RatFunc:

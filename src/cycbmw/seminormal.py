@@ -2,15 +2,16 @@
 
 Builds the step generating functions W_k(y,s), the diagonal residues E_ss(k)
 and off-step coefficients a/b, assembles the generator matrices of the
-irreducible module attached to each (f, lambda), and verifies the defining
-relations and rational identities, exactly where possible and with interval
-enclosures where square roots enter.
+irreducible module attached to each (f, lambda) over Q in a rational gauge,
+and verifies the defining relations and rational identities exactly.  An
+interval build of the orthonormal form is kept as a test oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 
 from .matrices import (
     mat_add,
@@ -165,38 +166,89 @@ class SeminormalModule:
     n: int
     params: GroundParams
     backend: str
-    precision: int
     basis: list
     index: dict
     table: ResidueTable
     matX: list
-    matT: list | None
-    matE: list | None
+    matT: list
+    matE: list
     ctx: BallContext | None
+    _word_cache: dict = field(default_factory=dict, repr=False)  # cellular.token_matrix
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
 
+def _weight(*radicands: Fraction) -> Fraction:
+    """Product of the radicands under one off-diagonal square root; each must
+    be nonnegative for the matrices to be real.
+    """
+    w = Fraction(1)
+    for x in radicands:
+        if x < 0:
+            raise ValueError(f"be-real violated: negative radicand {x}")
+        w *= x
+    return w
+
+
+def _gauged_roots(d: int, edges: list) -> list:
+    """Rational off-diagonal entries in the gauge D = diag(sqrt(g_s)), g_s in Q.
+
+    Conjugating by D turns the entry sqrt(w) at (i, j) into sqrt(g_i w / g_j)
+    (Mathas's rational seminormal form).  A breadth-first search over the
+    edges of every step sets g_i = g_j w along its tree edges; every edge is
+    then checked to give a square of Q, which holds exactly when the product
+    of the weights around every cycle of edges is a square.
+    """
+    adjacent: list = [[] for _ in range(d)]
+    for _, i, j, w, _ in edges:
+        adjacent[j].append((i, w))
+    g: list = [None] * d
+    for start in range(d):
+        if g[start] is not None:
+            continue
+        g[start] = Fraction(1)
+        queue = [start]
+        for j in queue:
+            for i, w in adjacent[j]:
+                if g[i] is None:
+                    g[i] = g[j] * w
+                    queue.append(i)
+    roots = []
+    for k, i, j, w, _ in edges:
+        x = g[i] * w / g[j]
+        num, den = isqrt(x.numerator), isqrt(x.denominator)
+        if num * num != x.numerator or den * den != x.denominator:
+            raise ArithmeticError(
+                f"no rational gauge at k={k}, pair ({i}, {j}): "
+                f"g_{i} w / g_{j} = {x} is not a square in Q"
+            )
+        roots.append(Fraction(num, den))
+    return roots
+
+
 def build_module(
     lam: RPartition,
     f: int,
     params: GroundParams,
-    backend: str = "ball",
+    backend: str = "exact",
     precision: int = 512,
 ) -> SeminormalModule:
     """Assemble the generator matrices on the up-down tableau basis.
 
-    backend "ball" produces full T/E matrices with certified square-root
-    enclosures; "exact-diag-only" fills only the exact coefficient table and
-    diagonal X matrices.
+    Every off-diagonal entry is the square root of a rational weight w.
+    backend "exact" takes it in the rational gauge of _gauged_roots, so every
+    entry lies in Q; "ball" takes the orthonormal sqrt(w) as an interval
+    enclosure at the given precision, and serves as the test oracle.
     """
-    if backend not in ("ball", "exact-diag-only"):
+    if backend not in ("exact", "ball"):
         raise ValueError(f"unknown backend {backend!r}")
     n = rp_size(lam) + 2 * f
     if n < 1:
         raise ValueError("module needs at least one strand")
+    if not isinstance(params.q, Fraction):
+        raise ValueError("seminormal matrices need rational ground data")
     basis = enumerate_updown(n, lam)
     index = {t: i for i, t in enumerate(basis)}
     d = len(basis)
@@ -227,54 +279,46 @@ def build_module(
     matX = [
         mat_diag([s.content(i, params) for s in basis]) for i in range(1, n + 1)
     ]
-    if backend == "exact-diag-only":
-        return SeminormalModule(
-            lam, f, n, params, backend, precision, basis, index, table,
-            matX, None, None, None,
-        )
-
-    if not isinstance(params.q, Fraction):
-        raise ValueError("ball backend requires rational ground data")
-    ctx = BallContext(precision)
-    sqrt_cache: dict = {}
-
-    def bsqrt(x: Fraction) -> BallReal:
-        if x not in sqrt_cache:
-            if x < 0:
-                raise ValueError(f"be-real violated: negative radicand {x}")
-            sqrt_cache[x] = ball_sqrt(ctx.from_fraction(x))
-        return sqrt_cache[x]
-
-    matE: list = []
-    matT: list = []
+    matE = [mat_zero(d) for _ in range(1, n)]
+    matT = [mat_zero(d) for _ in range(1, n)]
+    # off-diagonal entries (k, i, j, weight, T_ij / E_ij), the ratio None for
+    # a swap entry, which T has and E has not
+    edges: list = []
     delta = params.delta
     for k in range(1, n):
-        E = mat_zero(d)
-        T = mat_zero(d)
+        E, T = matE[k - 1], matT[k - 1]
         for j, s in enumerate(basis):
             if s.shape(k - 1) == s.shape(k + 1):
                 cs = s.content(k, params)
                 es = e_diag[(j, k)]
                 for t in neighbors_k(s, k):
                     i = index[t]
-                    ct = t.content(k, params)
                     if i == j:
-                        E[i][j] = es
-                        T[i][j] = delta * (es - 1) / (cs * cs - 1)
+                        E[j][j] = es
+                        T[j][j] = delta * (es - 1) / (cs * cs - 1)
                     else:
-                        est = bsqrt(es) * bsqrt(e_diag[(i, k)])
-                        E[i][j] = est
-                        T[i][j] = (delta * est) / (cs * ct - 1)
+                        ratio = delta / (cs * t.content(k, params) - 1)
+                        edges.append((k, i, j, _weight(es, e_diag[(i, k)]), ratio))
             else:
                 T[j][j] = a_coef[(j, k)]
                 u = sk_action(s, k)
                 if u is not None:
-                    T[index[u]][j] = bsqrt(b_sq[(j, k)])
-        matE.append(E)
-        matT.append(T)
+                    edges.append((k, index[u], j, _weight(b_sq[(j, k)]), None))
+
+    if backend == "exact":
+        ctx = None
+        roots = _gauged_roots(d, edges)
+    else:
+        ctx = BallContext(precision)
+        roots = [ball_sqrt(ctx.from_fraction(w)) for _, _, _, w, _ in edges]
+    for (k, i, j, _, ratio), x in zip(edges, roots):
+        if ratio is None:
+            matT[k - 1][i][j] = x
+        else:
+            matE[k - 1][i][j] = x
+            matT[k - 1][i][j] = ratio * x
     return SeminormalModule(
-        lam, f, n, params, backend, precision, basis, index, table,
-        matX, matT, matE, ctx,
+        lam, f, n, params, backend, basis, index, table, matX, matT, matE, ctx,
     )
 
 
@@ -302,15 +346,13 @@ def verify_relations(module: SeminormalModule, a_max: int = 3) -> dict:
     """Check every defining relation and the X-shift identities on the
     module's matrices.
 
-    Exact entries must vanish identically; interval entries must enclose 0
-    with width below 2^(-precision/2).
+    Exact entries must vanish identically; interval entries of the ball
+    oracle must enclose 0 with width below 2^(-precision/2).
     """
-    if module.backend != "ball":
-        raise ValueError("relation verification needs the ball backend")
     p = module.params
     n = module.n
     d = module.dim
-    tol = Fraction(1, 2 ** (module.precision // 2))
+    tol = Fraction(1, 2 ** (module.ctx.precision // 2)) if module.ctx else Fraction(0)
     I = mat_identity(d)
     delta, rho = p.delta, p.rho
 
@@ -428,27 +470,9 @@ def verify_relations(module: SeminormalModule, a_max: int = 3) -> dict:
     ]
     return {
         "ok": all(r["pass"] for r in relations),
-        "precision": module.precision,
         "dim": d,
         "relations": relations,
     }
-
-
-def verify_module(
-    lam: RPartition,
-    f: int,
-    params: GroundParams,
-    precision: int = 512,
-    a_max: int = 3,
-    max_precision: int = 4096,
-) -> dict:
-    """Build and verify, doubling the working precision on failure."""
-    while True:
-        module = build_module(lam, f, params, backend="ball", precision=precision)
-        report = verify_relations(module, a_max=a_max)
-        if report["ok"] or precision >= max_precision:
-            return report
-        precision *= 2
 
 
 # -- omega tables -----------------------------------------------------------------

@@ -21,7 +21,8 @@ class TestCommands:
     def test_rep_passes(self, capsys):
         code, report = run_json(capsys, "rep", "--r", "1", "--n", "3")
         assert code == 0 and report["ok"] is True
-        assert all(b["ok"] for b in report["blocks"])
+        assert all(b["ok"] and b["max_width"] == 0 for b in report["blocks"])
+        assert "precision" not in report
 
     def test_basis_total(self, capsys):
         code, report = run_json(capsys, "basis", "--r", "3", "--n", "2")
@@ -67,13 +68,23 @@ class TestCommands:
         code, report = run_json(capsys, "rank", "--r", "1", "--n", "2")
         assert code == 0
         assert report["D"] == 3 and report["certified"] is True
-        assert report["precision_bits"] == 512
+        assert set(report) == {"D", "certified", "elapsed"}
 
     def test_gram(self, capsys):
         code, report = run_json(capsys, "gram", "--r", "3", "--n", "2", "--ell", "1")
         assert code == 0
         assert F(report["value"]) == generic_specialization(3, 2).omega(1)
         assert report["form_zero"] is False
+
+    @pytest.mark.parametrize("seed", [11, 81])
+    def test_gram_r3_n4_largest_exponents(self, capsys, seed):
+        # these seeds draw the largest exponents k = (29, -18, 7) and
+        # (28, -17, 7), where an interval tolerance once rejected the value
+        code, report = run_json(capsys, "gram", "--r", "3", "--n", "4", "--ell", "1",
+                                "--seed", str(seed))
+        assert code == 0
+        p = generic_specialization(3, 4, seed=seed)
+        assert F(report["value"]) == p.omega(1) ** 2
 
     def test_classify(self, capsys):
         code, report = run_json(capsys, "classify", "--r", "3", "--n", "3")
@@ -147,6 +158,29 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             run(["gram", "--r", "1", "--n", "3"])
         assert exc.value.code == 2
+
+    def test_preset_missing_file(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["params", "--r", "3", "--preset", str(tmp_path / "absent.txt")])
+        assert exc.value.code == 2
+        assert "cannot read preset" in capsys.readouterr().err
+
+    def test_preset_malformed(self, capsys, tmp_path):
+        preset = tmp_path / "preset.txt"
+        preset.write_text("r = 3\nq = x\nk = 10, -6, 2\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["params", "--r", "3", "--preset", str(preset)])
+        assert exc.value.code == 2
+        assert "cannot read preset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["rank", "rep"])
+    def test_preset_r_mismatch(self, capsys, tmp_path, command):
+        preset = tmp_path / "preset.txt"
+        preset.write_text("r = 3\nq = 2\nk = 10, -6, 2\n")
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--r", "1", "--n", "2", "--preset", str(preset)])
+        assert exc.value.code == 2
+        assert "preset has r=3 but --r is 1" in capsys.readouterr().err
 
     def test_check_failure_exit_one(self, capsys, tmp_path):
         # the opposite sign choice makes a seminormal radicand negative, so

@@ -19,6 +19,13 @@ from cycbmw.params import (
 from cycbmw.scalars import LaurentPoly, RatFunc, expand_series
 
 
+def exponents(params):
+    """The k_i with u_i = q^(2 k_i), read back from u when q = 2."""
+    return tuple(
+        (u.numerator.bit_length() - u.denominator.bit_length()) // 2 for u in params.u
+    )
+
+
 def gamma_weights(params, v):
     """Independent oracle: the eigenvector weights gamma_i of the d-dim
     two-strand module on eigenvalues v, for d = len(v) odd.
@@ -212,14 +219,14 @@ class TestWtilde:
 
 class TestGenericSpecialization:
     def test_spec_patterns(self):
-        assert generic_specialization(1, 2).exponents == (2,)
-        assert generic_specialization(3, 2).exponents == (10, -6, 2)
+        assert exponents(generic_specialization(1, 2)) == (2,)
+        assert exponents(generic_specialization(3, 2)) == (10, -6, 2)
 
     @pytest.mark.parametrize("r,n", [(1, 4), (3, 3), (5, 2)])
     def test_certified(self, r, n):
         p = generic_specialization(r, n)
         assert p.certificate["ok"]
-        k = p.exponents
+        k = exponents(p)
         assert all(abs(k[i]) > abs(k[i + 1]) for i in range(r - 1))
         assert abs(k[-1]) >= n
         assert all(abs(k[i]) - abs(k[i + 1]) >= 2 * n for i in range(r - 1))
@@ -244,7 +251,7 @@ class TestPreset:
         f = tmp_path / "preset.txt"
         f.write_text("# comment\nr = 3\nq = 2\nk = 10,-6,2\nalpha = 1\n")
         p = parse_preset(str(f))
-        assert p.r == 3 and p.q == 2 and p.exponents == (10, -6, 2)
+        assert p.r == 3 and p.q == 2 and exponents(p) == (10, -6, 2)
         assert p.u == generic_specialization(3, 2).u
 
     def test_missing_key(self, tmp_path):

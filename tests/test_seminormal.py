@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycbmw.matrices import mat_diag, mat_equal_exact, mat_mul, mat_sub
+from cycbmw.matrices import mat_diag, mat_equal_exact, mat_mul
 from cycbmw.params import GroundParams, generic_specialization, wtilde_rational
 from cycbmw.scalars import BallReal, RatFunc
 from cycbmw.seminormal import (
     Br2Module,
     E_diag,
     W_rational,
+    _gauged_roots,
     ab_coeffs,
     br2_all,
     br2_build,
@@ -20,7 +21,6 @@ from cycbmw.seminormal import (
     det_Ad_brute,
     identity_suite,
     omega_k_table,
-    verify_module,
     verify_relations,
 )
 from cycbmw.tableaux import (
@@ -169,11 +169,41 @@ class TestBuildModule:
                 if k < 4 and s.shape(k - 1) != s.shape(k + 1):
                     assert all(m.matE[k - 1][i][j] == 0 for i in range(m.dim))
 
-    def test_exact_backend_has_table_only(self):
+    def test_exact_backend_is_rational(self):
         p = generic_specialization(3, 2)
-        m = build_module(rp_empty(3), 1, p, backend="exact-diag-only")
-        assert m.matT is None and m.matE is None
+        m = build_module(rp_empty(3), 1, p)
+        assert m.backend == "exact" and m.ctx is None
+        mats = m.matX + m.matT + m.matE
+        assert all(isinstance(x, F) for mat in mats for row in mat for x in row)
         assert all(isinstance(v, F) for v in m.table.e_diag.values())
+
+    @pytest.mark.parametrize("r,n", [(1, 2), (1, 3), (1, 4), (3, 2), (3, 3)])
+    def test_exact_matches_ball_oracle(self, r, n):
+        # the gauge is a diagonal change of basis: it keeps every diagonal
+        # entry and every product M_ij M_ji of the orthonormal interval build
+        p = generic_specialization(r, n)
+        for f, lam in shapes_with_f(n, r):
+            exact = build_module(lam, f, p)
+            ball = build_module(lam, f, p, backend="ball")
+            for mx, mb in zip(exact.matT + exact.matE, ball.matT + ball.matE):
+                for i in range(exact.dim):
+                    assert mx[i][i] == mb[i][i]
+                    for j in range(i + 1, exact.dim):
+                        want = mx[i][j] * mx[j][i]
+                        got = mb[i][j] * mb[j][i]
+                        if isinstance(got, BallReal):
+                            assert got.contains_fraction(want), (f, lam, i, j)
+                        else:
+                            assert got == want, (f, lam, i, j)
+
+    def test_gauge_rejects_non_square_cycle(self):
+        # a triangle whose weights multiply to 2 around the cycle has no
+        # rational gauge
+        edges = [(1, 1, 0, F(2), None), (1, 0, 1, F(2), None),
+                 (2, 2, 0, F(1), None), (2, 0, 2, F(1), None),
+                 (3, 2, 1, F(1), None), (3, 1, 2, F(1), None)]
+        with pytest.raises(ArithmeticError, match=r"k=3, pair \(2, 1\)"):
+            _gauged_roots(3, edges)
 
     def test_be_real_violated_for_minus_sign(self):
         base = generic_specialization(3, 3)
@@ -195,19 +225,15 @@ class TestRelations:
             m = build_module(lam, f, p)
             rep = verify_relations(m)
             assert rep["ok"], (f, lam, [x for x in rep["relations"] if not x["pass"]])
-            tol = F(1, 2 ** (m.precision // 2))
-            assert all(F(x["max_width"]) < tol for x in rep["relations"])
+            assert all(x["max_width"] == 0 for x in rep["relations"])
 
-    def test_verify_module_wrapper(self):
+    def test_ball_oracle_passes(self):
         p = generic_specialization(1, 3)
-        rep = verify_module(((1,),), 1, p)
-        assert rep["ok"] and rep["precision"] == 512
-
-    def test_requires_ball_backend(self):
-        p = generic_specialization(1, 2)
-        m = build_module(rp_empty(1), 1, p, backend="exact-diag-only")
-        with pytest.raises(ValueError, match="ball backend"):
-            verify_relations(m)
+        for f, lam in shapes_with_f(3, 1):
+            m = build_module(lam, f, p, backend="ball", precision=256)
+            rep = verify_relations(m)
+            assert rep["ok"], (f, lam, [x for x in rep["relations"] if not x["pass"]])
+            assert all(F(x["max_width"]) < F(1, 2 ** 128) for x in rep["relations"])
 
 
 class TestOmegaTable:
@@ -239,7 +265,6 @@ class TestOmegaTable:
         lam, f = rp_empty(1), 2
         t = omega_k_table(lam, f, p, a_max=3)
         m = build_module(lam, f, p)
-        tol = F(1, 2 ** (m.precision // 2))
         for k in range(1, 4):
             E = m.matE[k - 1]
             for a in range(4):
@@ -250,13 +275,7 @@ class TestOmegaTable:
                      for j, s in enumerate(m.basis)]
                     for i in range(m.dim)
                 ]
-                res = mat_sub(lhs, scaled)
-                for row in res:
-                    for x in row:
-                        if isinstance(x, BallReal):
-                            assert x.contains_zero() and x.width() < tol
-                        else:
-                            assert x == 0
+                assert lhs == scaled
 
     def test_alpha_minus_table(self):
         base = generic_specialization(3, 2)
