@@ -178,8 +178,8 @@ def build_rep(n: int, r: int, params: GroundParams) -> FaithfulRep:
 
 
 def _perm_matrix_word(m: SeminormalModule, word: list[int]):
-    out = mat_identity(m.dim)
-    for i in word:
+    out = m.matT[word[0] - 1] if word else mat_identity(m.dim)
+    for i in word[1:]:
         out = mat_mul(out, m.matT[i - 1])
     return out
 
@@ -239,11 +239,15 @@ def token_matrix(tok: Token, m: SeminormalModule):
 
 
 def eval_word_blocks(w: GenWord, rep: FaithfulRep) -> list:
-    """Per-block matrices of a token word, in the fixed block order."""
+    """Per-block matrices of a token word, in the fixed block order.
+
+    A one-token word yields the cached token matrix itself, so callers must
+    not mutate the result.
+    """
     out = []
     for _, _, m in rep.blocks:
-        mat = mat_identity(m.dim)
-        for tok in w:
+        mat = token_matrix(w[0], m) if w else mat_identity(m.dim)
+        for tok in w[1:]:
             mat = mat_mul(mat, token_matrix(tok, m))
         out.append(mat)
     return out

@@ -159,7 +159,13 @@ def _cmd_identities(args, parser) -> tuple[dict, bool]:
     blocks = []
     ok = True
     for f, lam in shapes_with_f(args.n, args.r):
-        rep = identity_suite(lam, f, p)
+        try:
+            rep = identity_suite(lam, f, p)
+        except (ValueError, ArithmeticError) as exc:
+            ok = False
+            blocks.append({"f": f, "shape": _shape_str(lam), "ok": False,
+                           "error": str(exc)})
+            continue
         ok = ok and rep["ok"]
         blocks.append(
             {
@@ -198,7 +204,10 @@ def _cmd_omega(args, parser) -> tuple[dict, bool]:
 
 def _cmd_br2(args, parser) -> tuple[dict, bool]:
     p = _load_params(args, parser)
-    rep = br2_all(p)
+    try:
+        rep = br2_all(p)
+    except (ValueError, ArithmeticError) as exc:
+        return {"r": p.r, "ok": False, "error": str(exc)}, False
     report = {
         "r": p.r,
         "modules": [
@@ -238,18 +247,25 @@ def _cmd_basis(args, parser) -> tuple[dict, bool]:
 
 def _cmd_rank(args, parser) -> tuple[dict, bool]:
     p = _load_params(args, parser)
-    rep = rank_certify(args.n, args.r, p)
+    try:
+        rep = rank_certify(args.n, args.r, p)
+    except (ValueError, ArithmeticError) as exc:
+        return {"D": target_dimension(args.n, args.r), "certified": False,
+                "error": str(exc)}, False
     return rep, bool(rep["certified"])
 
 
 def _cmd_gram(args, parser) -> tuple[dict, bool]:
     p = _load_params(args, parser)
+    report = {"r": args.r, "n": args.n, "ell": args.ell}
     try:
         g = gram_half(args.n, args.ell, p)
     except ValueError as exc:
         parser.error(str(exc))
-    report = {"r": args.r, "n": args.n, "ell": args.ell,
-              "value": g["value"], "form_zero": g["form_zero"]}
+    except ArithmeticError as exc:
+        report["error"] = str(exc)
+        return report, False
+    report.update(value=g["value"], form_zero=g["form_zero"])
     return report, True
 
 

@@ -1,7 +1,13 @@
-"""Small dense-matrix helpers generic over the scalar backend.
+"""Matrix helpers generic over the scalar backend, with a zero-skipping
+product.
 
 Matrices are plain lists of rows; entries may be Fractions, symbolic
 scalars, or interval reals, mixed freely as long as + and * compose.
+The seminormal generators are mostly exact zeros (X_i is diagonal, T_k
+and E_k are block-sparse), so ``mat_mul`` forms each output row from the
+nonzero entries of both factors only.  An exact zero is an ``int`` or
+``Fraction`` equal to 0; an interval entry is never skipped, even when it
+encloses 0, so products of the interval oracle stay enclosures.
 """
 
 from __future__ import annotations
@@ -9,6 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 Matrix = list
+
+_EXACT = (int, Fraction)
 
 
 def mat_zero(n: int, zero=Fraction(0)) -> Matrix:
@@ -40,20 +48,22 @@ def mat_scale(c, a: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
+    """Product a·b that skips every term with an exact-zero factor.
+
+    Output entries that receive no term are ``Fraction(0)``.
+    """
     m = len(b[0])
-    inner = len(b)
+    b_rows = [
+        [(j, y) for j, y in enumerate(row) if not (isinstance(y, _EXACT) and not y)]
+        for row in b
+    ]
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, inner):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
+    for row in a:
+        acc = [Fraction(0)] * m
+        for x, b_row in zip(row, b_rows):
+            if not b_row or (isinstance(x, _EXACT) and not x):
+                continue
+            for j, y in b_row:
+                acc[j] += x * y
+        out.append(acc)
     return out
-
-
-def mat_equal_exact(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))

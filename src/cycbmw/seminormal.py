@@ -737,6 +737,8 @@ def br2_build(kind: tuple, params: GroundParams) -> Br2Module:
         if i == j:
             raise ValueError("two-dimensional kind needs distinct eigenvalue indices")
         ui, uj = params.u[i - 1], params.u[j - 1]
+        if ui == uj:
+            raise ArithmeticError(f"u_{i} = u_{j}; parameters not generic")
         pref = uj / (uj - ui)
         matT = [
             [pref * delta, pref * (q - ui * params.q_inv * scalar_inv(uj))],

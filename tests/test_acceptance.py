@@ -152,11 +152,11 @@ def test_criterion_08_omega_consistency():
 def test_criterion_09_rank_certification():
     t0 = time.perf_counter()
     ok = True
-    for r, n, d in [(1, 2, 3), (1, 3, 15), (3, 2, 27)]:
+    for r, n, d in [(1, 2, 3), (1, 3, 15), (3, 2, 27), (1, 4, 105)]:
         p = generic_specialization(r, n)
         rep = rank_certify(n, r, p)
         ok = ok and rep["certified"] and rep["D"] == d
-    report(9, "cellular images certified full rank at D = 3, 15, 27",
+    report(9, "cellular images certified full rank at D = 3, 15, 27, 105",
            ok, time.perf_counter() - t0, 600)
 
 

@@ -191,3 +191,16 @@ class TestErrors:
                                 "--preset", str(preset))
         assert code == 1 and report["ok"] is False
         assert any("be-real" in b.get("error", "") for b in report["blocks"])
+
+    @pytest.mark.parametrize("command", ["rank", "identities", "gram", "br2"])
+    def test_non_generic_preset_exit_one(self, capsys, tmp_path, command):
+        # k = 1, 1, 2 makes u_1 = u_2 and puts one content on several nodes,
+        # so the module builds fail: exit 1 with JSON detail, no traceback
+        preset = tmp_path / "preset.txt"
+        preset.write_text("r = 3\nq = 2\nk = 1, 1, 2\n")
+        code, out = run_cli(capsys, command, "--r", "3", "--n", "2",
+                            "--preset", str(preset))
+        assert code == 1
+        report = json.loads(out)
+        assert report.get("ok", report.get("certified", False)) is False
+        assert "parameters not generic" in out
