@@ -257,12 +257,14 @@ def _cmd_rank(args, parser) -> tuple[dict, bool]:
 
 def _cmd_gram(args, parser) -> tuple[dict, bool]:
     p = _load_params(args, parser)
+    if args.n % 2 != 0:
+        parser.error("gram needs an even --n: the top layer needs an even strand count")
+    if abs(args.ell) > p.r - 1:
+        parser.error(f"--ell must satisfy |ell| <= r - 1 = {p.r - 1}")
     report = {"r": args.r, "n": args.n, "ell": args.ell}
     try:
         g = gram_half(args.n, args.ell, p)
-    except ValueError as exc:
-        parser.error(str(exc))
-    except ArithmeticError as exc:
+    except (ValueError, ArithmeticError) as exc:
         report["error"] = str(exc)
         return report, False
     report.update(value=g["value"], form_zero=g["form_zero"])

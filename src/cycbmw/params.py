@@ -124,6 +124,11 @@ class GroundParams:
         self.rho = scalar_inv(self.rho_inv)
         self.sym = SymCache(self.u)
         self._omega: dict[int, object] = {}
+        # memos of seminormal._w_shape and seminormal._e_diag_value
+        self._w_shape_cache: dict = {}
+        self._e_diag_cache: dict = {}
+        # genericity scan of generic_specialization; None for other data
+        self.certificate: dict | None = None
 
     @staticmethod
     def symbolic(r: int, alpha: int = 1) -> "GroundParams":

@@ -1,7 +1,7 @@
 """Exact and rigorous-numeric scalar kernels.
 
 Provides big rationals (stdlib Fraction), multivariate Laurent polynomials,
-rational functions with a deterministic normal form, truncated power series,
+rational functions compared by cross-multiplication, truncated power series,
 and arbitrary-precision interval ("ball") reals, which only the interval test
 oracle uses.  Every other module is generic over these scalars.
 """
@@ -9,7 +9,6 @@ oracle uses.  Every other module is generic over these scalars.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
@@ -189,10 +188,6 @@ class LaurentPoly:
             terms[ne] = terms.get(ne, Fraction(0)) + c * e[idx]
         return LaurentPoly(self.variables, terms)
 
-    def invert_vars(self) -> "LaurentPoly":
-        """Substitute every variable by its inverse (exponent negation)."""
-        return LaurentPoly(self.variables, {tuple(-x for x in e): c for e, c in self.terms.items()})
-
     def evaluate(self, assign: dict[str, Fraction]) -> Fraction:
         total = Fraction(0)
         for e, c in self.terms.items():
@@ -202,22 +197,6 @@ class LaurentPoly:
                     v *= Fraction(assign[name]) ** exp
             total += v
         return total
-
-    def min_exponents(self) -> tuple[int, ...]:
-        if not self.terms:
-            return (0,) * len(self.variables)
-        return tuple(min(e[i] for e in self.terms) for i in range(len(self.variables)))
-
-    def shift(self, offsets: tuple[int, ...]) -> "LaurentPoly":
-        return LaurentPoly(
-            self.variables,
-            {tuple(x + o for x, o in zip(e, offsets)): c for e, c in self.terms.items()},
-        )
-
-    def leading_coeff_lex(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        return self.terms[max(self.terms)]
 
     def __str__(self):
         if not self.terms:
@@ -235,11 +214,10 @@ class LaurentPoly:
 
 
 class RatFunc:
-    """Quotient of Laurent polynomials, lazily normalized.
+    """Quotient of Laurent polynomials, never reduced.
 
-    Arithmetic composes numerators/denominators without gcd work; equality
-    cross-multiplies; normalize() produces the unique canonical
-    representative.
+    Arithmetic composes numerators/denominators without gcd work and
+    equality cross-multiplies, so there is no canonical form and no hash.
     """
 
     __slots__ = ("num", "den")
@@ -330,10 +308,6 @@ class RatFunc:
             return NotImplemented
         return (self.num * other.den - other.num * self.den).is_zero()
 
-    def __hash__(self):
-        n = self.normalize()
-        return hash((n.num, n.den))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -343,80 +317,10 @@ class RatFunc:
             raise ZeroDivisionError("denominator vanishes at evaluation point")
         return self.num.evaluate(assign) / d
 
-    def normalize(self) -> "RatFunc":
-        return ratfunc_normalize(self)
-
     def __str__(self):
         return f"({self.num}) / ({self.den})"
 
     __repr__ = __str__
-
-
-def _clear_content(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Scale the pair so coefficients are integers with joint content 1."""
-    coeffs = list(num.terms.values()) + list(den.terms.values())
-    mult = Fraction(lcm(*(c.denominator for c in coeffs)) if coeffs else 1)
-    content = gcd(*(int(c * mult) for c in coeffs)) if coeffs else 1
-    scale = mult / content
-    return (
-        LaurentPoly(num.variables, {e: c * scale for e, c in num.terms.items()}),
-        LaurentPoly(den.variables, {e: c * scale for e, c in den.terms.items()}),
-    )
-
-
-def _sympy_reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Divide num and den (ordinary polynomials) by their polynomial gcd."""
-    import sympy
-
-    names = num.variables
-    if not names:
-        return num, den
-    syms = [sympy.Symbol(v) for v in names]
-
-    def to_expr(p: LaurentPoly):
-        return sympy.Add(*[
-            sympy.Rational(c.numerator, c.denominator)
-            * sympy.Mul(*[s ** x for s, x in zip(syms, e) if x])
-            for e, c in p.terms.items()
-        ])
-
-    def to_poly(expr):
-        p = sympy.Poly(expr, *syms)
-        terms = {tuple(int(x) for x in e): Fraction(c.p, c.q) for e, c in p.terms()}
-        return LaurentPoly(names, terms)
-
-    pn = sympy.Poly(to_expr(num), *syms)
-    pd = sympy.Poly(to_expr(den), *syms)
-    g = sympy.gcd(pn, pd)
-    return to_poly(pn.exquo(g).as_expr()), to_poly(pd.exquo(g).as_expr())
-
-
-def ratfunc_normalize(f: RatFunc) -> RatFunc:
-    """Canonical representative: monomial-shifted, gcd-reduced, integer
-    content 1, denominator's lexicographically-leading coefficient positive.
-    """
-    if f.num.is_zero():
-        return RatFunc(LaurentPoly.const(0), LaurentPoly.const(1))
-    num, den = LaurentPoly._align(f.num, f.den)
-    # shift the pair by a common monomial so all exponents are >= 0 and the
-    # joint minimum per variable is 0
-    mins = tuple(min(a, b) for a, b in zip(num.min_exponents(), den.min_exponents()))
-    num = num.shift(tuple(-m for m in mins))
-    den = den.shift(tuple(-m for m in mins))
-    num, den = _sympy_reduce(num, den)
-    # gcd may reintroduce a common monomial factor orientation; re-shift
-    mins = tuple(min(a, b) for a, b in zip(num.min_exponents(), den.min_exponents()))
-    num = num.shift(tuple(-m for m in mins))
-    den = den.shift(tuple(-m for m in mins))
-    num, den = _clear_content(num, den)
-    if den.leading_coeff_lex() < 0:
-        num, den = -num, -den
-    # drop variables that no longer occur
-    used = tuple(
-        v for i, v in enumerate(num.variables)
-        if any(e[i] for e in num.terms) or any(e[i] for e in den.terms)
-    )
-    return RatFunc(num._with_vars(used), den._with_vars(used))
 
 
 # -- truncated series -------------------------------------------------------

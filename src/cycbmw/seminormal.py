@@ -45,16 +45,8 @@ def _flank_contents(shape: RPartition, params: GroundParams) -> list:
     return out
 
 
-def _params_cache(params: GroundParams, name: str) -> dict:
-    cache = getattr(params, name, None)
-    if cache is None:
-        cache = {}
-        setattr(params, name, cache)
-    return cache
-
-
 def _w_shape(shape: RPartition, params: GroundParams) -> RatFunc:
-    cache = _params_cache(params, "_w_shape_cache")
+    cache = params._w_shape_cache
     if shape in cache:
         return cache[shape]
     y = RatFunc.var("y")
@@ -97,7 +89,7 @@ def _e_diag_value(shape: RPartition, c, params: GroundParams):
     Computed from the closed product form and, for rational ground data,
     cross-checked against the residue of W/y at y=c.
     """
-    cache = _params_cache(params, "_e_diag_cache")
+    cache = params._e_diag_cache
     key = (shape, c)
     if key in cache:
         return cache[key]
@@ -325,153 +317,198 @@ def build_module(
 # -- relation verification -------------------------------------------------------
 
 
-def _entry_stats(x, tol: Fraction):
-    if isinstance(x, BallReal):
-        return x.contains_zero() and x.width() < tol, x.width()
-    return x == 0, Fraction(0)
-
-
 def _residual_stats(m, tol: Fraction):
+    """(every entry vanishes, largest width): an exact entry must be 0, an
+    interval entry must enclose 0 with width below tol.
+    """
     ok = True
     width = Fraction(0)
     for row in m:
         for x in row:
-            good, w = _entry_stats(x, tol)
-            ok = ok and good
-            width = max(width, w)
+            if isinstance(x, BallReal):
+                w = x.width()
+                ok = ok and x.contains_zero() and w < tol
+                width = max(width, w)
+            elif x:
+                ok = False
     return ok, width
 
 
-def verify_relations(module: SeminormalModule, a_max: int = 3) -> dict:
-    """Check every defining relation and the X-shift identities on the
+# The X-shift identities run over a = 1..A_MAX, and E_1 X_1^a E_1 = omega_a E_1
+# over |a| <= max(A_MAX, r).
+A_MAX = 3
+
+# A relation is a name and a list of (coefficient, word) terms whose sum
+# must vanish.  A word is a tuple of generator tokens read left to right, and
+# () is the identity: ("T", k, 1) is T_k, ("T", k, -1) is T_k^{-1},
+# ("E", k, 1) is E_k and ("X", i, a) is X_i^a.
+
+
+def _T(k: int, e: int = 1) -> tuple:
+    return ("T", k, e)
+
+
+def _E(k: int) -> tuple:
+    return ("E", k, 1)
+
+
+def _X(i: int, a: int = 1) -> tuple:
+    return ("X", i, a)
+
+
+def defining_relations(n: int, params: GroundParams, rho, omega) -> list:
+    """The defining relations of B_{r,n} on n strands.
+
+    rho and omega are the module's own; they differ from the ground data's
+    on the big two-strand modules.
+    """
+    delta, r = params.delta, params.r
+    rel: list = []
+    for i in range(1, n + 1):
+        rel.append(("x-inverse", [(1, (_X(i), _X(i, -1))), (-1, ())]))
+        for j in range(i + 1, n + 1):
+            rel.append(("x-commute", [(1, (_X(i), _X(j))), (-1, (_X(j), _X(i)))]))
+    # prod_s (X_1 - u_s), expanded by the elementary symmetric functions
+    rel.append(("cyclotomic", [
+        ((-1) ** (r - j) * params.sym.sigma[r - j], (_X(1, j),)) for j in range(r + 1)
+    ]))
+    for k in range(1, n):
+        T, Ti, E, Xk, Xk1 = _T(k), _T(k, -1), _E(k), _X(k), _X(k + 1)
+        rel += [
+            ("kauffman", [(1, (T, T)), (-delta, (T,)), (delta * rho, (E,)), (-1, ())]),
+            ("e-idempotent", [(1, (E, E)), (-omega(0), (E,))]),
+            ("skein-left", [(1, (T, Xk)), (-1, (Xk1, T)),
+                            (-delta, (Xk1, E)), (delta, (Xk1,))]),
+            ("skein-right", [(1, (Xk, T)), (-1, (T, Xk1)),
+                             (-delta, (E, Xk1)), (delta, (Xk1,))]),
+            ("x-braid-step", [(1, (Xk1,)), (-1, (T, Xk, T))]),
+        ]
+        rel += [("t-inverse", [(1, w), (-1, ())]) for w in ((T, Ti), (Ti, T))]
+        rel += [("e-t-absorb", [(1, w), (-rho, (E,))]) for w in ((E, T), (T, E))]
+        rel += [("e-x-unit", [(1, w), (-1, (E,))]) for w in ((E, Xk, Xk1), (Xk, Xk1, E))]
+        rel += [("t-x-far", [(1, (T, _X(j))), (-1, (_X(j), T))])
+                for j in range(1, n + 1) if j not in (k, k + 1)]
+        rel += [("braid-far", [(1, (T, _T(l))), (-1, (_T(l), T))])
+                for l in range(k + 2, n)]
+    for k in range(1, n - 1):
+        T, T1, E, E1 = _T(k), _T(k + 1), _E(k), _E(k + 1)
+        rel.append(("braid", [(1, (T, T1, T)), (-1, (T1, T, T1))]))
+        rel += [("e-e-braid", [(1, (E1, E)), (-1, w)]) for w in ((E1, T, T1), (T, T1, E))]
+        rel += [("e-sandwich", [(1, (a, b, a)), (-1, (a,))]) for a, b in ((E1, E), (E, E1))]
+    if n >= 2:
+        g = max(A_MAX, r)
+        rel += [("e-x-e", [(1, (_E(1), _X(1, a), _E(1))), (-omega(a), (_E(1),))])
+                for a in range(-g, g + 1)]
+    return rel
+
+
+def x_shift_relations(n: int, params: GroundParams, rho) -> list:
+    """The X-shift identities: T_k, T_k^{-1} and E_k moved past X_k^{+-a}.
+
+    The first is T_k X_k^a - X_{k+1}^a T_k
+    = delta sum_{i=1}^a X_{k+1}^i (E_k - 1) X_k^{a-i}.
+    """
+    delta = params.delta
+    rel: list = []
+    for k in range(1, n):
+        T, Ti, E = _T(k), _T(k, -1), _E(k)
+
+        def X(a):
+            return _X(k, a)
+
+        def Y(a):
+            return _X(k + 1, a)
+
+        for a in range(1, A_MAX + 1):
+            s1 = [(1, (T, X(a))), (-1, (Y(a), T))]
+            s2 = [(1, (Ti, X(a))), (-1, (Y(a), Ti))]
+            s3 = [(1, (E, X(a), T)), (-rho, (E, X(-a)))]
+            s4 = [(1, (T, X(-a))), (-1, (Y(-a), T))]
+            s5 = [(1, (Ti, X(-a))), (-1, (Y(-a), Ti))]
+            s6 = [(1, (E, X(-a), T)), (-rho, (E, X(a)))]
+            for i in range(1, a + 1):
+                s1 += [(-delta, (Y(i), E, X(a - i))), (delta, (Y(i), X(a - i)))]
+                s2 += [(-delta, (Y(a - i), E, X(i))), (delta, (Y(a - i), X(i)))]
+                s3 += [(-delta, (E, X(a - i), E, X(-i))), (delta, (E, X(a - 2 * i)))]
+                s4 += [(delta, (Y(i - a), E, X(-i))), (-delta, (Y(i - a), X(-i)))]
+                s5 += [(delta, (Y(-i), E, X(i - a))), (-delta, (Y(-i), X(i - a)))]
+                s6 += [(delta, (E, X(-i), E, X(a - i))), (-delta, (E, X(a - 2 * i)))]
+            rel += [(f"x-shift-{m}", s) for m, s in enumerate((s1, s2, s3, s4, s5, s6), 1)]
+    return rel
+
+
+def _check_relations(relations: list, matX: list, matT: list, matE: list,
+                     delta, tol: Fraction) -> dict:
+    """Evaluate every relation on the given generator matrices.
+
+    Returns name -> (every instance vanishes, largest residual width).
+    """
+    d = len(matX[0])
+    identity = mat_identity(d)
+    gens: dict = {}
+
+    def generator(tok):
+        if tok not in gens:
+            kind, i, e = tok
+            if kind == "X":
+                x = matX[i - 1]
+                gens[tok] = mat_diag([x[j][j] ** e for j in range(d)])
+            elif kind == "E":
+                gens[tok] = matE[i - 1]
+            elif e == 1:
+                gens[tok] = matT[i - 1]
+            else:
+                gens[tok] = mat_add(mat_sub(matT[i - 1], mat_scale(delta, identity)),
+                                    mat_scale(delta, matE[i - 1]))
+        return gens[tok]
+
+    def word_matrix(word):
+        mats = [generator(tok) for tok in word if tok[2]]  # X_i^0 is 1
+        if not mats:
+            return identity
+        m = mats[0]
+        for x in mats[1:]:
+            m = mat_mul(m, x)
+        return m
+
+    merged: dict = {}
+    for name, terms in relations:
+        total = None
+        for c, word in terms:
+            m = word_matrix(word)
+            if c == -1 and total is not None:
+                total = mat_sub(total, m)
+                continue
+            if c != 1:
+                m = mat_scale(c, m)
+            total = m if total is None else mat_add(total, m)
+        ok, w = _residual_stats(total, tol)
+        prev_ok, prev_w = merged.get(name, (True, Fraction(0)))
+        merged[name] = (prev_ok and ok, max(prev_w, w))
+    return merged
+
+
+def verify_relations(module: SeminormalModule) -> dict:
+    """Check the defining relations and the X-shift identities on the
     module's matrices.
 
     Exact entries must vanish identically; interval entries of the ball
     oracle must enclose 0 with width below 2^(-precision/2).
     """
     p = module.params
-    n = module.n
-    d = module.dim
     tol = Fraction(1, 2 ** (module.ctx.precision // 2)) if module.ctx else Fraction(0)
-    I = mat_identity(d)
-    delta, rho = p.delta, p.rho
-
-    def xpow(i: int, a: int):
-        return mat_diag([s.content(i, p) ** a for s in module.basis])
-
-    X = {i: module.matX[i - 1] for i in range(1, n + 1)}
-    T = {k: module.matT[k - 1] for k in range(1, n)}
-    E = {k: module.matE[k - 1] for k in range(1, n)}
-    Tinv = {
-        k: mat_add(mat_sub(T[k], mat_scale(delta, I)), mat_scale(delta, E[k]))
-        for k in range(1, n)
-    }
-
-    merged: dict[str, tuple[bool, Fraction]] = {}
-
-    def rec(name: str, residual):
-        ok, w = _residual_stats(residual, tol)
-        prev = merged.get(name, (True, Fraction(0)))
-        merged[name] = (prev[0] and ok, max(prev[1], w))
-
-    for i in range(1, n + 1):
-        rec("x-inverse", mat_sub(mat_mul(X[i], xpow(i, -1)), I))
-        for j in range(i + 1, n + 1):
-            rec("x-commute", mat_sub(mat_mul(X[i], X[j]), mat_mul(X[j], X[i])))
-    cyc = I
-    for us in p.u:
-        cyc = mat_mul(cyc, mat_sub(X[1], mat_scale(us, I)))
-    rec("cyclotomic", cyc)
-
-    for k in range(1, n):
-        rec("kauffman", mat_sub(
-            mat_add(mat_sub(mat_mul(T[k], T[k]), mat_scale(delta, T[k])),
-                    mat_scale(delta * rho, E[k])), I))
-        rec("t-inverse", mat_sub(mat_mul(T[k], Tinv[k]), I))
-        rec("t-inverse", mat_sub(mat_mul(Tinv[k], T[k]), I))
-        rec("e-idempotent", mat_sub(mat_mul(E[k], E[k]), mat_scale(p.omega(0), E[k])))
-        rec("e-t-absorb", mat_sub(mat_mul(E[k], T[k]), mat_scale(rho, E[k])))
-        rec("e-t-absorb", mat_sub(mat_mul(T[k], E[k]), mat_scale(rho, E[k])))
-        rec("skein-left", mat_sub(
-            mat_sub(mat_mul(T[k], X[k]), mat_mul(X[k + 1], T[k])),
-            mat_scale(delta, mat_mul(X[k + 1], mat_sub(E[k], I)))))
-        rec("skein-right", mat_sub(
-            mat_sub(mat_mul(X[k], T[k]), mat_mul(T[k], X[k + 1])),
-            mat_scale(delta, mat_mul(mat_sub(E[k], I), X[k + 1]))))
-        rec("e-x-unit", mat_sub(mat_mul(mat_mul(E[k], X[k]), X[k + 1]), E[k]))
-        rec("e-x-unit", mat_sub(mat_mul(mat_mul(X[k], X[k + 1]), E[k]), E[k]))
-        rec("x-braid-step", mat_sub(X[k + 1], mat_mul(mat_mul(T[k], X[k]), T[k])))
-        for j in range(1, n + 1):
-            if j not in (k, k + 1):
-                rec("t-x-far", mat_sub(mat_mul(T[k], X[j]), mat_mul(X[j], T[k])))
-        for l in range(k + 2, n):
-            rec("braid-far", mat_sub(mat_mul(T[k], T[l]), mat_mul(T[l], T[k])))
-
-    for k in range(1, n - 1):
-        rec("braid", mat_sub(
-            mat_mul(mat_mul(T[k], T[k + 1]), T[k]),
-            mat_mul(mat_mul(T[k + 1], T[k]), T[k + 1])))
-        ee = mat_mul(E[k + 1], E[k])
-        rec("e-e-braid", mat_sub(ee, mat_mul(mat_mul(E[k + 1], T[k]), T[k + 1])))
-        rec("e-e-braid", mat_sub(ee, mat_mul(mat_mul(T[k], T[k + 1]), E[k])))
-        rec("e-sandwich", mat_sub(mat_mul(ee, E[k + 1]), E[k + 1]))
-        rec("e-sandwich", mat_sub(mat_mul(E[k], mat_mul(E[k + 1], E[k])), E[k]))
-
-    g_max = max(a_max, p.r)
-    if n >= 2:
-        for a in range(-g_max, g_max + 1):
-            rec("e-x-e", mat_sub(
-                mat_mul(mat_mul(E[1], xpow(1, a)), E[1]),
-                mat_scale(p.omega(a), E[1])))
-
-    for k in range(1, n):
-        for a in range(1, a_max + 1):
-            em1 = mat_sub(E[k], I)
-            lhs = mat_sub(mat_mul(T[k], xpow(k, a)), mat_mul(xpow(k + 1, a), T[k]))
-            for i in range(1, a + 1):
-                lhs = mat_sub(lhs, mat_scale(delta, mat_mul(
-                    mat_mul(xpow(k + 1, i), em1), xpow(k, a - i))))
-            rec("x-shift-1", lhs)
-            lhs = mat_sub(mat_mul(Tinv[k], xpow(k, a)), mat_mul(xpow(k + 1, a), Tinv[k]))
-            for i in range(1, a + 1):
-                lhs = mat_sub(lhs, mat_scale(delta, mat_mul(
-                    mat_mul(xpow(k + 1, a - i), em1), xpow(k, i))))
-            rec("x-shift-2", lhs)
-            lhs = mat_sub(
-                mat_mul(mat_mul(E[k], xpow(k, a)), T[k]),
-                mat_scale(rho, mat_mul(E[k], xpow(k, -a))))
-            for i in range(1, a + 1):
-                lhs = mat_sub(lhs, mat_scale(delta, mat_mul(
-                    mat_mul(mat_mul(E[k], xpow(k, a - i)), E[k]), xpow(k, -i))))
-                lhs = mat_add(lhs, mat_scale(delta, mat_mul(E[k], xpow(k, a - 2 * i))))
-            rec("x-shift-3", lhs)
-            lhs = mat_sub(mat_mul(T[k], xpow(k, -a)), mat_mul(xpow(k + 1, -a), T[k]))
-            for i in range(1, a + 1):
-                lhs = mat_add(lhs, mat_scale(delta, mat_mul(
-                    mat_mul(xpow(k + 1, -a + i), em1), xpow(k, -i))))
-            rec("x-shift-4", lhs)
-            lhs = mat_sub(mat_mul(Tinv[k], xpow(k, -a)), mat_mul(xpow(k + 1, -a), Tinv[k]))
-            for i in range(1, a + 1):
-                lhs = mat_add(lhs, mat_scale(delta, mat_mul(
-                    mat_mul(xpow(k + 1, -i), em1), xpow(k, -a + i))))
-            rec("x-shift-5", lhs)
-            lhs = mat_sub(
-                mat_mul(mat_mul(E[k], xpow(k, -a)), T[k]),
-                mat_scale(rho, mat_mul(E[k], xpow(k, a))))
-            for i in range(1, a + 1):
-                lhs = mat_add(lhs, mat_scale(delta, mat_mul(
-                    mat_mul(mat_mul(E[k], xpow(k, -i)), E[k]), xpow(k, a - i))))
-                lhs = mat_sub(lhs, mat_scale(delta, mat_mul(E[k], xpow(k, a - 2 * i))))
-            rec("x-shift-6", lhs)
-
-    relations = [
+    relations = (defining_relations(module.n, p, p.rho, p.omega)
+                 + x_shift_relations(module.n, p, p.rho))
+    merged = _check_relations(relations, module.matX, module.matT, module.matE,
+                              p.delta, tol)
+    report = [
         {"name": name, "pass": ok, "max_width": float(w)}
         for name, (ok, w) in sorted(merged.items())
     ]
     return {
-        "ok": all(r["pass"] for r in relations),
-        "dim": d,
-        "relations": relations,
+        "ok": all(r["pass"] for r in report),
+        "dim": module.dim,
+        "relations": report,
     }
 
 
@@ -782,61 +819,23 @@ def br2_build(kind: tuple, params: GroundParams) -> Br2Module:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def br2_verify(mod: Br2Module, params: GroundParams, a_max: int | None = None) -> dict:
-    """Exact residual check of the two-strand relations on one module."""
-    if a_max is None:
-        a_max = max(3, params.r)
-    d = mod.dim
-    I = mat_identity(d)
-    delta, rho = params.delta, mod.rho
-    T, E, X1, X2 = mod.matT, mod.matE, mod.matX1, mod.matX2
+def br2_verify(mod: Br2Module, params: GroundParams) -> dict:
+    """Exact check of the defining relations at n = 2 and of the row-sum
+    identities of the big kind on one two-strand module.
+    """
     omega = mod.omega_local if mod.v is not None else params.omega
-    omega0 = omega(0)
-    results = []
-
-    def rec(name, residual):
-        ok = all(x == 0 for row in residual for x in row)
-        results.append({"name": name, "pass": ok})
-
-    rec("kauffman", mat_sub(
-        mat_add(mat_sub(mat_mul(T, T), mat_scale(delta, T)),
-                mat_scale(delta * rho, E)), I))
-    tinv = mat_add(mat_sub(T, mat_scale(delta, I)), mat_scale(delta, E))
-    rec("t-inverse", mat_sub(mat_mul(T, tinv), I))
-    rec("e-idempotent", mat_sub(mat_mul(E, E), mat_scale(omega0, E)))
-    rec("e-t-absorb", mat_sub(mat_mul(E, T), mat_scale(rho, E)))
-    rec("e-t-absorb-left", mat_sub(mat_mul(T, E), mat_scale(rho, E)))
-    rec("x-commute", mat_sub(mat_mul(X1, X2), mat_mul(X2, X1)))
-    rec("e-x-unit", mat_sub(mat_mul(mat_mul(E, X1), X2), E))
-    rec("e-x-unit-left", mat_sub(mat_mul(mat_mul(X1, X2), E), E))
-    rec("skein-left", mat_sub(
-        mat_sub(mat_mul(T, X1), mat_mul(X2, T)),
-        mat_scale(delta, mat_mul(X2, mat_sub(E, I)))))
-    rec("skein-right", mat_sub(
-        mat_sub(mat_mul(X1, T), mat_mul(T, X2)),
-        mat_scale(delta, mat_mul(mat_sub(E, I), X2))))
-    rec("x-braid-step", mat_sub(X2, mat_mul(mat_mul(T, X1), T)))
-    cyc = I
-    for us in params.u:
-        cyc = mat_mul(cyc, mat_sub(X1, mat_scale(us, I)))
-    rec("cyclotomic", cyc)
-
-    def x1pow(a: int):
-        return mat_diag([(X1[i][i]) ** a for i in range(d)])
-
-    for a in range(-a_max, a_max + 1):
-        rec(f"e-x-e({a})", mat_sub(
-            mat_mul(mat_mul(E, x1pow(a)), E), mat_scale(omega(a), E)))
-
+    merged = _check_relations(defining_relations(2, params, mod.rho, omega),
+                              [mod.matX1, mod.matX2], [mod.matT], [mod.matE],
+                              params.delta, Fraction(0))
+    results = [{"name": name, "pass": ok} for name, (ok, _) in merged.items()]
     if mod.v is not None:
-        dr = params.delta_inv * rho
+        dr = params.delta_inv * mod.rho
         for j, vj in enumerate(mod.v):
             lhs = sum(g / (vj * vk - 1) for vk, g in zip(mod.v, mod.gamma))
             ok = lhs == dr + Fraction(1) / (vj * vj - 1)
             results.append({"name": f"row-sum({j + 1})", "pass": ok})
-
     return {"ok": all(r["pass"] for r in results),
-            "kind": mod.kind, "dim": d, "relations": results}
+            "kind": mod.kind, "dim": mod.dim, "relations": results}
 
 
 def br2_all(params: GroundParams) -> dict:

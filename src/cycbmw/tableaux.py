@@ -33,14 +33,6 @@ def rp_size(lam: RPartition) -> int:
     return sum(sum(c) for c in lam)
 
 
-def rp_is_valid(lam) -> bool:
-    return all(
-        all(isinstance(x, int) and x > 0 for x in comp)
-        and all(comp[i] >= comp[i + 1] for i in range(len(comp) - 1))
-        for comp in lam
-    )
-
-
 def rp_add(lam: RPartition, node: Node) -> RPartition | None:
     """Add one box; None when the result is not a partition."""
     comp = list(lam[node.comp - 1])

@@ -159,6 +159,11 @@ class TestErrors:
             run(["gram", "--r", "1", "--n", "3"])
         assert exc.value.code == 2
 
+    def test_gram_ell_outside_window(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["gram", "--r", "3", "--n", "2", "--ell", "3"])
+        assert exc.value.code == 2
+
     def test_preset_missing_file(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["params", "--r", "3", "--preset", str(tmp_path / "absent.txt")])
@@ -191,6 +196,17 @@ class TestErrors:
                                 "--preset", str(preset))
         assert code == 1 and report["ok"] is False
         assert any("be-real" in b.get("error", "") for b in report["blocks"])
+
+    def test_gram_check_failure_exit_one(self, capsys, tmp_path):
+        # the negative radicand fails the module build of the Gram cross
+        # check: a check failure, not a usage error
+        preset = tmp_path / "preset.txt"
+        preset.write_text("r = 3\nq = 2\nk = 10, -6, 2\nalpha = -1\n")
+        code, report = run_json(capsys, "gram", "--r", "3", "--n", "2",
+                                "--preset", str(preset))
+        assert code == 1
+        assert set(report) == {"r", "n", "ell", "error"}
+        assert "be-real violated" in report["error"]
 
     @pytest.mark.parametrize("command", ["rank", "identities", "gram", "br2"])
     def test_non_generic_preset_exit_one(self, capsys, tmp_path, command):

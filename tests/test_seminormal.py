@@ -36,6 +36,30 @@ def updown(r, *signed_nodes):
     return UpDownTableau(r, tuple((s, Node(*nd)) for s, nd in signed_nodes))
 
 
+def y_coeffs(poly):
+    """Ascending coefficients of a polynomial in y alone."""
+    split = poly.coeff_split("y")
+    assert min(split) >= 0
+    out = [F(0)] * (max(split) + 1)
+    for e, c in split.items():
+        out[e] = c
+    return out
+
+
+def at(coeffs, c):
+    return sum(a * c ** i for i, a in enumerate(coeffs))
+
+
+def divide_root(coeffs, c):
+    """Quotient by y - c by synthetic division; the remainder must vanish."""
+    acc, quotient = F(0), []
+    for a in reversed(coeffs):
+        acc = acc * c + a
+        quotient.append(acc)
+    assert quotient.pop() == 0
+    return quotient[::-1]
+
+
 class TestWRational:
     def test_one_row_equals_one_strand_series(self):
         # over the empty flanking shape the node product has one factor per
@@ -71,13 +95,16 @@ class TestEDiag:
         assert E_diag(s, 1, p) == p.omega(0)
 
     def test_matches_normalized_residue(self):
-        # third route: cancel the pole by polynomial reduction, then evaluate
+        # third route: cancel the pole of W/y at y = c by exact division by
+        # y - c, then evaluate (W/y)(y - c) at c
         p = generic_specialization(3, 2)
         for s in enumerate_updown(2, rp_empty(3)):
             c = s.content(1, p)
-            y = RatFunc.var("y")
-            g = (W_rational(s, 1, p) * (y - RatFunc.const(c)) / y).normalize()
-            assert E_diag(s, 1, p) == g.evaluate({"y": c})
+            w = W_rational(s, 1, p)
+            num, den = y_coeffs(w.num), divide_root(y_coeffs(w.den), c)
+            while at(den, c) == 0:  # a factor y - c common to both
+                num, den = divide_root(num, c), divide_root(den, c)
+            assert E_diag(s, 1, p) == at(num, c) / (at(den, c) * c)
 
     def test_error_when_flanks_differ(self):
         p = generic_specialization(3, 2)
@@ -227,6 +254,16 @@ class TestRelations:
             assert rep["ok"], (f, lam, [x for x in rep["relations"] if not x["pass"]])
             assert all(x["max_width"] == 0 for x in rep["relations"])
 
+    def test_broken_generator_fails(self):
+        # one perturbed off-diagonal entry of T_1 breaks the Kauffman relation
+        p = generic_specialization(3, 2)
+        m = build_module(rp_empty(3), 1, p)
+        assert m.matT[0][0][1] != 0
+        m.matT[0][0][1] += 1
+        rep = verify_relations(m)
+        assert not rep["ok"]
+        assert "kauffman" in [x["name"] for x in rep["relations"] if not x["pass"]]
+
     def test_ball_oracle_passes(self):
         p = generic_specialization(1, 3)
         for f, lam in shapes_with_f(3, 1):
@@ -346,6 +383,14 @@ class TestBr2:
         assert m.matX1 == mat_diag([ui, uj])
         assert m.matX2 == mat_diag([uj, ui])
         assert br2_verify(m, p)["ok"]
+
+    def test_broken_generator_fails(self):
+        p = generic_specialization(3, 2)
+        m = br2_build(("twodim", 1, 2), p)
+        m.matT[0][1] += 1
+        rep = br2_verify(m, p)
+        assert not rep["ok"]
+        assert "kauffman" in [x["name"] for x in rep["relations"] if not x["pass"]]
 
     def test_big_d1(self):
         p = generic_specialization(3, 2)
