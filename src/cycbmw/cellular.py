@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial
 
-from .matrices import mat_add, mat_diag, mat_identity, mat_mul, mat_scale, mat_sub
+from .matrices import mat_add, mat_diag, mat_scale
+# bound only because bench/tracer.py patches them here (ROADMAP item 1)
+from .matrices import mat_identity, mat_mul, mat_sub  # noqa: F401
 from .params import GroundParams
-from .seminormal import SeminormalModule, build_module
+from .seminormal import SeminormalModule, build_module, generator_matrix, word_product
 from .tableaux import (
     CosetRep,
     RPartition,
@@ -90,7 +92,7 @@ def word_star(w: GenWord) -> GenWord:
 
 
 def _t_word(perm: tuple[int, ...]) -> GenWord:
-    return tuple(("T", i) for i in reduced_word(perm))
+    return tuple(("T", i, 1) for i in reduced_word(perm))
 
 
 def m_word(s: StdTableau, t: StdTableau, r: int) -> GenWord:
@@ -126,7 +128,7 @@ def _x_power_word(kappa: tuple[int, ...], f: int, n: int) -> GenWord:
 
 def e_arcs_word(f: int, n: int) -> GenWord:
     """Horizontal-arc idempotent product on the last 2f strands."""
-    return tuple(("E", n - 2 * j + 1) for j in range(1, f + 1))
+    return tuple(("E", n - 2 * j + 1, 1) for j in range(1, f + 1))
 
 
 def cell_word(f: int, lam: RPartition, left, right, n: int, r: int) -> GenWord:
@@ -150,7 +152,7 @@ def _t_word_of_coset(d: CosetRep, n: int) -> GenWord:
     for i in d.word:
         if not 1 <= i <= n - 1:
             raise ValueError("coset word index out of range")
-    return tuple(("T", i) for i in d.word)
+    return tuple(("T", i, 1) for i in d.word)
 
 
 # -- evaluation in the faithful representation -----------------------------------
@@ -177,11 +179,8 @@ def build_rep(n: int, r: int, params: GroundParams) -> FaithfulRep:
     return FaithfulRep(n, r, params, blocks)
 
 
-def _perm_matrix_word(m: SeminormalModule, word: list[int]):
-    out = m.matT[word[0] - 1] if word else mat_identity(m.dim)
-    for i in word[1:]:
-        out = mat_mul(out, m.matT[i - 1])
-    return out
+def _module_word(w: GenWord, m: SeminormalModule):
+    return word_product(w, lambda tok: token_matrix(tok, m), m.dim)
 
 
 def _rowsum_matrix(m: SeminormalModule, lam: RPartition):
@@ -194,46 +193,30 @@ def _rowsum_matrix(m: SeminormalModule, lam: RPartition):
         for row, img in zip(rows, choice):
             for pos, val in zip(row, img):
                 p[pos - 1] = val
-        mat = _perm_matrix_word(m, reduced_word(tuple(p)))
+        mat = _module_word(_t_word(tuple(p)), m)
         total = mat if total is None else mat_add(total, mat)
     return total
 
 
 def token_matrix(tok: Token, m: SeminormalModule):
-    """Matrix of one generator token on a single seminormal module."""
+    """Matrix of one token on a single seminormal module: a relation-table
+    generator, ("Xshift", i, comp) for X_i - u_comp, or ("rowsum", lam) for
+    the row-stabilizer sum of lam.
+    """
     cache = m._word_cache
     if tok in cache:
         return cache[tok]
-    kind = tok[0]
-    n, p = m.n, m.params
-    if kind in ("T", "Tinv", "E"):
-        i = tok[1]
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"token index {i} out of range for {n} strands")
-        if kind == "T":
-            out = m.matT[i - 1]
-        elif kind == "E":
-            out = m.matE[i - 1]
-        else:
-            out = mat_add(
-                mat_sub(m.matT[i - 1], mat_scale(p.delta, mat_identity(m.dim))),
-                mat_scale(p.delta, m.matE[i - 1]),
-            )
-    elif kind == "X":
-        _, j, e = tok
-        if not 1 <= j <= n:
-            raise ValueError(f"token index {j} out of range for {n} strands")
-        out = mat_diag([s.content(j, p) ** e for s in m.basis])
-    elif kind == "Xshift":
+    p = m.params
+    if tok[0] == "Xshift":
         _, i, comp = tok
-        if not (1 <= i <= n and 1 <= comp <= p.r):
+        if not (1 <= i <= m.n and 1 <= comp <= p.r):
             raise ValueError("shift token out of range")
         us = p.u[comp - 1]
         out = mat_diag([s.content(i, p) - us for s in m.basis])
-    elif kind == "rowsum":
+    elif tok[0] == "rowsum":
         out = _rowsum_matrix(m, tok[1])
     else:
-        raise ValueError(f"unknown token {tok!r}")
+        out = generator_matrix(tok, m.matX, m.matT, m.matE, p.delta)
     cache[tok] = out
     return out
 
@@ -244,13 +227,7 @@ def eval_word_blocks(w: GenWord, rep: FaithfulRep) -> list:
     A one-token word yields the cached token matrix itself, so callers must
     not mutate the result.
     """
-    out = []
-    for _, _, m in rep.blocks:
-        mat = token_matrix(w[0], m) if w else mat_identity(m.dim)
-        for tok in w[1:]:
-            mat = mat_mul(mat, token_matrix(tok, m))
-        out.append(mat)
-    return out
+    return [_module_word(w, m) for _, _, m in rep.blocks]
 
 
 def eval_word(w: GenWord, rep: FaithfulRep) -> list:

@@ -45,12 +45,13 @@ def _jsonable(x):
     return x
 
 
-def _emit(report: dict, args, csv_rows=None, csv_header=None) -> None:
+def _emit(report: dict, args, csv_table=None) -> None:
     if args.format == "csv":
+        rows, header = csv_table
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(csv_header)
-        writer.writerows(csv_rows)
+        writer.writerow(header)
+        writer.writerows(rows)
         text = buf.getvalue()
     else:
         text = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
@@ -77,6 +78,8 @@ def _load_params(args, parser) -> GroundParams:
 
 
 # -- command handlers -----------------------------------------------------------
+# Each returns (report, every check passed); the commands in _CSV_COMMANDS
+# also return their CSV table as (rows, header).
 
 
 def _cmd_params(args, parser) -> tuple[dict, bool]:
@@ -97,7 +100,7 @@ def _cmd_params(args, parser) -> tuple[dict, bool]:
     return report, adm["ok"]
 
 
-def _cmd_tabs(args, parser) -> tuple[dict, bool]:
+def _cmd_tabs(args, parser) -> tuple[dict, bool, tuple]:
     r, n = args.r, args.n
     counts = count_updown(n, r)
     total_sq = sum(c * c for c in counts.values())
@@ -123,8 +126,7 @@ def _cmd_tabs(args, parser) -> tuple[dict, bool]:
         "expected": expected,
         "ok": ok,
     }
-    args._csv = (rows, ["r", "n", "f", "shape", "count"])
-    return report, ok
+    return report, ok, (rows, ["r", "n", "f", "shape", "count"])
 
 
 def _cmd_rep(args, parser) -> tuple[dict, bool]:
@@ -221,7 +223,7 @@ def _cmd_br2(args, parser) -> tuple[dict, bool]:
     return report, rep["ok"]
 
 
-def _cmd_basis(args, parser) -> tuple[dict, bool]:
+def _cmd_basis(args, parser) -> tuple[dict, bool, tuple]:
     cd = cell_datum(args.n, args.r)
     expected = target_dimension(args.n, args.r)
     ok = cd.total_sq == expected
@@ -241,8 +243,7 @@ def _cmd_basis(args, parser) -> tuple[dict, bool]:
         "expected": expected,
         "ok": ok,
     }
-    args._csv = (rows, ["f", "shape", "std", "kappa", "cosets", "size"])
-    return report, ok
+    return report, ok, (rows, ["f", "shape", "std", "kappa", "cosets", "size"])
 
 
 def _cmd_rank(args, parser) -> tuple[dict, bool]:
@@ -298,6 +299,9 @@ _COMMANDS = {
 
 _CSV_COMMANDS = {"tabs", "basis"}
 
+# Commands that build seminormal modules, which need at least one strand.
+_MODULE_COMMANDS = {"rep", "rank", "gram"}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -342,12 +346,12 @@ def run(argv=None) -> int:
     max_n = int(os.environ.get("BMW_MAX_N", DEFAULT_MAX_N))
     if not 0 <= args.n <= max_n:
         parser.error(f"--n must be in 0..{max_n} (override with BMW_MAX_N)")
+    if args.n == 0 and args.command in _MODULE_COMMANDS:
+        parser.error(f"{args.command} needs --n >= 1: a module needs at least one strand")
     if args.format == "csv" and args.command not in _CSV_COMMANDS:
         parser.error(f"--format csv is only supported for {sorted(_CSV_COMMANDS)}")
-    args._csv = None
-    report, ok = _COMMANDS[args.command](args, parser)
-    csv_rows, csv_header = args._csv if args._csv else (None, None)
-    _emit(report, args, csv_rows=csv_rows, csv_header=csv_header)
+    report, ok, *csv_table = _COMMANDS[args.command](args, parser)
+    _emit(report, args, *csv_table)
     return 0 if ok else 1
 
 

@@ -1,13 +1,9 @@
-"""Matrix helpers generic over the scalar backend, with a zero-skipping
-product.
+"""Matrix helpers over exact scalars, with a zero-skipping product.
 
-Matrices are plain lists of rows; entries may be Fractions, symbolic
-scalars, or interval reals, mixed freely as long as + and * compose.
-The seminormal generators are mostly exact zeros (X_i is diagonal, T_k
-and E_k are block-sparse), so ``mat_mul`` forms each output row from the
-nonzero entries of both factors only.  An exact zero is an ``int`` or
-``Fraction`` equal to 0; an interval entry is never skipped, even when it
-encloses 0, so products of the interval oracle stay enclosures.
+Matrices are plain lists of rows of Fractions (or ints).  The seminormal
+generators are mostly zeros (X_i is diagonal, T_k and E_k are block-sparse),
+so ``mat_mul`` forms each output row from the nonzero entries of both
+factors only.
 """
 
 from __future__ import annotations
@@ -16,15 +12,13 @@ from fractions import Fraction
 
 Matrix = list
 
-_EXACT = (int, Fraction)
+
+def mat_zero(n: int) -> Matrix:
+    return [[Fraction(0)] * n for _ in range(n)]
 
 
-def mat_zero(n: int, zero=Fraction(0)) -> Matrix:
-    return [[zero for _ in range(n)] for _ in range(n)]
-
-
-def mat_identity(n: int, one=Fraction(1), zero=Fraction(0)) -> Matrix:
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def mat_identity(n: int) -> Matrix:
+    return mat_diag([Fraction(1)] * n)
 
 
 def mat_diag(entries) -> Matrix:
@@ -48,20 +42,17 @@ def mat_scale(c, a: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Product a·b that skips every term with an exact-zero factor.
+    """Product a·b that skips every term with a zero factor.
 
     Output entries that receive no term are ``Fraction(0)``.
     """
     m = len(b[0])
-    b_rows = [
-        [(j, y) for j, y in enumerate(row) if not (isinstance(y, _EXACT) and not y)]
-        for row in b
-    ]
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
     for row in a:
         acc = [Fraction(0)] * m
         for x, b_row in zip(row, b_rows):
-            if not b_row or (isinstance(x, _EXACT) and not x):
+            if not b_row or not x:
                 continue
             for j, y in b_row:
                 acc[j] += x * y

@@ -130,13 +130,6 @@ class GroundParams:
         # genericity scan of generic_specialization; None for other data
         self.certificate: dict | None = None
 
-    @staticmethod
-    def symbolic(r: int, alpha: int = 1) -> "GroundParams":
-        """Fully symbolic ground data over the rational function field."""
-        q = RatFunc.var("q")
-        u = [RatFunc.var(f"u{i}") for i in range(1, r + 1)]
-        return GroundParams(r, q, u, alpha)
-
     # -- omega --------------------------------------------------------------
 
     def omega(self, a: int):

@@ -1,9 +1,10 @@
-"""Exact and rigorous-numeric scalar kernels.
+"""Exact scalar kernels, plus interval reals kept for the benchmark tracer.
 
 Provides big rationals (stdlib Fraction), multivariate Laurent polynomials,
-rational functions compared by cross-multiplication, truncated power series,
-and arbitrary-precision interval ("ball") reals, which only the interval test
-oracle uses.  Every other module is generic over these scalars.
+rational functions compared by cross-multiplication and truncated power
+series.  The arbitrary-precision interval ("ball") reals below back no check
+of the program; they stay only because bench/tracer.py imports BallContext
+(ROADMAP item 1), and their unit tests keep them honest until then.
 """
 
 from __future__ import annotations
@@ -460,7 +461,7 @@ def _zero_like(coeff_map: dict):
     return Fraction(0)
 
 
-# -- ball reals -------------------------------------------------------------
+# -- ball reals (kept for bench/tracer.py, ROADMAP item 1) -------------------
 
 
 class BallContext:

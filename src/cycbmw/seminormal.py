@@ -3,8 +3,9 @@
 Builds the step generating functions W_k(y,s), the diagonal residues E_ss(k)
 and off-step coefficients a/b, assembles the generator matrices of the
 irreducible module attached to each (f, lambda) over Q in a rational gauge,
-and verifies the defining relations and rational identities exactly.  An
-interval build of the orthonormal form is kept as a test oracle.
+which the module keeps, and verifies the defining relations and rational
+identities exactly.  generator_matrix and word_product evaluate the relation
+table's generator words; cellular word evaluation uses the same two.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from .matrices import (
     mat_zero,
 )
 from .params import GroundParams, _embed, scalar_inv, wtilde_rational
-from .scalars import BallContext, BallReal, LaurentPoly, RatFunc, ball_sqrt, expand_series
+from .scalars import LaurentPoly, RatFunc, expand_series
+# bound only because bench/tracer.py patches it here (ROADMAP item 1)
+from .scalars import ball_sqrt  # noqa: F401
 from .tableaux import (
     RPartition,
     UpDownTableau,
@@ -157,14 +160,14 @@ class SeminormalModule:
     f: int
     n: int
     params: GroundParams
-    backend: str
     basis: list
     index: dict
     table: ResidueTable
+    # g_s > 0 with every T_k, E_k equal to D A D^{-1}, D = diag(sqrt(g_s)), A symmetric
+    gauge: list
     matX: list
     matT: list
     matE: list
-    ctx: BallContext | None
     _word_cache: dict = field(default_factory=dict, repr=False)  # cellular.token_matrix
 
     @property
@@ -184,8 +187,9 @@ def _weight(*radicands: Fraction) -> Fraction:
     return w
 
 
-def _gauged_roots(d: int, edges: list) -> list:
-    """Rational off-diagonal entries in the gauge D = diag(sqrt(g_s)), g_s in Q.
+def _gauged_roots(d: int, edges: list) -> tuple[list, list]:
+    """The gauge g and the rational off-diagonal entries in the gauge
+    D = diag(sqrt(g_s)), g_s in Q.
 
     Conjugating by D turns the entry sqrt(w) at (i, j) into sqrt(g_i w / g_j)
     (Mathas's rational seminormal form).  A breadth-first search over the
@@ -217,25 +221,15 @@ def _gauged_roots(d: int, edges: list) -> list:
                 f"g_{i} w / g_{j} = {x} is not a square in Q"
             )
         roots.append(Fraction(num, den))
-    return roots
+    return g, roots
 
 
-def build_module(
-    lam: RPartition,
-    f: int,
-    params: GroundParams,
-    backend: str = "exact",
-    precision: int = 512,
-) -> SeminormalModule:
+def build_module(lam: RPartition, f: int, params: GroundParams) -> SeminormalModule:
     """Assemble the generator matrices on the up-down tableau basis.
 
-    Every off-diagonal entry is the square root of a rational weight w.
-    backend "exact" takes it in the rational gauge of _gauged_roots, so every
-    entry lies in Q; "ball" takes the orthonormal sqrt(w) as an interval
-    enclosure at the given precision, and serves as the test oracle.
+    Every off-diagonal entry is the square root of a rational weight w, taken
+    in the rational gauge of _gauged_roots, so every entry lies in Q.
     """
-    if backend not in ("exact", "ball"):
-        raise ValueError(f"unknown backend {backend!r}")
     n = rp_size(lam) + 2 * f
     if n < 1:
         raise ValueError("module needs at least one strand")
@@ -297,41 +291,17 @@ def build_module(
                 if u is not None:
                     edges.append((k, index[u], j, _weight(b_sq[(j, k)]), None))
 
-    if backend == "exact":
-        ctx = None
-        roots = _gauged_roots(d, edges)
-    else:
-        ctx = BallContext(precision)
-        roots = [ball_sqrt(ctx.from_fraction(w)) for _, _, _, w, _ in edges]
+    gauge, roots = _gauged_roots(d, edges)
     for (k, i, j, _, ratio), x in zip(edges, roots):
         if ratio is None:
             matT[k - 1][i][j] = x
         else:
             matE[k - 1][i][j] = x
             matT[k - 1][i][j] = ratio * x
-    return SeminormalModule(
-        lam, f, n, params, backend, basis, index, table, matX, matT, matE, ctx,
-    )
+    return SeminormalModule(lam, f, n, params, basis, index, table, gauge, matX, matT, matE)
 
 
 # -- relation verification -------------------------------------------------------
-
-
-def _residual_stats(m, tol: Fraction):
-    """(every entry vanishes, largest width): an exact entry must be 0, an
-    interval entry must enclose 0 with width below tol.
-    """
-    ok = True
-    width = Fraction(0)
-    for row in m:
-        for x in row:
-            if isinstance(x, BallReal):
-                w = x.width()
-                ok = ok and x.contains_zero() and w < tol
-                width = max(width, w)
-            elif x:
-                ok = False
-    return ok, width
 
 
 # The X-shift identities run over a = 1..A_MAX, and E_1 X_1^a E_1 = omega_a E_1
@@ -437,54 +407,66 @@ def x_shift_relations(n: int, params: GroundParams, rho) -> list:
     return rel
 
 
-def _check_relations(relations: list, matX: list, matT: list, matE: list,
-                     delta, tol: Fraction) -> dict:
+def generator_matrix(tok: tuple, matX: list, matT: list, matE: list, delta):
+    """Matrix of one relation-table token, given the matrices of X_i, T_k and
+    E_k; T_k^{-1} = T_k - delta + delta E_k.
+    """
+    mats = {"X": matX, "T": matT, "E": matE}.get(tok[0])
+    if mats is None:
+        raise ValueError(f"unknown token {tok!r}")
+    kind, i, e = tok
+    if not 1 <= i <= len(mats):
+        raise ValueError(f"token index {i} out of range for {len(matX)} strands")
+    m = mats[i - 1]
+    if kind == "X":
+        return mat_diag([m[j][j] ** e for j in range(len(m))])
+    if kind == "E" or e == 1:
+        return m
+    return mat_add(mat_sub(m, mat_scale(delta, mat_identity(len(m)))),
+                   mat_scale(delta, matE[i - 1]))
+
+
+def word_product(word, matrix_of, dim: int):
+    """Left-to-right product of matrix_of(token) over a token word, the
+    identity of size dim when no factor is left; X_i^0 is 1 and is skipped.
+
+    A one-factor word yields matrix_of's matrix itself, so callers must not
+    mutate the result.
+    """
+    out = None
+    for tok in word:
+        if tok[0] == "X" and tok[2] == 0:
+            continue
+        m = matrix_of(tok)
+        out = m if out is None else mat_mul(out, m)
+    return mat_identity(dim) if out is None else out
+
+
+def _check_relations(relations: list, matX: list, matT: list, matE: list, delta) -> dict:
     """Evaluate every relation on the given generator matrices.
 
-    Returns name -> (every instance vanishes, largest residual width).
+    Returns name -> every instance vanishes exactly.
     """
-    d = len(matX[0])
-    identity = mat_identity(d)
     gens: dict = {}
 
     def generator(tok):
         if tok not in gens:
-            kind, i, e = tok
-            if kind == "X":
-                x = matX[i - 1]
-                gens[tok] = mat_diag([x[j][j] ** e for j in range(d)])
-            elif kind == "E":
-                gens[tok] = matE[i - 1]
-            elif e == 1:
-                gens[tok] = matT[i - 1]
-            else:
-                gens[tok] = mat_add(mat_sub(matT[i - 1], mat_scale(delta, identity)),
-                                    mat_scale(delta, matE[i - 1]))
+            gens[tok] = generator_matrix(tok, matX, matT, matE, delta)
         return gens[tok]
-
-    def word_matrix(word):
-        mats = [generator(tok) for tok in word if tok[2]]  # X_i^0 is 1
-        if not mats:
-            return identity
-        m = mats[0]
-        for x in mats[1:]:
-            m = mat_mul(m, x)
-        return m
 
     merged: dict = {}
     for name, terms in relations:
         total = None
         for c, word in terms:
-            m = word_matrix(word)
+            m = word_product(word, generator, len(matX[0]))
             if c == -1 and total is not None:
                 total = mat_sub(total, m)
                 continue
             if c != 1:
                 m = mat_scale(c, m)
             total = m if total is None else mat_add(total, m)
-        ok, w = _residual_stats(total, tol)
-        prev_ok, prev_w = merged.get(name, (True, Fraction(0)))
-        merged[name] = (prev_ok and ok, max(prev_w, w))
+        ok = not any(x for row in total for x in row)
+        merged[name] = merged.get(name, True) and ok
     return merged
 
 
@@ -492,18 +474,15 @@ def verify_relations(module: SeminormalModule) -> dict:
     """Check the defining relations and the X-shift identities on the
     module's matrices.
 
-    Exact entries must vanish identically; interval entries of the ball
-    oracle must enclose 0 with width below 2^(-precision/2).
+    Every residual entry must vanish identically, so every width is 0.
     """
     p = module.params
-    tol = Fraction(1, 2 ** (module.ctx.precision // 2)) if module.ctx else Fraction(0)
     relations = (defining_relations(module.n, p, p.rho, p.omega)
                  + x_shift_relations(module.n, p, p.rho))
-    merged = _check_relations(relations, module.matX, module.matT, module.matE,
-                              p.delta, tol)
+    merged = _check_relations(relations, module.matX, module.matT, module.matE, p.delta)
     report = [
-        {"name": name, "pass": ok, "max_width": float(w)}
-        for name, (ok, w) in sorted(merged.items())
+        {"name": name, "pass": ok, "max_width": 0.0}
+        for name, ok in sorted(merged.items())
     ]
     return {
         "ok": all(r["pass"] for r in report),
@@ -826,8 +805,8 @@ def br2_verify(mod: Br2Module, params: GroundParams) -> dict:
     omega = mod.omega_local if mod.v is not None else params.omega
     merged = _check_relations(defining_relations(2, params, mod.rho, omega),
                               [mod.matX1, mod.matX2], [mod.matT], [mod.matE],
-                              params.delta, Fraction(0))
-    results = [{"name": name, "pass": ok} for name, (ok, _) in merged.items()]
+                              params.delta)
+    results = [{"name": name, "pass": ok} for name, ok in merged.items()]
     if mod.v is not None:
         dr = params.delta_inv * mod.rho
         for j, vj in enumerate(mod.v):

@@ -139,10 +139,6 @@ class UpDownTableau:
     def shape(self, k: int) -> RPartition:
         return self.partitions()[k]
 
-    @property
-    def final(self) -> RPartition:
-        return self.partitions()[-1]
-
     def sort_key(self):
         return tuple((sign, *node) for sign, node in self.steps)
 
@@ -150,9 +146,6 @@ class UpDownTableau:
         """Content c(k) of the box changed at step k (1-based)."""
         sign, node = self.steps[k - 1]
         return content(node, "add" if sign > 0 else "remove", params)
-
-    def content_seq(self, params: GroundParams) -> list:
-        return [self.content(k, params) for k in range(1, self.n + 1)]
 
     def replace_step_shape(self, k: int, mid: RPartition) -> "UpDownTableau":
         """New walk equal to this one except the shape after step k is mid."""

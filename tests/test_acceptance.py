@@ -113,7 +113,7 @@ def test_criterion_06_seminormal_relations():
         for n in range(2, n_max + 1):
             p = generic_specialization(r, n)
             for f, lam in shapes_with_f(n, r):
-                m = build_module(lam, f, p, precision=512)
+                m = build_module(lam, f, p)
                 rel = verify_relations(m)
                 ok = ok and rel["ok"]
                 ok = ok and all(F(x["max_width"]) < tol for x in rel["relations"])

@@ -90,7 +90,7 @@ class TestWords:
         t = tuple(() for _ in range(3))
         left = (t, (0, 0), triv)
         right = (t, (1, 0), triv)
-        assert cell_word(1, rp_empty(3), left, right, 2, 3) == (("E", 1), ("X", 1, 1))
+        assert cell_word(1, rp_empty(3), left, right, 2, 3) == (("E", 1, 1), ("X", 1, 1))
 
     def test_star_involutive(self):
         lam = ((2, 1),)
@@ -125,7 +125,7 @@ class TestEvalWord:
     def test_arc_word_block_values(self):
         p = generic_specialization(1, 2)
         rep = build_rep(2, 1, p)
-        blocks = eval_word_blocks((("E", 1),), rep)
+        blocks = eval_word_blocks((("E", 1, 1),), rep)
         for (f, lam, m), b in zip(rep.blocks, blocks):
             if f == 1:
                 assert b == [[p.omega(0)]]
@@ -143,7 +143,7 @@ class TestEvalWord:
     def test_token_index_out_of_range(self):
         p = generic_specialization(1, 2)
         rep = build_rep(2, 1, p)
-        for bad in ((("T", 2),), (("E", 0),), (("X", 3, 1),), (("bogus",),)):
+        for bad in ((("T", 2, 1),), (("E", 0, 1),), (("X", 3, 1),), (("bogus",),)):
             with pytest.raises(ValueError):
                 eval_word(bad, rep)
 
@@ -151,9 +151,9 @@ class TestEvalWord:
         p = generic_specialization(1, 3)
         rep = build_rep(3, 1, p)
         words = [
-            (("T", 1), ("E", 2)),
-            (("X", 2, -1), ("T", 2), ("Tinv", 1)),
-            (("E", 1), ("X", 1, 2), ("T", 2)),
+            (("T", 1, 1), ("E", 2, 1)),
+            (("X", 2, -1), ("T", 2, 1), ("T", 1, -1)),
+            (("E", 1, 1), ("X", 1, 2), ("T", 2, 1)),
         ]
         for w1 in words:
             for w2 in words:
@@ -167,7 +167,7 @@ class TestEvalWord:
     def test_tinv_token_inverts_t(self):
         p = generic_specialization(3, 2)
         rep = build_rep(2, 3, p)
-        prod = eval_word_blocks((("T", 1), ("Tinv", 1)), rep)
+        prod = eval_word_blocks((("T", 1, 1), ("T", 1, -1)), rep)
         idents = [mat_identity(m.dim) for _, _, m in rep.blocks]
         assert prod == idents
 

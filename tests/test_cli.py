@@ -159,6 +159,19 @@ class TestErrors:
             run(["gram", "--r", "1", "--n", "3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["rep", "rank", "gram"])
+    def test_module_commands_reject_zero_strands(self, capsys, command):
+        # nothing can be checked on zero strands: a usage error, not a failure
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--r", "1", "--n", "0"])
+        assert exc.value.code == 2
+        assert "at least one strand" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["tabs", "basis", "identities", "omega"])
+    def test_census_commands_accept_zero_strands(self, capsys, command):
+        code, _ = run_json(capsys, command, "--r", "1", "--n", "0")
+        assert code == 0
+
     def test_gram_ell_outside_window(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["gram", "--r", "3", "--n", "2", "--ell", "3"])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cycbmw.matrices import mat_diag, mat_mul
 from cycbmw.params import GroundParams, generic_specialization, wtilde_rational
-from cycbmw.scalars import BallReal, RatFunc
+from cycbmw.scalars import RatFunc
 from cycbmw.seminormal import (
     Br2Module,
     E_diag,
@@ -27,13 +27,59 @@ from cycbmw.tableaux import (
     Node,
     UpDownTableau,
     enumerate_updown,
+    neighbors_k,
     rp_empty,
     shapes_with_f,
+    sk_action,
 )
 
 
 def updown(r, *signed_nodes):
     return UpDownTableau(r, tuple((s, Node(*nd)) for s, nd in signed_nodes))
+
+
+def table_weight(m, kind, k, i, j):
+    """M_ij M_ji of the orthonormal generator, from the residue table:
+    e_s e_t on two k-neighbours with equal flanks, times
+    (delta / (c_s c_t - 1))^2 for T_k; b_s(k)^2 on a swapped pair for T_k;
+    0 elsewhere.
+    """
+    p, tab = m.params, m.table
+    s, t = m.basis[i], m.basis[j]
+    if s.shape(k - 1) == s.shape(k + 1):
+        if t not in neighbors_k(s, k):
+            return 0
+        w = tab.e_diag[(i, k)] * tab.e_diag[(j, k)]
+        if kind == "E":
+            return w
+        return w * (p.delta / (s.content(k, p) * t.content(k, p) - 1)) ** 2
+    if kind == "E" or sk_action(s, k) != t:
+        return 0
+    return tab.bsq[(i, k)]
+
+
+def gauge_defects(m):
+    """Entries (kind, k, i, j), i < j, at which T_k or E_k fails to be the
+    gauge of a symmetric matrix: g_i M_ji = M_ij g_j, and M_ij M_ji equal to
+    the table weight.
+    """
+    g = m.gauge
+    out = []
+    for kind, mats in (("T", m.matT), ("E", m.matE)):
+        for k, M in enumerate(mats, 1):
+            for i in range(m.dim):
+                for j in range(i + 1, m.dim):
+                    if (g[i] * M[j][i] != M[i][j] * g[j]
+                            or M[i][j] * M[j][i] != table_weight(m, kind, k, i, j)):
+                        out.append((kind, k, i, j))
+    return out
+
+
+def assert_gauged_modules(r, n, p):
+    for f, lam in shapes_with_f(n, r):
+        m = build_module(lam, f, p)
+        assert all(g > 0 for g in m.gauge), (f, lam)
+        assert gauge_defects(m) == [], (f, lam)
 
 
 def y_coeffs(poly):
@@ -199,29 +245,32 @@ class TestBuildModule:
     def test_exact_backend_is_rational(self):
         p = generic_specialization(3, 2)
         m = build_module(rp_empty(3), 1, p)
-        assert m.backend == "exact" and m.ctx is None
+        assert all(isinstance(g, F) and g > 0 for g in m.gauge)
         mats = m.matX + m.matT + m.matE
         assert all(isinstance(x, F) for mat in mats for row in mat for x in row)
         assert all(isinstance(v, F) for v in m.table.e_diag.values())
 
-    @pytest.mark.parametrize("r,n", [(1, 2), (1, 3), (1, 4), (3, 2), (3, 3)])
-    def test_exact_matches_ball_oracle(self, r, n):
-        # the gauge is a diagonal change of basis: it keeps every diagonal
-        # entry and every product M_ij M_ji of the orthonormal interval build
-        p = generic_specialization(r, n)
-        for f, lam in shapes_with_f(n, r):
-            exact = build_module(lam, f, p)
-            ball = build_module(lam, f, p, backend="ball")
-            for mx, mb in zip(exact.matT + exact.matE, ball.matT + ball.matE):
-                for i in range(exact.dim):
-                    assert mx[i][i] == mb[i][i]
-                    for j in range(i + 1, exact.dim):
-                        want = mx[i][j] * mx[j][i]
-                        got = mb[i][j] * mb[j][i]
-                        if isinstance(got, BallReal):
-                            assert got.contains_fraction(want), (f, lam, i, j)
-                        else:
-                            assert got == want, (f, lam, i, j)
+    @pytest.mark.parametrize("r,n", [(1, 2), (1, 3), (1, 4), (3, 2), (3, 3), (5, 2), (5, 3)])
+    def test_gauge_symmetric_with_table_weights(self, r, n):
+        # the criterion-06 grid plus r = 5: every T_k and E_k is D A D^{-1}
+        # with D = diag(sqrt(g_s)), g_s > 0, and A symmetric with the
+        # orthonormal form's squared entries
+        assert_gauged_modules(r, n, generic_specialization(r, n))
+
+    @given(st.sampled_from([(1, 3), (3, 2), (3, 3)]), st.integers(1, 2 ** 31 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_gauge_symmetric_over_seeds(self, rn, seed):
+        r, n = rn
+        assert_gauged_modules(r, n, generic_specialization(r, n, seed=seed))
+
+    @pytest.mark.parametrize("kind", ["T", "E"])
+    def test_gauge_check_catches_perturbed_entry(self, kind):
+        p = generic_specialization(3, 2)
+        m = build_module(rp_empty(3), 1, p)
+        mat = (m.matT if kind == "T" else m.matE)[0]
+        assert mat[0][1] != 0 and gauge_defects(m) == []
+        mat[0][1] += 1
+        assert gauge_defects(m) == [(kind, 1, 0, 1)]
 
     def test_gauge_rejects_non_square_cycle(self):
         # a triangle whose weights multiply to 2 around the cycle has no
@@ -237,11 +286,6 @@ class TestBuildModule:
         p = GroundParams(3, base.q, base.u, alpha=-1)
         with pytest.raises(ValueError, match="be-real violated"):
             build_module(((1,), (), ()), 1, p)
-
-    def test_unknown_backend(self):
-        p = generic_specialization(1, 2)
-        with pytest.raises(ValueError):
-            build_module(rp_empty(1), 1, p, backend="float")
 
 
 class TestRelations:
@@ -263,14 +307,6 @@ class TestRelations:
         rep = verify_relations(m)
         assert not rep["ok"]
         assert "kauffman" in [x["name"] for x in rep["relations"] if not x["pass"]]
-
-    def test_ball_oracle_passes(self):
-        p = generic_specialization(1, 3)
-        for f, lam in shapes_with_f(3, 1):
-            m = build_module(lam, f, p, backend="ball", precision=256)
-            rep = verify_relations(m)
-            assert rep["ok"], (f, lam, [x for x in rep["relations"] if not x["pass"]])
-            assert all(F(x["max_width"]) < F(1, 2 ** 128) for x in rep["relations"])
 
 
 class TestOmegaTable:

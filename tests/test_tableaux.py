@@ -88,9 +88,9 @@ class TestContent:
     def test_content_seq(self):
         p = generic_specialization(1, 2)
         t = enumerate_updown(2, ((),))[0]
-        assert t.content_seq(p) == [p.u[0], scalar_inv(p.u[0])]
+        assert [t.content(k, p) for k in (1, 2)] == [p.u[0], scalar_inv(p.u[0])]
         t2 = enumerate_updown(2, ((2,),))[0]
-        assert t2.content_seq(p) == [p.u[0], p.u[0] * p.q ** 2]
+        assert [t2.content(k, p) for k in (1, 2)] == [p.u[0], p.u[0] * p.q ** 2]
 
     @given(random_rpartition())
     @settings(max_examples=30, deadline=None)
@@ -103,7 +103,7 @@ class TestContent:
         seen = {}
         for lam in {fl[1] for fl in shapes_with_f(3, 3)}:
             for t in enumerate_updown(3, lam):
-                key = tuple(t.content_seq(p))
+                key = tuple(t.content(k, p) for k in range(1, t.n + 1))
                 assert key not in seen, (t, seen[key])
                 seen[key] = t
 
