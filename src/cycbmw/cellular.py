@@ -2,9 +2,10 @@
 
 Provides the index sets for the cellular basis, generator words for its
 elements, evaluation of words over Q in the faithful direct sum of
-seminormal modules, a modular full-rank certificate for the evaluated basis,
-closed Gram values on the top annihilator layer, and the irreducible-label
-census.
+seminormal modules (token matrices are cached and words multiplied in
+sparse rows, and each block image is returned dense), a modular full-rank
+certificate for the evaluated basis, closed Gram values on the top
+annihilator layer, and the irreducible-label census.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial
 
-from .matrices import mat_add, mat_diag, mat_scale
+from .matrices import dense, mat_acc, mat_scale, sparse_diag
 # bound only because bench/tracer.py patches them here (ROADMAP item 1)
-from .matrices import mat_identity, mat_mul, mat_sub  # noqa: F401
+from .matrices import mat_add, mat_diag, mat_identity, mat_mul, mat_sub  # noqa: F401
 from .params import GroundParams
 from .seminormal import SeminormalModule, build_module, generator_matrix, word_product
 from .tableaux import (
@@ -183,25 +184,27 @@ def _module_word(w: GenWord, m: SeminormalModule):
     return word_product(w, lambda tok: token_matrix(tok, m), m.dim)
 
 
-def _rowsum_matrix(m: SeminormalModule, lam: RPartition):
+def _rowsum_matrix(m: SeminormalModule, lam: RPartition) -> list:
+    """Sparse rows of the row-stabilizer sum of lam: the sum of T_w over the
+    permutations w that fix every row of lam setwise.
+    """
     rows = row_stabilizer_entries(lam)
     n = m.n
-    total = None
+    total: list = [{} for _ in range(m.dim)]
     pools = [list(permutations(row)) for row in rows]
     for choice in product(*pools) if pools else [()]:
         p = list(range(1, n + 1))
         for row, img in zip(rows, choice):
             for pos, val in zip(row, img):
                 p[pos - 1] = val
-        mat = _module_word(_t_word(tuple(p)), m)
-        total = mat if total is None else mat_add(total, mat)
+        mat_acc(total, 1, _module_word(_t_word(tuple(p)), m))
     return total
 
 
-def token_matrix(tok: Token, m: SeminormalModule):
-    """Matrix of one token on a single seminormal module: a relation-table
-    generator, ("Xshift", i, comp) for X_i - u_comp, or ("rowsum", lam) for
-    the row-stabilizer sum of lam.
+def token_matrix(tok: Token, m: SeminormalModule) -> list:
+    """Sparse rows of one token on a single seminormal module, cached per
+    module: a relation-table generator, ("Xshift", i, comp) for X_i - u_comp,
+    or ("rowsum", lam) for the row-stabilizer sum of lam.
     """
     cache = m._word_cache
     if tok in cache:
@@ -212,7 +215,7 @@ def token_matrix(tok: Token, m: SeminormalModule):
         if not (1 <= i <= m.n and 1 <= comp <= p.r):
             raise ValueError("shift token out of range")
         us = p.u[comp - 1]
-        out = mat_diag([s.content(i, p) - us for s in m.basis])
+        out = sparse_diag([s.content(i, p) - us for s in m.basis])
     elif tok[0] == "rowsum":
         out = _rowsum_matrix(m, tok[1])
     else:
@@ -222,12 +225,8 @@ def token_matrix(tok: Token, m: SeminormalModule):
 
 
 def eval_word_blocks(w: GenWord, rep: FaithfulRep) -> list:
-    """Per-block matrices of a token word, in the fixed block order.
-
-    A one-token word yields the cached token matrix itself, so callers must
-    not mutate the result.
-    """
-    return [_module_word(w, m) for _, _, m in rep.blocks]
+    """Per-block dense matrices of a token word, in the fixed block order."""
+    return [dense(_module_word(w, m), m.dim) for _, _, m in rep.blocks]
 
 
 def eval_word(w: GenWord, rep: FaithfulRep) -> list:

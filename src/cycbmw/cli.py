@@ -45,7 +45,7 @@ def _jsonable(x):
     return x
 
 
-def _emit(report: dict, args, csv_table=None) -> None:
+def _emit(report: dict, args, parser, csv_table=None) -> None:
     if args.format == "csv":
         rows, header = csv_table
         buf = io.StringIO()
@@ -56,8 +56,11 @@ def _emit(report: dict, args, csv_table=None) -> None:
     else:
         text = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            parser.error(f"cannot write --out {args.out}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -143,16 +146,21 @@ def _cmd_rep(args, parser) -> tuple[dict, bool]:
                            "error": str(exc)})
             continue
         ok = ok and rel["ok"]
-        blocks.append(
-            {
-                "f": f,
-                "shape": _shape_str(lam),
-                "dim": m.dim,
-                "ok": rel["ok"],
-                "failing": [x["name"] for x in rel["relations"] if not x["pass"]],
-                "max_width": max((x["max_width"] for x in rel["relations"]), default=0.0),
-            }
-        )
+        failing = [x for x in rel["relations"] if not x["pass"]]
+        block = {
+            "f": f,
+            "shape": _shape_str(lam),
+            "dim": m.dim,
+            "ok": rel["ok"],
+            "failing": [x["name"] for x in failing],
+            "max_width": max((x["max_width"] for x in rel["relations"]), default=0.0),
+        }
+        if failing:
+            block["residuals"] = [
+                {key: x[key] for key in ("name", "instance", "entry", "residual")}
+                for x in failing
+            ]
+        blocks.append(block)
     return {"r": args.r, "n": args.n, "blocks": blocks, "ok": ok}, ok
 
 
@@ -343,7 +351,10 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.r % 2 == 0 or args.r <= 0:
         parser.error("--r must be an odd positive integer")
-    max_n = int(os.environ.get("BMW_MAX_N", DEFAULT_MAX_N))
+    try:
+        max_n = int(os.environ.get("BMW_MAX_N", DEFAULT_MAX_N))
+    except ValueError:
+        parser.error(f"BMW_MAX_N must be an integer, got {os.environ['BMW_MAX_N']!r}")
     if not 0 <= args.n <= max_n:
         parser.error(f"--n must be in 0..{max_n} (override with BMW_MAX_N)")
     if args.n == 0 and args.command in _MODULE_COMMANDS:
@@ -351,7 +362,7 @@ def run(argv=None) -> int:
     if args.format == "csv" and args.command not in _CSV_COMMANDS:
         parser.error(f"--format csv is only supported for {sorted(_CSV_COMMANDS)}")
     report, ok, *csv_table = _COMMANDS[args.command](args, parser)
-    _emit(report, args, *csv_table)
+    _emit(report, args, parser, *csv_table)
     return 0 if ok else 1
 
 

@@ -1,9 +1,12 @@
-"""Matrix helpers over exact scalars, with a zero-skipping product.
+"""Matrix helpers over exact scalars: dense rows for assembly and output,
+sparse rows for products and relation residuals.
 
-Matrices are plain lists of rows of Fractions (or ints).  The seminormal
-generators are mostly zeros (X_i is diagonal, T_k and E_k are block-sparse),
-so ``mat_mul`` forms each output row from the nonzero entries of both
-factors only.
+A dense matrix is a list of rows of Fractions (or ints).  A sparse-row
+matrix is a list with one ``{column: entry}`` dict per row that never stores
+an exact zero.  The seminormal generators are mostly zeros (X_i is diagonal,
+T_k and E_k have a few entries per row), so words are multiplied and
+residuals summed in sparse rows, touching nonzero entries only; ``sparse``
+and ``dense`` convert between the two forms.
 """
 
 from __future__ import annotations
@@ -41,20 +44,69 @@ def mat_scale(c, a: Matrix) -> Matrix:
     return [[c * x for x in row] for row in a]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Product a·b that skips every term with a zero factor.
+# -- sparse rows --------------------------------------------------------------
 
-    Output entries that receive no term are ``Fraction(0)``.
-    """
-    m = len(b[0])
-    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+
+def sparse(a: Matrix) -> list:
+    """Sparse rows of a dense matrix."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def sparse_diag(entries) -> list:
+    """Sparse rows of the diagonal matrix with the given entries."""
+    return [{i: x} if x else {} for i, x in enumerate(entries)]
+
+
+def dense(a: list, ncols: int) -> Matrix:
+    """Dense rows of a sparse-row matrix; absent entries are ``Fraction(0)``."""
     out = []
     for row in a:
-        acc = [Fraction(0)] * m
-        for x, b_row in zip(row, b_rows):
-            if not b_row or not x:
-                continue
-            for j, y in b_row:
-                acc[j] += x * y
-        out.append(acc)
+        full = [Fraction(0)] * ncols
+        for j, x in row.items():
+            full[j] = x
+        out.append(full)
     return out
+
+
+def mat_mul(a: list, b: list) -> list:
+    """Sparse-row product a·b: every term pairs a nonzero of a with a nonzero
+    of b, and entries that cancel to zero are dropped.
+    """
+    out = []
+    for row in a:
+        if len(row) == 1:
+            # a product of two nonzeros is nonzero
+            (k, x), = row.items()
+            out.append({j: x * y for j, y in b[k].items()})
+            continue
+        acc: dict = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                if j in acc:
+                    acc[j] += x * y
+                else:
+                    acc[j] = x * y
+        out.append({j: v for j, v in acc.items() if v})
+    return out
+
+
+def mat_acc(acc: list, c, a: list) -> None:
+    """acc += c·a in place over the nonzero entries of a, deleting entries
+    that cancel to zero; a is only read.
+    """
+    if not c:
+        return
+    sub = c == -1
+    scale = c != 1 and not sub
+    for acc_row, row in zip(acc, a):
+        if scale:
+            row = {j: c * x for j, x in row.items()}
+        for j, x in row.items():
+            if j in acc_row:
+                y = acc_row[j] - x if sub else acc_row[j] + x
+                if y:
+                    acc_row[j] = y
+                else:
+                    del acc_row[j]
+            else:
+                acc_row[j] = -x if sub else x

@@ -327,5 +327,7 @@ def parse_preset(path: str) -> GroundParams:
         raise ValueError(f"preset file missing key: {exc}") from exc
     if len(k) != r:
         raise ValueError(f"preset has {len(k)} exponents, expected r={r}")
+    if q == 0:
+        raise ValueError("q must be nonzero")
     u = tuple(q ** (2 * ki) for ki in k)
     return GroundParams(r, q, u, alpha=alpha)

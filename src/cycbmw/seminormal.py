@@ -4,8 +4,10 @@ Builds the step generating functions W_k(y,s), the diagonal residues E_ss(k)
 and off-step coefficients a/b, assembles the generator matrices of the
 irreducible module attached to each (f, lambda) over Q in a rational gauge,
 which the module keeps, and verifies the defining relations and rational
-identities exactly.  generator_matrix and word_product evaluate the relation
-table's generator words; cellular word evaluation uses the same two.
+identities exactly.  The module keeps dense matrices; generator_matrix and
+word_product evaluate the relation table's generator words in sparse rows,
+and each relation's terms are summed into one sparse residual, so the check
+touches nonzero entries only.  Cellular word evaluation uses the same two.
 """
 
 from __future__ import annotations
@@ -14,18 +16,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from .matrices import (
-    mat_add,
-    mat_diag,
-    mat_identity,
-    mat_mul,
-    mat_scale,
-    mat_sub,
-    mat_zero,
-)
+from .matrices import mat_acc, mat_diag, mat_mul, mat_zero, sparse, sparse_diag
 from .params import GroundParams, _embed, scalar_inv, wtilde_rational
 from .scalars import LaurentPoly, RatFunc, expand_series
-# bound only because bench/tracer.py patches it here (ROADMAP item 1)
+# bound only because bench/tracer.py patches them here (ROADMAP item 1)
+from .matrices import mat_add, mat_identity, mat_scale, mat_sub  # noqa: F401
 from .scalars import ball_sqrt  # noqa: F401
 from .tableaux import (
     RPartition,
@@ -168,7 +163,8 @@ class SeminormalModule:
     matX: list
     matT: list
     matE: list
-    _word_cache: dict = field(default_factory=dict, repr=False)  # cellular.token_matrix
+    # sparse-row token matrices of cellular.token_matrix
+    _word_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -407,9 +403,9 @@ def x_shift_relations(n: int, params: GroundParams, rho) -> list:
     return rel
 
 
-def generator_matrix(tok: tuple, matX: list, matT: list, matE: list, delta):
-    """Matrix of one relation-table token, given the matrices of X_i, T_k and
-    E_k; T_k^{-1} = T_k - delta + delta E_k.
+def generator_matrix(tok: tuple, matX: list, matT: list, matE: list, delta) -> list:
+    """Sparse rows of one relation-table token, given the dense matrices of
+    X_i, T_k and E_k; T_k^{-1} = T_k - delta + delta E_k.
     """
     mats = {"X": matX, "T": matT, "E": matE}.get(tok[0])
     if mats is None:
@@ -419,16 +415,18 @@ def generator_matrix(tok: tuple, matX: list, matT: list, matE: list, delta):
         raise ValueError(f"token index {i} out of range for {len(matX)} strands")
     m = mats[i - 1]
     if kind == "X":
-        return mat_diag([m[j][j] ** e for j in range(len(m))])
-    if kind == "E" or e == 1:
-        return m
-    return mat_add(mat_sub(m, mat_scale(delta, mat_identity(len(m)))),
-                   mat_scale(delta, matE[i - 1]))
+        return sparse_diag([m[j][j] ** e for j in range(len(m))])
+    out = sparse(m)
+    if kind == "T" and e != 1:
+        mat_acc(out, -delta, sparse_diag([Fraction(1)] * len(m)))
+        mat_acc(out, delta, sparse(matE[i - 1]))
+    return out
 
 
-def word_product(word, matrix_of, dim: int):
-    """Left-to-right product of matrix_of(token) over a token word, the
-    identity of size dim when no factor is left; X_i^0 is 1 and is skipped.
+def word_product(word, matrix_of, dim: int) -> list:
+    """Left-to-right sparse-row product of matrix_of(token) over a token
+    word, the identity of size dim when no factor is left; X_i^0 is 1 and is
+    skipped.
 
     A one-factor word yields matrix_of's matrix itself, so callers must not
     mutate the result.
@@ -439,14 +437,21 @@ def word_product(word, matrix_of, dim: int):
             continue
         m = matrix_of(tok)
         out = m if out is None else mat_mul(out, m)
-    return mat_identity(dim) if out is None else out
+    return sparse_diag([Fraction(1)] * dim) if out is None else out
 
 
 def _check_relations(relations: list, matX: list, matT: list, matE: list, delta) -> dict:
-    """Evaluate every relation on the given generator matrices.
+    """Evaluate every relation on the given dense generator matrices.
 
-    Returns name -> every instance vanishes exactly.
+    Each generator is converted to sparse rows once per call, and every term
+    c·word of a relation is added into one sparse residual, so a relation
+    holds exactly when no residual entry is left.  Returns name -> None when
+    every instance vanishes, else the first failing instance as
+    {"instance": its position among the name's instances in table order,
+    "entry": (i, j) the first nonzero residual entry in row-major order,
+    "residual": its value}.
     """
+    dim = len(matX[0])
     gens: dict = {}
 
     def generator(tok):
@@ -455,18 +460,21 @@ def _check_relations(relations: list, matX: list, matT: list, matE: list, delta)
         return gens[tok]
 
     merged: dict = {}
+    instances: dict = {}
     for name, terms in relations:
-        total = None
+        instance = instances.get(name, 0)
+        instances[name] = instance + 1
+        residual: list = [{} for _ in range(dim)]
         for c, word in terms:
-            m = word_product(word, generator, len(matX[0]))
-            if c == -1 and total is not None:
-                total = mat_sub(total, m)
-                continue
-            if c != 1:
-                m = mat_scale(c, m)
-            total = m if total is None else mat_add(total, m)
-        ok = not any(x for row in total for x in row)
-        merged[name] = merged.get(name, True) and ok
+            mat_acc(residual, c, word_product(word, generator, dim))
+        if merged.get(name) is None:
+            i = next((i for i, row in enumerate(residual) if row), None)
+            if i is None:
+                merged[name] = None
+            else:
+                j = min(residual[i])
+                merged[name] = {"instance": instance, "entry": (i, j),
+                                "residual": residual[i][j]}
     return merged
 
 
@@ -474,16 +482,20 @@ def verify_relations(module: SeminormalModule) -> dict:
     """Check the defining relations and the X-shift identities on the
     module's matrices.
 
-    Every residual entry must vanish identically, so every width is 0.
+    Every residual entry must vanish identically, so every width is 0.  A
+    failing relation also reports its first failing instance, entry and
+    residual value (see _check_relations).
     """
     p = module.params
     relations = (defining_relations(module.n, p, p.rho, p.omega)
                  + x_shift_relations(module.n, p, p.rho))
     merged = _check_relations(relations, module.matX, module.matT, module.matE, p.delta)
-    report = [
-        {"name": name, "pass": ok, "max_width": 0.0}
-        for name, ok in sorted(merged.items())
-    ]
+    report = []
+    for name, failure in sorted(merged.items()):
+        result = {"name": name, "pass": failure is None, "max_width": 0.0}
+        if failure is not None:
+            result.update(failure)
+        report.append(result)
     return {
         "ok": all(r["pass"] for r in report),
         "dim": module.dim,
@@ -806,7 +818,7 @@ def br2_verify(mod: Br2Module, params: GroundParams) -> dict:
     merged = _check_relations(defining_relations(2, params, mod.rho, omega),
                               [mod.matX1, mod.matX2], [mod.matT], [mod.matE],
                               params.delta)
-    results = [{"name": name, "pass": ok} for name, ok in merged.items()]
+    results = [{"name": name, "pass": failure is None} for name, failure in merged.items()]
     if mod.v is not None:
         dr = params.delta_inv * mod.rho
         for j, vj in enumerate(mod.v):

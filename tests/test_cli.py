@@ -3,8 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from cycbmw import cli
 from cycbmw.cli import run
 from cycbmw.params import generic_specialization
+from cycbmw.seminormal import build_module
 
 
 def run_cli(capsys, *argv):
@@ -233,3 +235,49 @@ class TestErrors:
         report = json.loads(out)
         assert report.get("ok", report.get("certified", False)) is False
         assert "parameters not generic" in out
+
+    def test_max_n_not_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("BMW_MAX_N", "abc")
+        with pytest.raises(SystemExit) as exc:
+            run(["rep", "--r", "1", "--n", "2"])
+        assert exc.value.code == 2
+        assert "BMW_MAX_N" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["10, -6, 2", "1, 2, 3"])
+    def test_preset_q_zero(self, capsys, tmp_path, k):
+        # a negative exponent divides by q, a positive one makes u_i = 0
+        preset = tmp_path / "preset.txt"
+        preset.write_text(f"r = 3\nq = 0\nk = {k}\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["params", "--r", "3", "--preset", str(preset)])
+        assert exc.value.code == 2
+        assert "q must be nonzero" in capsys.readouterr().err
+
+    def test_out_unwritable(self, capsys, tmp_path):
+        target = tmp_path / "absent" / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["params", "--out", str(target)])
+        assert exc.value.code == 2
+        assert "cannot write --out" in capsys.readouterr().err
+
+    def test_rep_failing_relation_detail(self, capsys, monkeypatch):
+        # a perturbed off-diagonal entry of T_1 on the (1, empty) block makes
+        # rep name the failing relations with their first nonzero residual
+        def perturbed(lam, f, p):
+            m = build_module(lam, f, p)
+            if f == 1:
+                m.matT[0][0][1] += 1
+            return m
+
+        monkeypatch.setattr(cli, "build_module", perturbed)
+        code, report = run_json(capsys, "rep", "--r", "3", "--n", "2")
+        assert code == 1 and report["ok"] is False
+        for block in report["blocks"]:
+            if block["f"] == 0:
+                assert block["ok"] and "residuals" not in block
+                continue
+            assert [x["name"] for x in block["residuals"]] == block["failing"]
+            kauffman = next(x for x in block["residuals"] if x["name"] == "kauffman")
+            assert kauffman["instance"] == 0
+            assert len(kauffman["entry"]) == 2
+            assert F(kauffman["residual"]) != 0

@@ -1,9 +1,15 @@
+import copy
 from fractions import Fraction as F
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycbmw.matrices import mat_mul
+from cycbmw import cellular
+from cycbmw.cellular import build_rep, cell_word, delta_index, eval_word_blocks, rank_certify
+from cycbmw.matrices import dense, mat_acc, mat_mul, sparse, sparse_diag
+from cycbmw.params import generic_specialization
+from cycbmw.seminormal import build_module, verify_relations
+from cycbmw.tableaux import rp_empty, shapes_with_f
 
 NONZERO = st.one_of(
     st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9)),
@@ -34,14 +40,38 @@ def product_pair(draw):
     return draw(matrix(n, k)), draw(matrix(k, m))
 
 
+@st.composite
+def sum_pair(draw):
+    n, m = draw(DIMS), draw(DIMS)
+    return draw(matrix(n, m)), draw(matrix(n, m))
+
+
+def no_zero_stored(a):
+    return all(x != 0 for row in a for x in row.values())
+
+
+class TestSparseRows:
+    @given(product_pair())
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip(self, pair):
+        a, _ = pair
+        s = sparse(a)
+        assert no_zero_stored(s)
+        assert dense(s, len(a[0])) == a
+
+    def test_diag_stores_no_zero(self):
+        assert sparse_diag([F(2), 0, F(0), -1]) == [{0: F(2)}, {}, {}, {3: -1}]
+
+
 class TestMatMul:
     @given(product_pair())
     @settings(max_examples=200, deadline=None)
     def test_matches_dense_reference(self, pair):
         a, b = pair
-        out = mat_mul(a, b)
-        assert out == dense_mul(a, b)
-        assert [len(row) for row in out] == [len(b[0])] * len(a)
+        out = mat_mul(sparse(a), sparse(b))
+        assert len(out) == len(a)
+        assert no_zero_stored(out)
+        assert dense(out, len(b[0])) == dense_mul(a, b)
 
     @given(product_pair(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -52,7 +82,74 @@ class TestMatMul:
         a[i] = [0] * len(a[i])
         for row in b:
             row[j] = F(0)
-        out = mat_mul(a, b)
-        assert out == dense_mul(a, b)
-        zeros = out[i] + [row[j] for row in out]
+        out = mat_mul(sparse(a), sparse(b))
+        assert out[i] == {} and all(j not in row for row in out)
+        full = dense(out, len(b[0]))
+        assert full == dense_mul(a, b)
+        zeros = full[i] + [row[j] for row in full]
         assert all(type(x) is F and x == 0 for x in zeros)
+
+    def test_cancelling_product_stores_no_zero(self):
+        # (1, 1)·(1, -1)ᵀ = 0 and (1/2, 1/3)·(2, -3)ᵀ = 0 entry by entry
+        a = sparse([[1, 1], [F(1, 2), F(1, 3)]])
+        b = sparse([[1, F(2)], [-1, F(-3)]])
+        assert mat_mul(a, b) == [{1: -1}, {0: F(1, 6)}]
+        assert mat_mul(sparse([[1, 1]]), sparse([[F(1)], [F(-1)]])) == [{}]
+
+    def test_operands_unchanged(self):
+        a = sparse([[1, 2], [0, 3]])
+        b = sparse([[F(1, 2), 0], [-1, 1]])
+        a0, b0 = copy.deepcopy(a), copy.deepcopy(b)
+        mat_mul(a, b)
+        assert (a, b) == (a0, b0)
+
+
+class TestMatAcc:
+    @given(sum_pair(), SPARSE)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_reference(self, pair, c):
+        a, b = pair
+        acc, addend = sparse(a), sparse(b)
+        before = copy.deepcopy(addend)
+        mat_acc(acc, c, addend)
+        assert no_zero_stored(acc)
+        assert addend == before
+        expected = [[x + c * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+        assert dense(acc, len(a[0])) == expected
+
+    def test_cancelling_sum_stores_no_zero(self):
+        acc = sparse([[1, F(2)], [0, 5]])
+        mat_acc(acc, -1, sparse([[1, F(2)], [0, 0]]))
+        assert acc == [{}, {1: 5}]
+        mat_acc(acc, F(1, 5), sparse([[0, 0], [0, -25]]))
+        assert acc == [{}, {}]
+
+
+class TestCachesNotMutated:
+    def test_verify_relations_twice(self):
+        p = generic_specialization(3, 2)
+        m = build_module(rp_empty(3), 1, p)
+        mats = copy.deepcopy((m.matX, m.matT, m.matE))
+        first = verify_relations(m)
+        assert first["ok"]
+        assert verify_relations(m) == first
+        assert (m.matX, m.matT, m.matE) == mats
+
+    def test_eval_word_blocks_around_rank_certify(self, monkeypatch):
+        # rank_certify evaluates every cell word on this representation, so
+        # it reuses and extends the token caches of its modules
+        n, r = 3, 1
+        p = generic_specialization(r, n)
+        rep = build_rep(n, r, p)
+        words = []
+        for f, lam in shapes_with_f(n, r):
+            idx = delta_index(f, lam, n, r)
+            words += [cell_word(f, lam, left, right, n, r)
+                      for left in idx[:3] for right in idx[:3]]
+        before = [eval_word_blocks(w, rep) for w in words]
+        caches = [copy.deepcopy(m._word_cache) for _, _, m in rep.blocks]
+        monkeypatch.setattr(cellular, "build_rep", lambda *args: rep)
+        assert rank_certify(n, r, p)["certified"]
+        assert [eval_word_blocks(w, rep) for w in words] == before
+        for (_, _, m), cache in zip(rep.blocks, caches):
+            assert {tok: m._word_cache[tok] for tok in cache} == cache

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycbmw.matrices import mat_diag, mat_mul
+from cycbmw.matrices import dense, mat_diag, mat_mul, sparse
 from cycbmw.params import GroundParams, generic_specialization, wtilde_rational
 from cycbmw.scalars import RatFunc
 from cycbmw.seminormal import (
@@ -307,6 +307,13 @@ class TestRelations:
         rep = verify_relations(m)
         assert not rep["ok"]
         assert "kauffman" in [x["name"] for x in rep["relations"] if not x["pass"]]
+        kauffman = next(x for x in rep["relations"] if x["name"] == "kauffman")
+        assert kauffman["instance"] == 0
+        i, j = kauffman["entry"]
+        assert 0 <= i < m.dim and 0 <= j < m.dim
+        assert kauffman["residual"] != 0
+        assert all(set(x) == {"name", "pass", "max_width"}
+                   for x in rep["relations"] if x["pass"])
 
 
 class TestOmegaTable:
@@ -342,7 +349,7 @@ class TestOmegaTable:
             E = m.matE[k - 1]
             for a in range(4):
                 xa = mat_diag([s.content(k, p) ** a for s in m.basis])
-                lhs = mat_mul(mat_mul(E, xa), E)
+                lhs = dense(mat_mul(mat_mul(sparse(E), sparse(xa)), sparse(E)), m.dim)
                 scaled = [
                     [E[i][j] * t.values[(k, s.shape(k - 1))][a]
                      for j, s in enumerate(m.basis)]
