@@ -305,13 +305,7 @@ def rank_certify(n: int, r: int, params: GroundParams) -> dict:
 # -- Gram values and label census -------------------------------------------------
 
 
-def gram_half(
-    n: int,
-    ell: int,
-    params: GroundParams,
-    omega=None,
-    cross_check: bool = True,
-) -> dict:
+def gram_half(n: int, ell: int, params: GroundParams, omega=None) -> dict:
     """Gram pairing of the arc idempotent against its eigenvector-power twist
     on the top annihilator layer: the closed value is a power of one moment.
     """
@@ -323,7 +317,7 @@ def gram_half(
     f = n // 2
     value = omega_fn(ell) ** f
     form_zero = all(omega_fn(i) == 0 for i in range(params.r))
-    if cross_check and omega is None and n <= 4:
+    if omega is None and n <= 4:
         _gram_matrix_check(n, ell, params, value)
     return {"value": value, "form_zero": form_zero}
 

@@ -132,24 +132,28 @@ def _cmd_tabs(args, parser) -> tuple[dict, bool, tuple]:
     return report, ok, (rows, ["r", "n", "f", "shape", "count"])
 
 
-def _cmd_rep(args, parser) -> tuple[dict, bool]:
-    p = _load_params(args, parser)
+def _per_label(args, check) -> tuple[list, bool]:
+    """One block per label (f, lam): check(f, lam) returns the block, and a
+    label whose check raises gets an error block.  Returns (blocks, all ok).
+    """
     blocks = []
-    ok = True
     for f, lam in shapes_with_f(args.n, args.r):
         try:
-            m = build_module(lam, f, p)
-            rel = verify_relations(m)
+            block = check(f, lam)
         except (ValueError, ArithmeticError) as exc:
-            ok = False
-            blocks.append({"f": f, "shape": _shape_str(lam), "ok": False,
-                           "error": str(exc)})
-            continue
-        ok = ok and rel["ok"]
+            block = {"ok": False, "error": str(exc)}
+        blocks.append({"f": f, "shape": _shape_str(lam), **block})
+    return blocks, all(b["ok"] for b in blocks)
+
+
+def _cmd_rep(args, parser) -> tuple[dict, bool]:
+    p = _load_params(args, parser)
+
+    def check(f, lam):
+        m = build_module(lam, f, p)
+        rel = verify_relations(m)
         failing = [x for x in rel["relations"] if not x["pass"]]
         block = {
-            "f": f,
-            "shape": _shape_str(lam),
             "dim": m.dim,
             "ok": rel["ok"],
             "failing": [x["name"] for x in failing],
@@ -160,55 +164,31 @@ def _cmd_rep(args, parser) -> tuple[dict, bool]:
                 {key: x[key] for key in ("name", "instance", "entry", "residual")}
                 for x in failing
             ]
-        blocks.append(block)
+        return block
+
+    blocks, ok = _per_label(args, check)
     return {"r": args.r, "n": args.n, "blocks": blocks, "ok": ok}, ok
 
 
 def _cmd_identities(args, parser) -> tuple[dict, bool]:
     p = _load_params(args, parser)
-    blocks = []
-    ok = True
-    for f, lam in shapes_with_f(args.n, args.r):
-        try:
-            rep = identity_suite(lam, f, p)
-        except (ValueError, ArithmeticError) as exc:
-            ok = False
-            blocks.append({"f": f, "shape": _shape_str(lam), "ok": False,
-                           "error": str(exc)})
-            continue
-        ok = ok and rep["ok"]
-        blocks.append(
-            {
-                "f": f,
-                "shape": _shape_str(lam),
-                "ok": rep["ok"],
-                "checks": {
-                    name: stats for name, stats in sorted(rep["checks"].items())
-                },
-                "failures": rep["failures"],
-            }
-        )
+    blocks, ok = _per_label(args, lambda f, lam: identity_suite(lam, f, p))
     return {"r": args.r, "n": args.n, "blocks": blocks, "ok": ok}, ok
 
 
 def _cmd_omega(args, parser) -> tuple[dict, bool]:
     p = _load_params(args, parser)
     a_max = 4 * p.r
-    blocks = []
-    ok = True
-    for f, lam in shapes_with_f(args.n, args.r):
-        try:
-            table = omega_k_table(lam, f, p, a_max=a_max)
-            values = {
-                f"k={k} below={_shape_str(shape)}": coeffs
-                for (k, shape), coeffs in sorted(table.values.items())
-            }
-            blocks.append({"f": f, "shape": _shape_str(lam), "ok": True,
-                           "values": values})
-        except (ValueError, ArithmeticError) as exc:
-            ok = False
-            blocks.append({"f": f, "shape": _shape_str(lam), "ok": False,
-                           "error": str(exc)})
+
+    def check(f, lam):
+        table = omega_k_table(lam, f, p, a_max)
+        values = {
+            f"k={k} below={_shape_str(shape)}": coeffs
+            for (k, shape), coeffs in table.values.items()
+        }
+        return {"ok": True, "values": values}
+
+    blocks, ok = _per_label(args, check)
     return {"r": args.r, "n": args.n, "a_max": a_max, "blocks": blocks, "ok": ok}, ok
 
 

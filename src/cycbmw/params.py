@@ -1,9 +1,11 @@
 """Admissible ground data for the cyclotomic BMW algebra B_{r,n}.
 
-Constructs the family Omega = {omega_a} together with rho from the
-parameters (q, u_1..u_r, alpha), validates the admissibility equations, and
-produces generic rational specializations on which the seminormal matrices
-are real and well conditioned.
+Ground data are rationals: GroundParams converts q and u_1..u_r to Fraction
+once, so every derived scalar (q^{-1}, delta, rho, omega_a) is plain Fraction
+arithmetic.  From (q, u_1..u_r, alpha) it constructs the family
+Omega = {omega_a} together with rho, validates the admissibility equations,
+and produces generic rational specializations on which the seminormal
+matrices are real and well conditioned.
 """
 
 from __future__ import annotations
@@ -11,22 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 from typing import Callable, Sequence
 
-from .scalars import LaurentPoly, RatFunc, TruncSeries, expand_series
-
-
-def scalar_inv(x):
-    """Multiplicative inverse in the ambient scalar ring."""
-    if isinstance(x, Fraction):
-        return Fraction(1) / x
-    if isinstance(x, int):
-        return Fraction(1, x)
-    if isinstance(x, LaurentPoly):
-        return x.monomial_inverse()
-    if isinstance(x, RatFunc):
-        return RatFunc.const(1) / x
-    raise TypeError(f"cannot invert scalar of type {type(x)!r}")
+from .scalars import RatFunc, TruncSeries, expand_series
 
 
 def elem_symmetric(u: Sequence, i: int):
@@ -49,28 +39,25 @@ def _q_factor_coeff(u, k: int):
 
 
 def _q_poly_list(u: Sequence, a_max: int) -> list:
-    """Coefficients Q_0..Q_{a_max} of Prod_i (y-u_i)/(u_i y - 1) at y=0."""
-    zero = Fraction(0) if not u or isinstance(u[0], Fraction) else u[0] * 0
-    out = [Fraction(1) if isinstance(zero, Fraction) else zero + 1]
-    out += [zero] * a_max
+    """Coefficients Q_0..Q_{a_max} of Prod_i (y-u_i)/(u_i y - 1) at y=0.
+
+    The u_i are Fractions for ground data; any ring elements that mix with
+    Fraction (Laurent polynomials, for symbolic checks) work too.
+    """
+    out = [Fraction(1)] + [Fraction(0)] * a_max
     for ui in u:
         fac = [_q_factor_coeff(ui, k) for k in range(a_max + 1)]
-        new = []
-        for k in range(a_max + 1):
-            acc = zero
-            for i in range(k + 1):
-                acc = acc + out[i] * fac[k - i]
-            new.append(acc)
-        out = new
+        out = [sum((out[i] * fac[k - i] for i in range(k + 1)), Fraction(0))
+               for k in range(a_max + 1)]
     return out
 
 
 def q_poly(a: int, u: Sequence, primed: bool = False):
     """Symmetric-function coefficient Q_a(u) (Q'_a when primed); 0 for a<0."""
     if a < 0:
-        return Fraction(0) if not u or isinstance(u[0], Fraction) else u[0] * 0
+        return Fraction(0)
     if primed:
-        u = [scalar_inv(x) for x in u]
+        u = [1 / x for x in u]
     return _q_poly_list(u, a)[a]
 
 
@@ -96,9 +83,11 @@ class SymCache:
 class GroundParams:
     """Ground data (r, q, u, delta, alpha, rho, Omega) with odd r.
 
-    omega_a values are produced from the closed forms of the one-parameter
-    family determined by rho^{-1} = alpha * u_1 ... u_r; the admissibility
-    recursions are kept as independent checks, never as definitions.
+    q and the u_i are converted to Fraction here, and only here; every other
+    module takes the ground data to be rationals.  omega_a values are
+    produced from the closed forms of the one-parameter family determined by
+    rho^{-1} = alpha * u_1 ... u_r; the admissibility recursions are kept as
+    independent checks, never as definitions.
     """
 
     def __init__(self, r: int, q, u: Sequence, alpha: int = 1):
@@ -109,19 +98,17 @@ class GroundParams:
         if len(u) != r:
             raise ValueError(f"expected {r} values u_1..u_r, got {len(u)}")
         self.r = r
-        self.q = q
-        self.u = tuple(u)
+        self.q = Fraction(q)
+        self.u = tuple(Fraction(x) for x in u)
         self.alpha = alpha
-        self.q_inv = scalar_inv(q)
-        self.delta = q - self.q_inv
-        if _is_zero_scalar(self.delta):
+        self.q_inv = 1 / self.q
+        self.delta = self.q - self.q_inv
+        if self.delta == 0:
             raise ValueError("q - q^{-1} must be invertible (q != +-1)")
-        self.delta_inv = scalar_inv(self.delta)
-        self.u_prod = self.u[0]
-        for x in self.u[1:]:
-            self.u_prod = self.u_prod * x
+        self.delta_inv = 1 / self.delta
+        self.u_prod = prod(self.u)
         self.rho_inv = self.u_prod if alpha == 1 else -self.u_prod
-        self.rho = scalar_inv(self.rho_inv)
+        self.rho = 1 / self.rho_inv
         self.sym = SymCache(self.u)
         self._omega: dict[int, object] = {}
         # memos of seminormal._w_shape and seminormal._e_diag_value
@@ -140,38 +127,19 @@ class GroundParams:
     def _omega_closed_form(self, a: int):
         dr = self.delta_inv * self.rho
         if a >= 0:
-            head = Fraction(1 + (-1) ** a, 2) + dr * self.sym.q(a) * self.u_prod
-            tail = sum_scalars(
-                Fraction(1 + (-1) ** k, 2) * self.sym.q(a - 1 - k)
-                for k in range(a)
-            )
-            value = head if tail is None else head + tail
+            value = Fraction(1 + (-1) ** a, 2) + dr * self.sym.q(a) * self.u_prod
+            value += sum(Fraction(1 + (-1) ** k, 2) * self.sym.q(a - 1 - k)
+                         for k in range(a))
             if a == 0:
-                value = value - dr
+                value -= dr
             return value
         b = -a
-        head = Fraction(1 + (-1) ** b, 2) - dr * self.sym.q(b, primed=True) * self.u_prod
-        tail = sum_scalars(
-            Fraction(1 + (-1) ** k, 2) * self.sym.q(b - 1 - k, primed=True)
-            for k in range(b)
-        )
-        return head if tail is None else head + tail
+        value = Fraction(1 + (-1) ** b, 2) - dr * self.sym.q(b, primed=True) * self.u_prod
+        return value + sum(Fraction(1 + (-1) ** k, 2) * self.sym.q(b - 1 - k, primed=True)
+                           for k in range(b))
 
     def __repr__(self):
         return f"GroundParams(r={self.r}, q={self.q}, u={self.u}, alpha={self.alpha})"
-
-
-def sum_scalars(items):
-    total = None
-    for x in items:
-        total = x if total is None else total + x
-    return total
-
-
-def _is_zero_scalar(x) -> bool:
-    if isinstance(x, (LaurentPoly, RatFunc)):
-        return x.is_zero()
-    return x == 0
 
 
 # -- admissibility -----------------------------------------------------------
@@ -197,29 +165,19 @@ def check_admissible(
     om = omega or params.omega
     entries = []
     for b in range(b_range[0], b_range[1] + 1):
-        defect = sum_scalars(
-            Fraction((-1) ** (r - s)) * params.sym.sigma[r - s] * om(s + b)
-            for s in range(r + 1)
-        )
-        entries.append({"family": 1, "b": b, "pass": _is_zero_scalar(defect)})
+        defect = sum((-1) ** (r - s) * params.sym.sigma[r - s] * om(s + b)
+                     for s in range(r + 1))
+        entries.append({"family": 1, "b": b, "pass": defect == 0})
     rd = params.rho_inv * params.delta
     for a in range(a_max + 1):
         rhs = om(-a)
         for i in range(1, a + 1):
             rhs = rhs + rd * (om(a - i) * om(-i) - om(a - 2 * i))
-        entries.append({"family": 2, "a": a, "pass": _is_zero_scalar(om(a) - rhs)})
+        entries.append({"family": 2, "a": a, "pass": om(a) == rhs})
     return {"ok": all(e["pass"] for e in entries), "entries": entries}
 
 
 # -- generating series -------------------------------------------------------
-
-
-def _embed(x) -> RatFunc:
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, LaurentPoly):
-        return RatFunc.from_poly(x)
-    return RatFunc.const(x)
 
 
 def wtilde_rational(params: GroundParams, sign: str) -> RatFunc:
@@ -230,19 +188,19 @@ def wtilde_rational(params: GroundParams, sign: str) -> RatFunc:
     """
     y = RatFunc.var("y")
     one = RatFunc.const(1)
-    dr = _embed(params.delta_inv) * _embed(params.rho)
-    P = _embed(params.u_prod)
+    dr = params.delta_inv * params.rho
+    P = params.u_prod
     y2m1 = y * y - one
     if sign == "+":
-        prod = one
+        factors = one
         for ui in params.u:
-            prod = prod * (y - _embed(scalar_inv(ui))) / (y - _embed(ui))
-        return y * y / y2m1 - dr + (dr * P + y / y2m1) * P * prod
+            factors = factors * (y - 1 / ui) / (y - ui)
+        return y * y / y2m1 - dr + (dr * P + y / y2m1) * P * factors
     if sign == "-":
-        prod = one
+        factors = one
         for ui in params.u:
-            prod = prod * (y - _embed(ui)) / (y - _embed(scalar_inv(ui)))
-        return one / y2m1 + dr - scalar_inv(P) * (dr * P - y / y2m1) * prod
+            factors = factors * (y - ui) / (y - 1 / ui)
+        return one / y2m1 + dr - 1 / P * (dr * P - y / y2m1) * factors
     raise ValueError("sign must be '+' or '-'")
 
 

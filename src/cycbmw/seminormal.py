@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 from .matrices import mat_acc, mat_diag, mat_mul, mat_zero, sparse, sparse_diag
-from .params import GroundParams, _embed, scalar_inv, wtilde_rational
+from .params import GroundParams, wtilde_rational
 from .scalars import LaurentPoly, RatFunc, expand_series
 # bound only because bench/tracer.py patches them here (ROADMAP item 1)
 from .matrices import mat_add, mat_identity, mat_scale, mat_sub  # noqa: F401
@@ -49,12 +49,12 @@ def _w_shape(shape: RPartition, params: GroundParams) -> RatFunc:
         return cache[shape]
     y = RatFunc.var("y")
     one = RatFunc.const(1)
-    dr = _embed(params.delta_inv) * _embed(params.rho)
-    P = _embed(params.u_prod)
-    prod = one
+    dr = params.delta_inv * params.rho
+    P = params.u_prod
+    factors = one
     for c in _flank_contents(shape, params):
-        prod = prod * (y - _embed(scalar_inv(c))) / (y - _embed(c))
-    w = y * y / (y * y - one) - dr + (dr * P + y / (y * y - one)) * P * prod
+        factors = factors * (y - 1 / c) / (y - c)
+    w = y * y / (y * y - one) - dr + (dr * P + y / (y * y - one)) * P * factors
     cache[shape] = w
     return w
 
@@ -84,33 +84,29 @@ def _residue_simple(f: RatFunc, c: Fraction) -> Fraction:
 def _e_diag_value(shape: RPartition, c, params: GroundParams):
     """Diagonal residue at content c over the given flanking shape.
 
-    Computed from the closed product form and, for rational ground data,
-    cross-checked against the residue of W/y at y=c.
+    Computed from the closed product form and cross-checked against the
+    residue of W/y at y=c.
     """
     cache = params._e_diag_cache
     key = (shape, c)
     if key in cache:
         return cache[key]
-    pref = params.rho_inv * scalar_inv(c) * (
-        (c - scalar_inv(c)) * params.delta_inv + params.alpha
-    )
-    value = pref
+    value = params.rho_inv / c * ((c - 1 / c) * params.delta_inv + params.alpha)
     skipped = 0
     for ca in _flank_contents(shape, params):
         if ca == c:
             skipped += 1
             continue
-        value = value * (c - scalar_inv(ca)) / (c - ca)
+        value = value * (c - 1 / ca) / (c - ca)
     if skipped != 1:
         raise ArithmeticError(
             f"content {c} matched {skipped} nodes of {shape}; parameters not generic"
         )
-    if isinstance(c, Fraction) and isinstance(params.q, Fraction):
-        res = _residue_simple(_w_shape(shape, params) / RatFunc.var("y"), c)
-        if res != value:
-            raise ArithmeticError(
-                f"residue {res} disagrees with product form {value} at c={c}"
-            )
+    res = _residue_simple(_w_shape(shape, params) / RatFunc.var("y"), c)
+    if res != value:
+        raise ArithmeticError(
+            f"residue {res} disagrees with product form {value} at c={c}"
+        )
     cache[key] = value
     return value
 
@@ -156,7 +152,6 @@ class SeminormalModule:
     n: int
     params: GroundParams
     basis: list
-    index: dict
     table: ResidueTable
     # g_s > 0 with every T_k, E_k equal to D A D^{-1}, D = diag(sqrt(g_s)), A symmetric
     gauge: list
@@ -229,8 +224,6 @@ def build_module(lam: RPartition, f: int, params: GroundParams) -> SeminormalMod
     n = rp_size(lam) + 2 * f
     if n < 1:
         raise ValueError("module needs at least one strand")
-    if not isinstance(params.q, Fraction):
-        raise ValueError("seminormal matrices need rational ground data")
     basis = enumerate_updown(n, lam)
     index = {t: i for i, t in enumerate(basis)}
     d = len(basis)
@@ -294,7 +287,7 @@ def build_module(lam: RPartition, f: int, params: GroundParams) -> SeminormalMod
         else:
             matE[k - 1][i][j] = x
             matT[k - 1][i][j] = ratio * x
-    return SeminormalModule(lam, f, n, params, basis, index, table, gauge, matX, matT, matE)
+    return SeminormalModule(lam, f, n, params, basis, table, gauge, matX, matT, matE)
 
 
 # -- relation verification -------------------------------------------------------
@@ -518,17 +511,13 @@ class OmegaKTable:
 def _content_factor(params: GroundParams, c) -> RatFunc:
     y = RatFunc.var("y")
     q2 = params.q ** 2
-    cinv = scalar_inv(c)
-    num = (y - _embed(c)) ** 2 \
-        * (y - _embed(scalar_inv(q2) * cinv)) * (y - _embed(q2 * cinv))
-    den = (y - _embed(cinv)) ** 2 \
-        * (y - _embed(scalar_inv(q2) * c)) * (y - _embed(q2 * c))
+    cinv = 1 / c
+    num = (y - c) ** 2 * (y - cinv / q2) * (y - q2 * cinv)
+    den = (y - cinv) ** 2 * (y - c / q2) * (y - q2 * c)
     return num / den
 
 
-def omega_k_table(
-    lam: RPartition, f: int, params: GroundParams, a_max: int | None = None
-) -> OmegaKTable:
+def omega_k_table(lam: RPartition, f: int, params: GroundParams, a_max: int) -> OmegaKTable:
     """Eigenvalue tables of the central step elements, computed two ways.
 
     Route one multiplies the one-strand series by the content factors along
@@ -536,13 +525,11 @@ def omega_k_table(
     must agree coefficientwise and be independent of the walk taken to a
     given intermediate shape.
     """
-    if a_max is None:
-        a_max = 4 * params.r
     n = rp_size(lam) + 2 * f
     basis = enumerate_updown(n, lam)
     y = RatFunc.var("y")
     one = RatFunc.const(1)
-    shift = y * y / (y * y - one) - _embed(params.delta_inv) * _embed(params.rho)
+    shift = y * y / (y * y - one) - params.delta_inv * params.rho
     g_base = wtilde_rational(params, "+") - shift
     values: dict = {}
     for s in basis:
@@ -622,7 +609,7 @@ def identity_suite(lam: RPartition, f: int, params: GroundParams) -> dict:
                 for ca in _flank_contents(shape, params):
                     ev = _e_diag_value(shape, ca, params)
                     run("e-nonzero", ev != 0, f"shape={shape}, c={ca}")
-                    rhs = rhs + _embed(ev) / (y - _embed(ca))
+                    rhs = rhs + ev / (y - ca)
                 run("partial-fractions", lhs == rhs, f"shape={shape}")
             if k > n - 1:
                 continue
@@ -769,9 +756,8 @@ def br2_build(kind: tuple, params: GroundParams) -> Br2Module:
             raise ArithmeticError(f"u_{i} = u_{j}; parameters not generic")
         pref = uj / (uj - ui)
         matT = [
-            [pref * delta, pref * (q - ui * params.q_inv * scalar_inv(uj))],
-            [pref * (params.q_inv - q * ui * scalar_inv(uj)),
-             pref * (-delta * ui * scalar_inv(uj))],
+            [pref * delta, pref * (q - ui * params.q_inv / uj)],
+            [pref * (params.q_inv - q * ui / uj), pref * (-delta * ui / uj)],
         ]
         zero = Fraction(0)
         return Br2Module(kind, 2, params.rho, params.rho_inv, None, None,
@@ -785,15 +771,13 @@ def br2_build(kind: tuple, params: GroundParams) -> Br2Module:
             raise ValueError("eigenvalues must be distinct")
         if d % 2 == 0:
             raise ValueError("even eigenvalue counts are out of scope")
-        prod_v = Fraction(1) if isinstance(params.q, Fraction) else params.q ** 0
-        for x in v:
-            prod_v = prod_v * x
+        prod_v = prod(v)
         rho_inv = prod_v if params.alpha == 1 else -prod_v
-        rho = scalar_inv(rho_inv)
+        rho = 1 / rho_inv
         dr = params.delta_inv * rho
         gamma = []
         for i in range(d):
-            g = 1 + dr * (v[i] * v[i] - 1) * prod_v * scalar_inv(v[i])
+            g = 1 + dr * (v[i] * v[i] - 1) * prod_v / v[i]
             for j in range(d):
                 if j != i:
                     g = g * (v[i] * v[j] - 1) / (v[i] - v[j])
@@ -806,7 +790,7 @@ def br2_build(kind: tuple, params: GroundParams) -> Br2Module:
         ]
         return Br2Module(kind, d, rho, rho_inv, v, gamma, matT, matE,
                          mat_diag(list(v)),
-                         mat_diag([scalar_inv(x) for x in v]))
+                         mat_diag([1 / x for x in v]))
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -871,22 +855,16 @@ def det_Ad(v) -> Fraction:
     """Closed-form determinant of the matrix with entries 1/(v_i v_j - 1)."""
     _check_det_domain(v)
     d = len(v)
-    num = Fraction(1) if isinstance(v[0], Fraction) else v[0] ** 0
-    for k in range(d):
-        for j in range(k + 1, d):
-            num = num * (v[k] - v[j]) ** 2
-    den = num ** 0 if not isinstance(num, Fraction) else Fraction(1)
-    for k in range(d):
-        for j in range(d):
-            den = den * (v[k] * v[j] - 1)
-    return num / den
+    num = prod((v[k] - v[j]) ** 2 for k in range(d) for j in range(k + 1, d))
+    den = prod(v[k] * v[j] - 1 for k in range(d) for j in range(d))
+    return Fraction(num, den)
 
 
 def det_Ad_brute(v) -> Fraction:
     """Gaussian-elimination determinant of the same matrix."""
     _check_det_domain(v)
     d = len(v)
-    m = [[scalar_inv(v[i] * v[j] - 1) for j in range(d)] for i in range(d)]
+    m = [[1 / (v[i] * v[j] - 1) for j in range(d)] for i in range(d)]
     det = Fraction(1)
     for col in range(d):
         pivot = next((row for row in range(col, d) if m[row][col] != 0), None)
@@ -896,7 +874,7 @@ def det_Ad_brute(v) -> Fraction:
             m[col], m[pivot] = m[pivot], m[col]
             det = -det
         det = det * m[col][col]
-        inv = scalar_inv(m[col][col])
+        inv = 1 / m[col][col]
         for row in range(col + 1, d):
             factor = m[row][col] * inv
             for j in range(col, d):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
-from .params import GroundParams, scalar_inv
+from .params import GroundParams
 
 
 class Node(NamedTuple):
@@ -88,7 +88,7 @@ def content(node: Node, mode: str, params: GroundParams):
     if mode == "add":
         return value
     if mode == "remove":
-        return scalar_inv(value)
+        return 1 / value
     raise ValueError("mode must be 'add' or 'remove'")
 
 
@@ -97,12 +97,11 @@ def content_product_identity(lam: RPartition, params: GroundParams) -> bool:
     removable (as removed) nodes equals u_1 ... u_r.
     """
     addable, removable = addable_removable(lam)
-    prod = None
+    prod = Fraction(1)
     for a in addable:
-        c = content(a, "add", params)
-        prod = c if prod is None else prod * c
+        prod *= content(a, "add", params)
     for b in removable:
-        prod = prod * content(b, "remove", params)
+        prod *= content(b, "remove", params)
     return prod == params.u_prod
 
 
@@ -147,15 +146,6 @@ class UpDownTableau:
         sign, node = self.steps[k - 1]
         return content(node, "add" if sign > 0 else "remove", params)
 
-    def replace_step_shape(self, k: int, mid: RPartition) -> "UpDownTableau":
-        """New walk equal to this one except the shape after step k is mid."""
-        prev = self.shape(k - 1)
-        nxt = self.shape(k + 1)
-        steps = list(self.steps)
-        steps[k - 1] = _step_between(prev, mid)
-        steps[k] = _step_between(mid, nxt)
-        return UpDownTableau(self.r, tuple(steps))
-
     def __eq__(self, other):
         return isinstance(other, UpDownTableau) and self.steps == other.steps
 
@@ -168,26 +158,6 @@ class UpDownTableau:
     def __repr__(self):
         body = ", ".join(f"{'+' if s > 0 else '-'}{tuple(nd)}" for s, nd in self.steps)
         return f"UpDownTableau[{body}]"
-
-
-def _step_between(a: RPartition, b: RPartition) -> tuple[int, Node]:
-    """The signed node taking shape a to shape b (must differ by one box)."""
-    sa, sb = rp_size(a), rp_size(b)
-    if sb == sa + 1:
-        small, big, sign = a, b, 1
-    elif sb == sa - 1:
-        small, big, sign = b, a, -1
-    else:
-        raise ValueError("shapes do not differ by one box")
-    for s in range(1, len(a) + 1):
-        ca, cb = small[s - 1], big[s - 1]
-        if ca == cb:
-            continue
-        for i in range(len(cb)):
-            va = ca[i] if i < len(ca) else 0
-            if cb[i] != va:
-                return (sign, Node(s, i + 1, cb[i]))
-    raise ValueError("shapes are equal")
 
 
 def enumerate_updown(n: int, lam: RPartition) -> list[UpDownTableau]:
@@ -307,19 +277,18 @@ def neighbors_k(t: UpDownTableau, k: int) -> list[UpDownTableau]:
     When the flanking shapes differ only t itself is returned; the neighbor
     sums in the generator matrices are needed only in the equal-flank case,
     where the class is in bijection with the addable/removable nodes of the
-    flanking shape.
+    flanking shape: steps k and k+1 add and remove an addable node, or remove
+    and re-add a removable one.
     """
     if not 1 <= k <= t.n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= n-1, got {k}")
-    prev, nxt = t.shape(k - 1), t.shape(k + 1)
-    if prev != nxt:
+    prev = t.shape(k - 1)
+    if prev != t.shape(k + 1):
         return [t]
     addable, removable = addable_removable(prev)
-    out = []
-    for node in addable:
-        out.append(t.replace_step_shape(k, rp_add(prev, node)))
-    for node in removable:
-        out.append(t.replace_step_shape(k, rp_remove(prev, node)))
+    head, tail = t.steps[:k - 1], t.steps[k + 1:]
+    out = [UpDownTableau(t.r, head + ((1, nd), (-1, nd)) + tail) for nd in addable]
+    out += [UpDownTableau(t.r, head + ((-1, nd), (1, nd)) + tail) for nd in removable]
     out.sort()
     return out
 

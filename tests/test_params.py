@@ -12,7 +12,6 @@ from cycbmw.params import (
     generic_specialization,
     parse_preset,
     q_poly,
-    scalar_inv,
     wtilde_closed,
     wtilde_rational,
 )
@@ -104,7 +103,7 @@ class TestQPoly:
     def test_primed_is_inverse_substitution(self):
         u = [RatFunc.var(f"u{i}") for i in (1, 2, 3)]
         for a in range(0, 7):
-            assert q_poly(a, u, primed=True) == q_poly(a, [scalar_inv(x) for x in u])
+            assert q_poly(a, u, primed=True) == q_poly(a, [1 / x for x in u])
 
 
 class TestGroundParams:
@@ -119,6 +118,15 @@ class TestGroundParams:
     def test_rejects_q_one(self):
         with pytest.raises(ValueError):
             GroundParams(1, F(1), [F(4)])
+
+    def test_int_inputs_become_fractions(self):
+        p = GroundParams(1, 2, [4])
+        assert type(p.q) is F and p.q == 2
+        assert all(type(x) is F for x in p.u) and p.u == (F(4),)
+        assert type(p.q_inv) is F and p.q_inv == F(1, 2)
+        assert type(p.delta) is F and p.delta == F(3, 2)
+        assert type(p.rho) is F and p.rho == F(1, 4)
+        assert type(p.omega(1)) is F
 
     def test_rho_inverse_relation(self):
         for alpha in (1, -1):

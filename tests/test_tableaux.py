@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycbmw.params import generic_specialization, scalar_inv
+from cycbmw.params import generic_specialization
 from cycbmw.tableaux import (
     CosetRep,
     Node,
@@ -83,12 +83,12 @@ class TestContent:
         p = generic_specialization(3, 2)
         assert content(Node(2, 1, 3), "add", p) == p.u[1] * p.q ** 4
         assert content(Node(1, 1, 1), "add", p) == p.u[0]
-        assert content(Node(1, 2, 1), "remove", p) == scalar_inv(p.u[0]) * p.q ** 2
+        assert content(Node(1, 2, 1), "remove", p) == 1 / p.u[0] * p.q ** 2
 
     def test_content_seq(self):
         p = generic_specialization(1, 2)
         t = enumerate_updown(2, ((),))[0]
-        assert [t.content(k, p) for k in (1, 2)] == [p.u[0], scalar_inv(p.u[0])]
+        assert [t.content(k, p) for k in (1, 2)] == [p.u[0], 1 / p.u[0]]
         t2 = enumerate_updown(2, ((2,),))[0]
         assert [t2.content(k, p) for k in (1, 2)] == [p.u[0], p.u[0] * p.q ** 2]
 
