@@ -283,6 +283,8 @@ def parse_preset(path: str) -> GroundParams:
         alpha = int(data.get("alpha", "1"))
     except KeyError as exc:
         raise ValueError(f"preset file missing key: {exc}") from exc
+    except ZeroDivisionError as exc:
+        raise ValueError(f"preset q has a zero denominator: {data['q']}") from exc
     if len(k) != r:
         raise ValueError(f"preset has {len(k)} exponents, expected r={r}")
     if q == 0:

@@ -1,18 +1,13 @@
-"""Exact scalar kernels, plus interval reals kept for the benchmark tracer.
+"""Exact scalar kernels over Q.
 
 Provides big rationals (stdlib Fraction), multivariate Laurent polynomials,
 rational functions compared by cross-multiplication and truncated power
-series.  The arbitrary-precision interval ("ball") reals below back no check
-of the program; they stay only because bench/tracer.py imports BallContext
-(ROADMAP item 1), and their unit tests keep them honest until then.
+series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import mpmath
-from mpmath.ctx_iv import MPIntervalContext
 
 
 def _var_key(name: str) -> tuple[bool, str]:
@@ -404,11 +399,10 @@ def _series_inverse(a: list, order: int) -> list:
     inv0 = _ring_inv(a[0])
     out = [inv0]
     for k in range(1, order + 1):
-        acc = None
-        for i in range(1, k + 1):
-            term = a[i] * out[k - i]
-            acc = term if acc is None else acc + term
-        out.append(-(inv0 * acc) if acc is not None else a[0] * 0)
+        acc = a[1] * out[k - 1]
+        for i in range(2, k + 1):
+            acc = acc + a[i] * out[k - i]
+        out.append(-(inv0 * acc))
     return out
 
 
@@ -461,167 +455,15 @@ def _zero_like(coeff_map: dict):
     return Fraction(0)
 
 
-# -- ball reals (kept for bench/tracer.py, ROADMAP item 1) -------------------
+# -- tracer attachment points -----------------------------------------------
+# bench/tracer.py imports BallContext and wraps BallContext.from_fraction and
+# seminormal.ball_sqrt (ROADMAP item 1).  Nothing in the program calls them.
 
 
 class BallContext:
-    """Interval-arithmetic context at a fixed binary precision."""
-
-    def __init__(self, precision: int = 512):
-        self.precision = precision
-        self.iv = MPIntervalContext()
-        self.iv.prec = precision
-
-    def from_fraction(self, x) -> "BallReal":
-        x = Fraction(x)
-        return BallReal(self, self.iv.mpf(x.numerator) / self.iv.mpf(x.denominator))
-
-    def zero(self) -> "BallReal":
-        return BallReal(self, self.iv.mpf(0))
-
-    def one(self) -> "BallReal":
-        return BallReal(self, self.iv.mpf(1))
+    def from_fraction(self, x):
+        raise NotImplementedError("interval reals are gone; every check is exact")
 
 
-class BallReal:
-    """Rigorous enclosure of a real number: every operation returns an
-    interval containing the exact result.
-    """
-
-    __slots__ = ("ctx", "ival")
-
-    def __init__(self, ctx: BallContext, ival):
-        self.ctx = ctx
-        self.ival = ival
-
-    def _coerce(self, other):
-        if isinstance(other, BallReal):
-            if other.ctx is not self.ctx:
-                raise ValueError("mixing BallReal values from different contexts")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ctx.from_fraction(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return BallReal(self.ctx, self.ival + other.ival)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BallReal(self.ctx, -self.ival)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return BallReal(self.ctx, self.ival - other.ival)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return BallReal(self.ctx, self.ival * other.ival)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.contains_zero():
-            raise ZeroDivisionError("divisor enclosure contains zero")
-        return BallReal(self.ctx, self.ival / other.ival)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.ctx.one() / (self ** (-n))
-        result = self.ctx.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    # -- interval queries (exact, via raw endpoints) ------------------------
-
-    def lower(self) -> Fraction:
-        return _raw_to_fraction(self.ival._mpi_[0])
-
-    def upper(self) -> Fraction:
-        return _raw_to_fraction(self.ival._mpi_[1])
-
-    def contains_zero(self) -> bool:
-        return self.lower() <= 0 <= self.upper()
-
-    def contains_fraction(self, x) -> bool:
-        return self.lower() <= Fraction(x) <= self.upper()
-
-    def is_certainly_negative(self) -> bool:
-        return self.upper() < 0
-
-    def is_certainly_positive(self) -> bool:
-        return self.lower() > 0
-
-    def width(self) -> Fraction:
-        """Exact enclosure width."""
-        return self.upper() - self.lower()
-
-    def mid(self) -> Fraction:
-        return (self.lower() + self.upper()) / 2
-
-    def abs_lower(self) -> Fraction:
-        """Certified lower bound on |x| (0 when the enclosure straddles 0)."""
-        if self.contains_zero():
-            return Fraction(0)
-        return min(abs(self.lower()), abs(self.upper()))
-
-    def __str__(self):
-        mid, rad = self.mid(), self.width() / 2
-        return f"{_frac_str(mid)} ± {_frac_str(rad)}"
-
-    __repr__ = __str__
-
-
-def _raw_to_fraction(t) -> Fraction:
-    """Exact Fraction value of a raw finite mpf endpoint tuple."""
-    sign, man, exp, bc = t
-    if man == 0 and (exp or bc):
-        raise ValueError("non-finite interval endpoint")
-    value = Fraction(man) * (Fraction(2) ** exp)
-    return -value if sign else value
-
-
-def _frac_str(x: Fraction, digits: int = 20) -> str:
-    return mpmath.nstr(mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator), digits)
-
-
-def ball_sqrt(x: BallReal) -> BallReal:
-    """Enclosure of the square root.
-
-    Enclosures that merely straddle 0 are clamped at 0 first (tiny negative
-    lower endpoints arise from rounding of exact zeros); certainly negative
-    radicands are rejected.
-    """
-    iv = x.ctx.iv
-    ival = x.ival
-    if x.is_certainly_negative():
-        raise ValueError("radicand sign unresolved: enclosure is negative")
-    if x.lower() < 0:
-        from mpmath.libmp import fzero
-
-        ival = iv.make_mpf((fzero, ival._mpi_[1]))
-    return BallReal(x.ctx, iv.sqrt(ival))
+def ball_sqrt(x):
+    raise NotImplementedError("interval reals are gone; every check is exact")

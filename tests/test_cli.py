@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +99,20 @@ class TestCommands:
         assert [1, "1|-|-"] in report["labels"]
         assert {f for f, _ in report["labels"]} == {0, 1}
 
+    def test_runs_without_mpmath(self):
+        # the program has no runtime dependency: a fresh interpreter runs a
+        # command without loading mpmath
+        code = (
+            "import contextlib, io, sys\n"
+            "import cycbmw.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cycbmw.cli.run(['params', '--r', '1']) == 0\n"
+            "assert 'mpmath' not in sys.modules\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
 
 class TestOutputs:
     def test_csv_format(self, capsys):
@@ -185,9 +203,10 @@ class TestErrors:
         assert exc.value.code == 2
         assert "cannot read preset" in capsys.readouterr().err
 
-    def test_preset_malformed(self, capsys, tmp_path):
+    @pytest.mark.parametrize("q", ["x", "1/0"])
+    def test_preset_malformed(self, capsys, tmp_path, q):
         preset = tmp_path / "preset.txt"
-        preset.write_text("r = 3\nq = x\nk = 10, -6, 2\n")
+        preset.write_text(f"r = 3\nq = {q}\nk = 10, -6, 2\n")
         with pytest.raises(SystemExit) as exc:
             run(["params", "--r", "3", "--preset", str(preset)])
         assert exc.value.code == 2

@@ -1,16 +1,13 @@
 from fractions import Fraction as F
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycbmw.scalars import (
-    BallContext,
     LaurentPoly,
     RatFunc,
     TruncSeries,
-    ball_sqrt,
     expand_series,
 )
 
@@ -142,64 +139,3 @@ class TestTruncSeries:
     def test_mul_truncates(self):
         a = TruncSeries("y", 2, [F(1), F(1), F(1)])
         assert (a * a).coeffs == [F(1), F(2), F(3)]
-
-
-class TestBallReal:
-    def test_exact_containment_ops(self):
-        ctx = BallContext(128)
-        a, b = F(3, 7), F(-22, 13)
-        ba, bb = ctx.from_fraction(a), ctx.from_fraction(b)
-        assert (ba + bb).contains_fraction(a + b)
-        assert (ba - bb).contains_fraction(a - b)
-        assert (ba * bb).contains_fraction(a * b)
-        assert (ba / bb).contains_fraction(a / b)
-
-    @given(fractions, fractions)
-    @settings(max_examples=60, deadline=None)
-    def test_containment_random(self, a, b):
-        ctx = BallContext(64)
-        ba, bb = ctx.from_fraction(a), ctx.from_fraction(b)
-        assert (ba + bb).contains_fraction(a + b)
-        assert (ba * bb).contains_fraction(a * b)
-        if b != 0:
-            assert (ba / bb).contains_fraction(a / b)
-        if a >= 0:
-            s = ball_sqrt(ba)
-            assert (s * s).contains_fraction(a)
-
-    def test_sqrt_exact_square(self):
-        ctx = BallContext(256)
-        s = ball_sqrt(ctx.from_fraction(4))
-        assert s.contains_fraction(2)
-        assert s.width() < F(2) ** -200
-
-    def test_sqrt_precision(self):
-        ctx = BallContext(128)
-        s = ball_sqrt(ctx.from_fraction(2))
-        assert s.width() < F(2) ** -120
-        assert (s * s).contains_fraction(2)
-
-    def test_sqrt_clamps_near_zero(self):
-        ctx = BallContext(128)
-        tiny = ctx.from_fraction(F(1, 10 ** 80)) - ctx.from_fraction(F(1, 10 ** 80))
-        assert tiny.contains_zero() and tiny.lower() <= 0
-        s = ball_sqrt(tiny)
-        assert s.contains_zero()
-        # monotonicity oracle: sqrt of the clamped enclosure is bounded by
-        # sqrt of the upper endpoint
-        assert s.upper() ** 2 <= F(4) * max(tiny.upper(), F(1, 10 ** 200))
-
-    def test_sqrt_negative_rejected(self):
-        ctx = BallContext(128)
-        with pytest.raises(ValueError, match="radicand sign unresolved"):
-            ball_sqrt(ctx.from_fraction(-1))
-
-    def test_division_by_straddling_zero_rejected(self):
-        ctx = BallContext(64)
-        tiny = ctx.from_fraction(F(1, 10 ** 40)) - ctx.from_fraction(F(1, 10 ** 40))
-        with pytest.raises(ZeroDivisionError):
-            ctx.one() / tiny
-
-    def test_str_format(self):
-        ctx = BallContext(64)
-        assert "±" in str(ctx.from_fraction(F(1, 3)))
