@@ -104,6 +104,8 @@ def _cmd_params(args, parser) -> tuple[dict, bool]:
 
 
 def _cmd_tabs(args, parser) -> tuple[dict, bool, tuple]:
+    if args.list and args.format == "csv":
+        parser.error("tabs --list needs --format json: the CSV table has no column for walks")
     r, n = args.r, args.n
     counts = count_updown(n, r)
     total_sq = sum(c * c for c in counts.values())

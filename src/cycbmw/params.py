@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import prod
 from typing import Callable, Sequence
 
-from .scalars import RatFunc, TruncSeries, expand_series
+from .scalars import RatFunc, expand_series
 
 
 def elem_symmetric(u: Sequence, i: int):
@@ -186,7 +186,7 @@ def wtilde_rational(params: GroundParams, sign: str) -> RatFunc:
     sign "+" packs omega_a for a >= 0; sign "-" packs omega_{-a} for a >= 1.
     Odd r only (the parity factor in the closed form is 1).
     """
-    y = RatFunc.var("y")
+    y = RatFunc.y()
     one = RatFunc.const(1)
     dr = params.delta_inv * params.rho
     P = params.u_prod
@@ -204,9 +204,9 @@ def wtilde_rational(params: GroundParams, sign: str) -> RatFunc:
     raise ValueError("sign must be '+' or '-'")
 
 
-def wtilde_closed(params: GroundParams, sign: str, order: int) -> TruncSeries:
-    """Series expansion of the closed form in descending powers of y."""
-    return expand_series(wtilde_rational(params, sign), "y", order, at="inf")
+def wtilde_closed(params: GroundParams, sign: str, order: int) -> list[Fraction]:
+    """Coefficients of the closed form's series in descending powers of y."""
+    return expand_series(wtilde_rational(params, sign), order, at="inf")
 
 
 # -- generic specialization ---------------------------------------------------

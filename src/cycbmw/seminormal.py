@@ -18,7 +18,7 @@ from math import isqrt, prod
 
 from .matrices import mat_acc, mat_diag, mat_mul, mat_zero, sparse, sparse_diag
 from .params import GroundParams, wtilde_rational
-from .scalars import LaurentPoly, RatFunc, expand_series
+from .scalars import RatFunc, expand_series
 # bound only because bench/tracer.py patches them here (ROADMAP item 1)
 from .matrices import mat_add, mat_identity, mat_scale, mat_sub  # noqa: F401
 from .scalars import ball_sqrt  # noqa: F401
@@ -47,7 +47,7 @@ def _w_shape(shape: RPartition, params: GroundParams) -> RatFunc:
     cache = params._w_shape_cache
     if shape in cache:
         return cache[shape]
-    y = RatFunc.var("y")
+    y = RatFunc.y()
     one = RatFunc.const(1)
     dr = params.delta_inv * params.rho
     P = params.u_prod
@@ -72,13 +72,12 @@ def _residue_simple(f: RatFunc, c: Fraction) -> Fraction:
     """Residue of f at a simple pole y=c, via the derivative of the
     (unreduced) denominator.
     """
-    num, den = LaurentPoly._align(f.num, f.den)
-    if den.evaluate({"y": c}) != 0:
+    if f.den.evaluate(c) != 0:
         raise ArithmeticError(f"no pole at y={c}")
-    dval = den.derivative("y").evaluate({"y": c})
+    dval = f.den.derivative().evaluate(c)
     if dval == 0:
         raise ArithmeticError(f"pole at y={c} is not simple")
-    return num.evaluate({"y": c}) / dval
+    return f.num.evaluate(c) / dval
 
 
 def _e_diag_value(shape: RPartition, c, params: GroundParams):
@@ -102,7 +101,7 @@ def _e_diag_value(shape: RPartition, c, params: GroundParams):
         raise ArithmeticError(
             f"content {c} matched {skipped} nodes of {shape}; parameters not generic"
         )
-    res = _residue_simple(_w_shape(shape, params) / RatFunc.var("y"), c)
+    res = _residue_simple(_w_shape(shape, params) / RatFunc.y(), c)
     if res != value:
         raise ArithmeticError(
             f"residue {res} disagrees with product form {value} at c={c}"
@@ -509,7 +508,7 @@ class OmegaKTable:
 
 
 def _content_factor(params: GroundParams, c) -> RatFunc:
-    y = RatFunc.var("y")
+    y = RatFunc.y()
     q2 = params.q ** 2
     cinv = 1 / c
     num = (y - c) ** 2 * (y - cinv / q2) * (y - q2 * cinv)
@@ -527,7 +526,7 @@ def omega_k_table(lam: RPartition, f: int, params: GroundParams, a_max: int) -> 
     """
     n = rp_size(lam) + 2 * f
     basis = enumerate_updown(n, lam)
-    y = RatFunc.var("y")
+    y = RatFunc.y()
     one = RatFunc.const(1)
     shift = y * y / (y * y - one) - params.delta_inv * params.rho
     g_base = wtilde_rational(params, "+") - shift
@@ -536,16 +535,14 @@ def omega_k_table(lam: RPartition, f: int, params: GroundParams, a_max: int) -> 
         g = g_base
         for k in range(1, n + 1):
             key = (k, s.shape(k - 1))
-            route_one = expand_series(g + shift, "y", a_max, at="inf").coeffs
+            route_one = expand_series(g + shift, a_max, at="inf")
             if key in values:
                 if values[key] != route_one:
                     raise ValueError(
                         f"omega table depends on the walk at k={k}, s={s!r}"
                     )
             else:
-                route_two = expand_series(
-                    W_rational(s, k, params), "y", a_max, at="inf"
-                ).coeffs
+                route_two = expand_series(W_rational(s, k, params), a_max, at="inf")
                 for a, (x1, x2) in enumerate(zip(route_one, route_two)):
                     if x1 != x2:
                         raise ValueError(
@@ -571,7 +568,7 @@ def identity_suite(lam: RPartition, f: int, params: GroundParams) -> dict:
     """
     n = rp_size(lam) + 2 * f
     basis = enumerate_updown(n, lam)
-    y = RatFunc.var("y")
+    y = RatFunc.y()
     dr = params.delta_inv * params.rho
     checks: dict[str, dict] = {}
     failures: list[str] = []
@@ -738,7 +735,8 @@ def br2_build(kind: tuple, params: GroundParams) -> Br2Module:
 
     kind is ("onedim", sign, i) with sign +1 for eigenvalue q and -1 for
     -q^{-1}; ("twodim", i, j) with i != j; or ("big", indices) with indices a
-    tuple of distinct 1-based positions into u (None selects all of u).
+    tuple of distinct 1-based positions into u (None selects all of u) whose
+    values v are distinct with no product v_i v_j = 1.
     """
     q, delta = params.q, params.delta
     if kind[0] == "onedim":
@@ -767,8 +765,7 @@ def br2_build(kind: tuple, params: GroundParams) -> Br2Module:
         indices = kind[1] if kind[1] is not None else tuple(range(1, params.r + 1))
         v = tuple(params.u[i - 1] for i in indices)
         d = len(v)
-        if len(set(v)) != d:
-            raise ValueError("eigenvalues must be distinct")
+        _check_det_domain(v)
         if d % 2 == 0:
             raise ValueError("even eigenvalue counts are out of scope")
         prod_v = prod(v)

@@ -113,6 +113,22 @@ class TestCommands:
         env = {**os.environ, "PYTHONPATH": str(src)}
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
+    def test_imports_only_stdlib(self):
+        # pyproject declares no dependencies: importing the CLI in a fresh
+        # interpreter loads nothing outside the stdlib and cycbmw.  -S keeps
+        # site-packages off the path and its startup hooks out of sys.modules.
+        code = (
+            "import sys\n"
+            "import cycbmw.cli\n"
+            "roots = {name.partition('.')[0] for name in sys.modules}\n"
+            "print(sorted(roots - set(sys.stdlib_module_names) - {'__main__', 'cycbmw'}))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+
 
 class TestOutputs:
     def test_csv_format(self, capsys):
@@ -168,6 +184,13 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             run(["rank", "--r", "1", "--n", "2", "--format", "csv"])
         assert exc.value.code == 2
+
+    def test_tabs_list_csv_rejected(self, capsys):
+        # the CSV table has one row per label and no column for the walks
+        with pytest.raises(SystemExit) as exc:
+            run(["tabs", "--r", "1", "--n", "2", "--list", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "--list needs --format json" in capsys.readouterr().err
 
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -254,6 +277,17 @@ class TestErrors:
         report = json.loads(out)
         assert report.get("ok", report.get("certified", False)) is False
         assert "parameters not generic" in out
+
+    @pytest.mark.parametrize("r, k, pair", [("3", "2, -2, 5", "v_1 v_2"),
+                                             ("1", "0", "v_1 v_1")])
+    def test_br2_reciprocal_eigenvalues_exit_one(self, capsys, tmp_path, r, k, pair):
+        # u_i u_j = 1 puts a zero denominator into T on the big module: the
+        # error names the pair instead of a bare ZeroDivisionError text
+        preset = tmp_path / "preset.txt"
+        preset.write_text(f"r = {r}\nq = 2\nk = {k}\n")
+        code, report = run_json(capsys, "br2", "--r", r, "--preset", str(preset))
+        assert code == 1
+        assert report == {"r": int(r), "ok": False, "error": f"singular entry: {pair} = 1"}
 
     def test_max_n_not_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("BMW_MAX_N", "abc")

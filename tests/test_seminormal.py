@@ -83,8 +83,8 @@ def assert_gauged_modules(r, n, p):
 
 
 def y_coeffs(poly):
-    """Ascending coefficients of a polynomial in y alone."""
-    split = poly.coeff_split("y")
+    """Ascending coefficients of a polynomial in y."""
+    split = poly.terms
     assert min(split) >= 0
     out = [F(0)] * (max(split) + 1)
     for e, c in split.items():
@@ -117,7 +117,7 @@ class TestWRational:
     def test_r1_single_factor(self):
         p = generic_specialization(1, 2)
         s = enumerate_updown(2, rp_empty(1))[0]
-        y = RatFunc.var("y")
+        y = RatFunc.y()
         one = RatFunc.const(1)
         u = RatFunc.const(p.u[0])
         dr = RatFunc.const(p.delta_inv * p.rho)
@@ -202,13 +202,17 @@ class TestAbCoeffs:
 
     def test_symbolic_factorization(self):
         # b^2 = (c1 - q^-2 c0)(c1 - q^2 c0) / (c1 - c0)^2 as rational functions
-        q = RatFunc.var("q")
-        c0 = RatFunc.var("c0")
-        c1 = RatFunc.var("c1")
-        delta = q - 1 / q
-        a = delta * c1 / (c1 - c0)
-        bsq = 1 - a * a + delta * a
-        assert bsq == (c1 - c0 / (q * q)) * (c1 - q * q * c0) / (c1 - c0) ** 2
+        # of (q, c0, c1).  Both sides are homogeneous of degree 0 in (c0, c1),
+        # so c0 = 1, c1 = y loses nothing.  Times q^2 (y - 1)^2 both sides
+        # are polynomials of degree <= 2 in q^2 over Q[y], so equality as
+        # rational functions of y at three q with distinct q^2 proves the
+        # identity for every q.
+        c0, c1 = 1, RatFunc.y()
+        for q in (F(2), F(3), F(1, 5)):
+            delta = q - 1 / q
+            a = delta * c1 / (c1 - c0)
+            bsq = 1 - a * a + delta * a
+            assert bsq == (c1 - c0 / (q * q)) * (c1 - q * q * c0) / (c1 - c0) ** 2
 
     def test_error_on_equal_flanks(self):
         p = generic_specialization(1, 2)
