@@ -2,10 +2,11 @@
 
 Provides the index sets for the cellular basis, generator words for its
 elements, evaluation of words over Q in the faithful direct sum of
-seminormal modules (token matrices are cached and words multiplied in
-sparse rows, and each block image is returned dense), a modular full-rank
-certificate for the evaluated basis, closed Gram values on the top
-annihilator layer, and the irreducible-label census.
+seminormal modules (token matrices are cached and words multiplied as
+integer sparse rows over one denominator, and each block image is returned
+as dense Fractions), a modular full-rank certificate for the evaluated
+basis, closed Gram values on the top annihilator layer, and the
+irreducible-label census.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial
 
-from .matrices import dense, mat_acc, mat_scale, sparse_diag
+from .matrices import combine, dense, frac_rows, int_rows, mat_scale, sparse_diag
 # bound only because bench/tracer.py patches them here (ROADMAP item 1)
 from .matrices import mat_add, mat_diag, mat_identity, mat_mul, mat_sub  # noqa: F401
 from .params import GroundParams
@@ -184,27 +185,27 @@ def _module_word(w: GenWord, m: SeminormalModule):
     return word_product(w, lambda tok: token_matrix(tok, m), m.dim)
 
 
-def _rowsum_matrix(m: SeminormalModule, lam: RPartition) -> list:
-    """Sparse rows of the row-stabilizer sum of lam: the sum of T_w over the
-    permutations w that fix every row of lam setwise.
+def _rowsum_matrix(m: SeminormalModule, lam: RPartition) -> tuple:
+    """(int rows, den) of the row-stabilizer sum of lam: the sum of T_w over
+    the permutations w that fix every row of lam setwise.
     """
     rows = row_stabilizer_entries(lam)
     n = m.n
-    total: list = [{} for _ in range(m.dim)]
+    words = []
     pools = [list(permutations(row)) for row in rows]
     for choice in product(*pools) if pools else [()]:
         p = list(range(1, n + 1))
         for row, img in zip(rows, choice):
             for pos, val in zip(row, img):
                 p[pos - 1] = val
-        mat_acc(total, 1, _module_word(_t_word(tuple(p)), m))
-    return total
+        words.append((1, _module_word(_t_word(tuple(p)), m)))
+    return combine(words, m.dim)
 
 
-def token_matrix(tok: Token, m: SeminormalModule) -> list:
-    """Sparse rows of one token on a single seminormal module, cached per
-    module: a relation-table generator, ("Xshift", i, comp) for X_i - u_comp,
-    or ("rowsum", lam) for the row-stabilizer sum of lam.
+def token_matrix(tok: Token, m: SeminormalModule) -> tuple:
+    """(int rows, den) of one token on a single seminormal module, cached
+    per module: a relation-table generator, ("Xshift", i, comp) for
+    X_i - u_comp, or ("rowsum", lam) for the row-stabilizer sum of lam.
     """
     cache = m._word_cache
     if tok in cache:
@@ -215,7 +216,7 @@ def token_matrix(tok: Token, m: SeminormalModule) -> list:
         if not (1 <= i <= m.n and 1 <= comp <= p.r):
             raise ValueError("shift token out of range")
         us = p.u[comp - 1]
-        out = sparse_diag([s.content(i, p) - us for s in m.basis])
+        out = int_rows(sparse_diag([s.content(i, p) - us for s in m.basis]))
     elif tok[0] == "rowsum":
         out = _rowsum_matrix(m, tok[1])
     else:
@@ -225,8 +226,10 @@ def token_matrix(tok: Token, m: SeminormalModule) -> list:
 
 
 def eval_word_blocks(w: GenWord, rep: FaithfulRep) -> list:
-    """Per-block dense matrices of a token word, in the fixed block order."""
-    return [dense(_module_word(w, m), m.dim) for _, _, m in rep.blocks]
+    """Per-block dense Fraction matrices of a token word, in the fixed block
+    order.
+    """
+    return [dense(frac_rows(*_module_word(w, m)), m.dim) for _, _, m in rep.blocks]
 
 
 def eval_word(w: GenWord, rep: FaithfulRep) -> list:

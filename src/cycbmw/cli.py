@@ -163,7 +163,7 @@ def _cmd_rep(args, parser) -> tuple[dict, bool]:
         }
         if failing:
             block["residuals"] = [
-                {key: x[key] for key in ("name", "instance", "entry", "residual")}
+                {key: x[key] for key in ("name", "instance", "k", "entry", "residual")}
                 for x in failing
             ]
         return block

@@ -1,5 +1,5 @@
 """Matrix helpers over exact scalars: dense rows for assembly and output,
-sparse rows for products and relation residuals.
+integer sparse rows over one denominator for products and relation residuals.
 
 A dense matrix is a list of rows of Fractions (or ints).  A sparse-row
 matrix is a list with one ``{column: entry}`` dict per row that never stores
@@ -7,11 +7,19 @@ an exact zero.  The seminormal generators are mostly zeros (X_i is diagonal,
 T_k and E_k have a few entries per row), so words are multiplied and
 residuals summed in sparse rows, touching nonzero entries only; ``sparse``
 and ``dense`` convert between the two forms.
+
+Products and sums run fraction-free: a matrix is a pair ``(rows, den)`` of
+sparse rows of ints and one positive int denominator, standing for
+rows/den.  ``mat_mul`` and ``mat_acc`` use only ``*``, ``+`` and truthiness,
+so the same kernels multiply int rows with no gcd per entry; the
+denominators of a product multiply, and ``combine`` sums terms over the lcm
+of theirs.  ``int_rows`` and ``frac_rows`` convert at the boundary.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 Matrix = list
 
@@ -66,6 +74,45 @@ def dense(a: list, ncols: int) -> Matrix:
             full[j] = x
         out.append(full)
     return out
+
+
+def int_rows(rows: list) -> tuple[list, int]:
+    """(int rows, den) of sparse rational rows; den is the lcm of the entry
+    denominators.
+    """
+    den = lcm(*(x.denominator for row in rows for x in row.values()))
+    return [{j: x.numerator * (den // x.denominator) for j, x in row.items()}
+            for row in rows], den
+
+
+def frac_rows(rows: list, den: int) -> list:
+    """Sparse Fraction rows of the pair (rows, den)."""
+    return [{j: Fraction(x, den) for j, x in row.items()} for row in rows]
+
+
+def combine(terms, dim: int) -> tuple[list, int]:
+    """(int rows, L) of the sum of c·rows/den over the terms (c, (rows, den))
+    of dim-row matrices, with L the lcm of the c.denominator·den; terms with
+    c == 0 are skipped, and entries that cancel are dropped.
+
+    terms is read once, so a generator keeps one term alive at a time; the
+    partial sum is rescaled whenever the lcm grows.
+    """
+    total = 1
+    acc: list = [{} for _ in range(dim)]
+    for c, (rows, den) in terms:
+        if not c:
+            continue
+        d = c.denominator * den
+        grown = lcm(total, d)
+        if grown != total:
+            scale = grown // total
+            for row in acc:
+                for j in row:
+                    row[j] *= scale
+            total = grown
+        mat_acc(acc, c.numerator * (total // d), rows)
+    return acc, total
 
 
 def mat_mul(a: list, b: list) -> list:

@@ -42,7 +42,7 @@ def _q_poly_list(u: Sequence, a_max: int) -> list:
     """Coefficients Q_0..Q_{a_max} of Prod_i (y-u_i)/(u_i y - 1) at y=0.
 
     The u_i are Fractions for ground data; any ring elements that mix with
-    Fraction (Laurent polynomials, for symbolic checks) work too.
+    Fraction (rational functions in y, for symbolic checks) work too.
     """
     out = [Fraction(1)] + [Fraction(0)] * a_max
     for ui in u:

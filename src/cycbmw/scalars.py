@@ -78,26 +78,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.monomial_inverse() ** (-n)
-        result = LaurentPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def monomial_inverse(self) -> "LaurentPoly":
-        if len(self.terms) != 1:
-            raise ValueError("only monomials are invertible in the Laurent ring")
-        (e, c), = self.terms.items()
-        return LaurentPoly({-e: Fraction(1) / c})
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:

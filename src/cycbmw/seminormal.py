@@ -4,10 +4,13 @@ Builds the step generating functions W_k(y,s), the diagonal residues E_ss(k)
 and off-step coefficients a/b, assembles the generator matrices of the
 irreducible module attached to each (f, lambda) over Q in a rational gauge,
 which the module keeps, and verifies the defining relations and rational
-identities exactly.  The module keeps dense matrices; generator_matrix and
-word_product evaluate the relation table's generator words in sparse rows,
-and each relation's terms are summed into one sparse residual, so the check
-touches nonzero entries only.  Cellular word evaluation uses the same two.
+identities exactly.  The module keeps dense Fraction matrices;
+generator_matrix converts each generator once to integer sparse rows over
+one denominator, word_product multiplies those rows and their denominators,
+and each relation's terms are summed over the lcm of their denominators
+into one integer residual, so the check touches nonzero entries only and
+normalises no Fraction per entry.  A Fraction is made again only for a
+failing relation's residual.  Cellular word evaluation uses the same two.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, prod
 
-from .matrices import mat_acc, mat_diag, mat_mul, mat_zero, sparse, sparse_diag
+from .matrices import combine, int_rows, mat_diag, mat_mul, mat_zero, sparse, sparse_diag
 from .params import GroundParams, wtilde_rational
 from .scalars import RatFunc, expand_series
 # bound only because bench/tracer.py patches them here (ROADMAP item 1)
@@ -157,7 +160,7 @@ class SeminormalModule:
     matX: list
     matT: list
     matE: list
-    # sparse-row token matrices of cellular.token_matrix
+    # (int rows, den) token matrices of cellular.token_matrix
     _word_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -296,10 +299,11 @@ def build_module(lam: RPartition, f: int, params: GroundParams) -> SeminormalMod
 # over |a| <= max(A_MAX, r).
 A_MAX = 3
 
-# A relation is a name and a list of (coefficient, word) terms whose sum
-# must vanish.  A word is a tuple of generator tokens read left to right, and
-# () is the identity: ("T", k, 1) is T_k, ("T", k, -1) is T_k^{-1},
-# ("E", k, 1) is E_k and ("X", i, a) is X_i^a.
+# A relation is a name, its step k (None for the relations that have no
+# step) and a list of (coefficient, word) terms whose sum must vanish.  A word
+# is a tuple of generator tokens read left to right, and () is the identity:
+# ("T", k, 1) is T_k, ("T", k, -1) is T_k^{-1}, ("E", k, 1) is E_k and
+# ("X", i, a) is X_i^a.
 
 
 def _T(k: int, e: int = 1) -> tuple:
@@ -323,39 +327,39 @@ def defining_relations(n: int, params: GroundParams, rho, omega) -> list:
     delta, r = params.delta, params.r
     rel: list = []
     for i in range(1, n + 1):
-        rel.append(("x-inverse", [(1, (_X(i), _X(i, -1))), (-1, ())]))
+        rel.append(("x-inverse", None, [(1, (_X(i), _X(i, -1))), (-1, ())]))
         for j in range(i + 1, n + 1):
-            rel.append(("x-commute", [(1, (_X(i), _X(j))), (-1, (_X(j), _X(i)))]))
+            rel.append(("x-commute", None, [(1, (_X(i), _X(j))), (-1, (_X(j), _X(i)))]))
     # prod_s (X_1 - u_s), expanded by the elementary symmetric functions
-    rel.append(("cyclotomic", [
+    rel.append(("cyclotomic", None, [
         ((-1) ** (r - j) * params.sym.sigma[r - j], (_X(1, j),)) for j in range(r + 1)
     ]))
     for k in range(1, n):
         T, Ti, E, Xk, Xk1 = _T(k), _T(k, -1), _E(k), _X(k), _X(k + 1)
         rel += [
-            ("kauffman", [(1, (T, T)), (-delta, (T,)), (delta * rho, (E,)), (-1, ())]),
-            ("e-idempotent", [(1, (E, E)), (-omega(0), (E,))]),
-            ("skein-left", [(1, (T, Xk)), (-1, (Xk1, T)),
+            ("kauffman", k, [(1, (T, T)), (-delta, (T,)), (delta * rho, (E,)), (-1, ())]),
+            ("e-idempotent", k, [(1, (E, E)), (-omega(0), (E,))]),
+            ("skein-left", k, [(1, (T, Xk)), (-1, (Xk1, T)),
                             (-delta, (Xk1, E)), (delta, (Xk1,))]),
-            ("skein-right", [(1, (Xk, T)), (-1, (T, Xk1)),
+            ("skein-right", k, [(1, (Xk, T)), (-1, (T, Xk1)),
                              (-delta, (E, Xk1)), (delta, (Xk1,))]),
-            ("x-braid-step", [(1, (Xk1,)), (-1, (T, Xk, T))]),
+            ("x-braid-step", k, [(1, (Xk1,)), (-1, (T, Xk, T))]),
         ]
-        rel += [("t-inverse", [(1, w), (-1, ())]) for w in ((T, Ti), (Ti, T))]
-        rel += [("e-t-absorb", [(1, w), (-rho, (E,))]) for w in ((E, T), (T, E))]
-        rel += [("e-x-unit", [(1, w), (-1, (E,))]) for w in ((E, Xk, Xk1), (Xk, Xk1, E))]
-        rel += [("t-x-far", [(1, (T, _X(j))), (-1, (_X(j), T))])
+        rel += [("t-inverse", k, [(1, w), (-1, ())]) for w in ((T, Ti), (Ti, T))]
+        rel += [("e-t-absorb", k, [(1, w), (-rho, (E,))]) for w in ((E, T), (T, E))]
+        rel += [("e-x-unit", k, [(1, w), (-1, (E,))]) for w in ((E, Xk, Xk1), (Xk, Xk1, E))]
+        rel += [("t-x-far", k, [(1, (T, _X(j))), (-1, (_X(j), T))])
                 for j in range(1, n + 1) if j not in (k, k + 1)]
-        rel += [("braid-far", [(1, (T, _T(l))), (-1, (_T(l), T))])
+        rel += [("braid-far", k, [(1, (T, _T(l))), (-1, (_T(l), T))])
                 for l in range(k + 2, n)]
     for k in range(1, n - 1):
         T, T1, E, E1 = _T(k), _T(k + 1), _E(k), _E(k + 1)
-        rel.append(("braid", [(1, (T, T1, T)), (-1, (T1, T, T1))]))
-        rel += [("e-e-braid", [(1, (E1, E)), (-1, w)]) for w in ((E1, T, T1), (T, T1, E))]
-        rel += [("e-sandwich", [(1, (a, b, a)), (-1, (a,))]) for a, b in ((E1, E), (E, E1))]
+        rel.append(("braid", k, [(1, (T, T1, T)), (-1, (T1, T, T1))]))
+        rel += [("e-e-braid", k, [(1, (E1, E)), (-1, w)]) for w in ((E1, T, T1), (T, T1, E))]
+        rel += [("e-sandwich", k, [(1, (a, b, a)), (-1, (a,))]) for a, b in ((E1, E), (E, E1))]
     if n >= 2:
         g = max(A_MAX, r)
-        rel += [("e-x-e", [(1, (_E(1), _X(1, a), _E(1))), (-omega(a), (_E(1),))])
+        rel += [("e-x-e", None, [(1, (_E(1), _X(1, a), _E(1))), (-omega(a), (_E(1),))])
                 for a in range(-g, g + 1)]
     return rel
 
@@ -391,13 +395,13 @@ def x_shift_relations(n: int, params: GroundParams, rho) -> list:
                 s4 += [(delta, (Y(i - a), E, X(-i))), (-delta, (Y(i - a), X(-i)))]
                 s5 += [(delta, (Y(-i), E, X(i - a))), (-delta, (Y(-i), X(i - a)))]
                 s6 += [(delta, (E, X(-i), E, X(a - i))), (-delta, (E, X(a - 2 * i)))]
-            rel += [(f"x-shift-{m}", s) for m, s in enumerate((s1, s2, s3, s4, s5, s6), 1)]
+            rel += [(f"x-shift-{m}", k, s) for m, s in enumerate((s1, s2, s3, s4, s5, s6), 1)]
     return rel
 
 
-def generator_matrix(tok: tuple, matX: list, matT: list, matE: list, delta) -> list:
-    """Sparse rows of one relation-table token, given the dense matrices of
-    X_i, T_k and E_k; T_k^{-1} = T_k - delta + delta E_k.
+def generator_matrix(tok: tuple, matX: list, matT: list, matE: list, delta) -> tuple:
+    """(int rows, den) of one relation-table token, given the dense matrices
+    of X_i, T_k and E_k; T_k^{-1} = T_k - delta + delta E_k.
     """
     mats = {"X": matX, "T": matT, "E": matE}.get(tok[0])
     if mats is None:
@@ -407,20 +411,24 @@ def generator_matrix(tok: tuple, matX: list, matT: list, matE: list, delta) -> l
         raise ValueError(f"token index {i} out of range for {len(matX)} strands")
     m = mats[i - 1]
     if kind == "X":
-        return sparse_diag([m[j][j] ** e for j in range(len(m))])
-    out = sparse(m)
+        return int_rows(sparse_diag([m[j][j] ** e for j in range(len(m))]))
+    out = int_rows(sparse(m))
     if kind == "T" and e != 1:
-        mat_acc(out, -delta, sparse_diag([Fraction(1)] * len(m)))
-        mat_acc(out, delta, sparse(matE[i - 1]))
+        out = combine([(1, out), (-delta, _identity(len(m))),
+                       (delta, int_rows(sparse(matE[i - 1])))], len(m))
     return out
 
 
-def word_product(word, matrix_of, dim: int) -> list:
-    """Left-to-right sparse-row product of matrix_of(token) over a token
+def _identity(dim: int) -> tuple:
+    return [{i: 1} for i in range(dim)], 1
+
+
+def word_product(word, matrix_of, dim: int) -> tuple:
+    """Left-to-right product (int rows, den) of matrix_of(token) over a token
     word, the identity of size dim when no factor is left; X_i^0 is 1 and is
     skipped.
 
-    A one-factor word yields matrix_of's matrix itself, so callers must not
+    A one-factor word yields matrix_of's pair itself, so callers must not
     mutate the result.
     """
     out = None
@@ -428,20 +436,21 @@ def word_product(word, matrix_of, dim: int) -> list:
         if tok[0] == "X" and tok[2] == 0:
             continue
         m = matrix_of(tok)
-        out = m if out is None else mat_mul(out, m)
-    return sparse_diag([Fraction(1)] * dim) if out is None else out
+        out = m if out is None else (mat_mul(out[0], m[0]), out[1] * m[1])
+    return _identity(dim) if out is None else out
 
 
 def _check_relations(relations: list, matX: list, matT: list, matE: list, delta) -> dict:
     """Evaluate every relation on the given dense generator matrices.
 
-    Each generator is converted to sparse rows once per call, and every term
-    c·word of a relation is added into one sparse residual, so a relation
-    holds exactly when no residual entry is left.  Returns name -> None when
-    every instance vanishes, else the first failing instance as
-    {"instance": its position among the name's instances in table order,
-    "entry": (i, j) the first nonzero residual entry in row-major order,
-    "residual": its value}.
+    Each generator is converted to int rows over one denominator once per
+    call, and the terms c·word of a relation are summed over the lcm of
+    their denominators, so a relation holds exactly when no integer residual
+    entry is left.  Returns name -> None when every instance vanishes, else
+    the first failing instance as {"instance": its position among the name's
+    instances in table order, "k": its step (None for a relation that has
+    none), "entry": (i, j) the first nonzero residual entry in row-major
+    order, "residual": its value as a Fraction}.
     """
     dim = len(matX[0])
     gens: dict = {}
@@ -453,20 +462,19 @@ def _check_relations(relations: list, matX: list, matT: list, matE: list, delta)
 
     merged: dict = {}
     instances: dict = {}
-    for name, terms in relations:
+    for name, k, terms in relations:
         instance = instances.get(name, 0)
         instances[name] = instance + 1
-        residual: list = [{} for _ in range(dim)]
-        for c, word in terms:
-            mat_acc(residual, c, word_product(word, generator, dim))
+        residual, den = combine(((c, word_product(word, generator, dim))
+                                 for c, word in terms), dim)
         if merged.get(name) is None:
             i = next((i for i, row in enumerate(residual) if row), None)
             if i is None:
                 merged[name] = None
             else:
                 j = min(residual[i])
-                merged[name] = {"instance": instance, "entry": (i, j),
-                                "residual": residual[i][j]}
+                merged[name] = {"instance": instance, "k": k, "entry": (i, j),
+                                "residual": Fraction(residual[i][j], den)}
     return merged
 
 

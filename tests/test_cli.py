@@ -331,6 +331,6 @@ class TestErrors:
                 continue
             assert [x["name"] for x in block["residuals"]] == block["failing"]
             kauffman = next(x for x in block["residuals"] if x["name"] == "kauffman")
-            assert kauffman["instance"] == 0
+            assert kauffman["instance"] == 0 and kauffman["k"] == 1
             assert len(kauffman["entry"]) == 2
             assert F(kauffman["residual"]) != 0

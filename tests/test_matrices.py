@@ -1,14 +1,24 @@
 import copy
 from fractions import Fraction as F
+from math import lcm, prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycbmw import cellular
 from cycbmw.cellular import build_rep, cell_word, delta_index, eval_word_blocks, rank_certify
-from cycbmw.matrices import dense, mat_acc, mat_mul, sparse, sparse_diag
+from cycbmw.matrices import (
+    combine,
+    dense,
+    frac_rows,
+    int_rows,
+    mat_acc,
+    mat_mul,
+    sparse,
+    sparse_diag,
+)
 from cycbmw.params import generic_specialization
-from cycbmw.seminormal import build_module, verify_relations
+from cycbmw.seminormal import build_module, verify_relations, word_product
 from cycbmw.tableaux import rp_empty, shapes_with_f
 
 NONZERO = st.one_of(
@@ -46,8 +56,20 @@ def sum_pair(draw):
     return draw(matrix(n, m)), draw(matrix(n, m))
 
 
+@st.composite
+def chain(draw):
+    dims = draw(st.lists(DIMS, min_size=2, max_size=6))
+    return [draw(matrix(rows, cols)) for rows, cols in zip(dims, dims[1:])]
+
+
 def no_zero_stored(a):
     return all(x != 0 for row in a for x in row.values())
+
+
+def integer_pair(pair):
+    rows, den = pair
+    return (type(den) is int and den > 0
+            and all(type(x) is int for row in rows for x in row.values()))
 
 
 class TestSparseRows:
@@ -123,6 +145,78 @@ class TestMatAcc:
         assert acc == [{}, {1: 5}]
         mat_acc(acc, F(1, 5), sparse([[0, 0], [0, -25]]))
         assert acc == [{}, {}]
+
+
+class TestIntRows:
+    @given(product_pair())
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip(self, pair):
+        a, _ = pair
+        rows, den = int_rows(sparse(a))
+        assert integer_pair((rows, den)) and no_zero_stored(rows)
+        assert den == lcm(*(F(x).denominator for row in a for x in row))
+        assert dense(frac_rows(rows, den), len(a[0])) == a
+
+    @given(chain())
+    @settings(max_examples=100, deadline=None)
+    def test_chain_product_matches_dense_reference(self, mats):
+        # the word product multiplies int rows and their denominators
+        pairs = [int_rows(sparse(a)) for a in mats]
+        word = tuple(("M", i, 1) for i in range(len(mats)))
+        rows, den = word_product(word, lambda tok: pairs[tok[1]], len(mats[0]))
+        assert integer_pair((rows, den)) and no_zero_stored(rows)
+        assert den == prod(den for _, den in pairs)
+        expected = mats[0]
+        for b in mats[1:]:
+            expected = dense_mul(expected, b)
+        assert dense(frac_rows(rows, den), len(mats[-1][0])) == expected
+
+    @given(sum_pair(), NONZERO, NONZERO)
+    @settings(max_examples=100, deadline=None)
+    def test_combine_matches_dense_reference(self, pair, c, d):
+        # read from a generator, and rescaled when a later term grows the lcm
+        a, b = pair
+        pa, pb = int_rows(sparse(a)), int_rows(sparse(b))
+        rows, total = combine(((x, p) for x, p in [(c, pa), (d, pb), (F(1, 13), pa)]),
+                              len(a))
+        assert integer_pair((rows, total)) and no_zero_stored(rows)
+        assert total == lcm(F(c).denominator * pa[1], F(d).denominator * pb[1], 13 * pa[1])
+        expected = [[(c + F(1, 13)) * x + d * y for x, y in zip(ra, rb)]
+                    for ra, rb in zip(a, b)]
+        assert dense(frac_rows(rows, total), len(a[0])) == expected
+
+    @given(sum_pair(), NONZERO)
+    @settings(max_examples=100, deadline=None)
+    def test_combine_cancelling_terms_leave_empty_rows(self, pair, c):
+        a, b = pair
+        pa, pb = int_rows(sparse(a)), int_rows(sparse(b))
+        rows, _ = combine([(c, pa), (1, pb), (-1, pb), (-c, pa)], len(a))
+        assert rows == [{} for _ in a]
+
+    @given(sum_pair(), NONZERO)
+    @settings(max_examples=100, deadline=None)
+    def test_combine_skips_zero_coefficients(self, pair, c):
+        # a zero term adds neither entries nor its denominator 11 to the lcm
+        a, b = pair
+        pa, pb = int_rows(sparse(a)), int_rows(sparse(b))
+        odd = ([{0: 1}] + [{} for _ in a[1:]], 11)
+        rows, total = combine([(0, odd), (c, pa), (F(0), pb)], len(a))
+        assert total == F(c).denominator * pa[1]
+        assert dense(frac_rows(rows, total), len(a[0])) == [[c * x for x in row] for row in a]
+
+    def test_combine_of_no_terms_is_zero(self):
+        assert combine([(0, ([{0: 3}], 2))], 1) == ([{}], 1)
+
+    def test_token_matrices_are_integer_pairs(self):
+        # relation generators and cell-word tokens carry no Fraction entries
+        n, r = 3, 1
+        rep = build_rep(n, r, generic_specialization(r, n))
+        for f, lam in shapes_with_f(n, r):
+            idx = delta_index(f, lam, n, r)
+            for left in idx[:2]:
+                eval_word_blocks(cell_word(f, lam, left, idx[-1], n, r), rep)
+        for _, _, m in rep.blocks:
+            assert m._word_cache and all(map(integer_pair, m._word_cache.values()))
 
 
 class TestCachesNotMutated:

@@ -82,7 +82,7 @@ class TestQPoly:
         assert q_poly(-3, [F(2)]) == 0
 
     def test_symbolic_r1(self):
-        x = LaurentPoly.y()
+        x = RatFunc.y()
         assert q_poly(0, [x]) == x
         assert q_poly(1, [x]) == x ** 2 - 1
         assert q_poly(2, [x]) == x ** 3 - x

@@ -42,20 +42,22 @@ class TestLaurentPoly:
     def test_basic_arithmetic(self):
         y = LaurentPoly.y()
         assert (y + 1) * (y - 1) == y * y - 1
-        assert y ** -2 * y ** 2 == lp_const(1)
+        assert LaurentPoly({-2: F(1)}) * (y * y) == lp_const(1)
         assert (2 * y) - y == y
 
     def test_negative_exponents(self):
         y = LaurentPoly.y()
-        inv = y.monomial_inverse()
-        assert inv == LaurentPoly({-1: F(1)})
-        assert y * inv == lp_const(1)
-        with pytest.raises(ValueError):
-            (y + 1).monomial_inverse()
+        power = lp_const(1)
+        for k in range(1, 4):
+            power = power * y
+            assert LaurentPoly({-k: F(1)}) * power == lp_const(1)
+            assert LaurentPoly({-k: F(1, 3)}) * power == lp_const(F(1, 3))
+        inv = LaurentPoly({-1: F(1)})
+        assert (y + 1) * inv == 1 + inv
 
     def test_evaluate(self):
         y = LaurentPoly.y()
-        p = y ** 2 + 4 * y ** -1 + 3
+        p = y * y + 4 * LaurentPoly({-1: F(1)}) + 3
         assert p.evaluate(F(2)) == 4 + 2 + 3
         assert p.evaluate(F(1, 2)) == F(1, 4) + 8 + 3
 
@@ -97,7 +99,7 @@ class TestExpandSeries:
 
     def test_at_infinity(self):
         y = LaurentPoly.y()
-        f = RatFunc(y ** 2, y ** 2 - 1)
+        f = RatFunc(y * y, y * y - 1)
         assert expand_series(f, 4, at="inf") == [F(1), F(0), F(1), F(0), F(1)]
 
     def test_pole_error_names_denominator(self):
@@ -105,7 +107,7 @@ class TestExpandSeries:
         with pytest.raises(ValueError, match="pole at y=0"):
             expand_series(RatFunc(lp_const(1), y), 2, at="zero")
         with pytest.raises(ValueError, match="pole at y=infinity"):
-            expand_series(RatFunc(y ** 2, y - 1), 2, at="inf")
+            expand_series(RatFunc(y * y, y - 1), 2, at="inf")
 
     @given(fractions)
     @settings(max_examples=30, deadline=None)

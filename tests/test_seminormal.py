@@ -17,11 +17,13 @@ from cycbmw.seminormal import (
     br2_build,
     br2_verify,
     build_module,
+    defining_relations,
     det_Ad,
     det_Ad_brute,
     identity_suite,
     omega_k_table,
     verify_relations,
+    x_shift_relations,
 )
 from cycbmw.tableaux import (
     Node,
@@ -312,12 +314,44 @@ class TestRelations:
         assert not rep["ok"]
         assert "kauffman" in [x["name"] for x in rep["relations"] if not x["pass"]]
         kauffman = next(x for x in rep["relations"] if x["name"] == "kauffman")
-        assert kauffman["instance"] == 0
+        assert kauffman["instance"] == 0 and kauffman["k"] == 1
         i, j = kauffman["entry"]
         assert 0 <= i < m.dim and 0 <= j < m.dim
         assert kauffman["residual"] != 0
         assert all(set(x) == {"name", "pass", "max_width"}
                    for x in rep["relations"] if x["pass"])
+
+    def test_failing_residual_is_exact(self):
+        # a non-integer perturbation of T_1 makes the Kauffman residual
+        # T T - delta T + delta rho E - 1 a fraction; the reported entry is
+        # the first nonzero one of the dense Fraction residual
+        p = generic_specialization(3, 2)
+        m = build_module(rp_empty(3), 1, p)
+        m.matT[0][0][1] += F(1, 7)
+        T, E, d = m.matT[0], m.matE[0], m.dim
+        expected = [[sum((T[i][l] * T[l][j] for l in range(d)), F(0))
+                     - p.delta * T[i][j] + p.delta * p.rho * E[i][j] - (i == j)
+                     for j in range(d)] for i in range(d)]
+        kauffman = next(x for x in verify_relations(m)["relations"]
+                        if x["name"] == "kauffman")
+        assert kauffman["k"] == 1
+        first = next((i, j) for i in range(d) for j in range(d) if expected[i][j])
+        assert kauffman["entry"] == first
+        assert kauffman["residual"] == expected[first[0]][first[1]]
+        assert kauffman["residual"].denominator != 1
+
+    def test_relation_steps(self):
+        # per-step relations carry their k, the others None
+        p = generic_specialization(3, 3)
+        table = defining_relations(3, p, p.rho, p.omega) + x_shift_relations(3, p, p.rho)
+        steps: dict = {}
+        for name, k, _ in table:
+            steps.setdefault(name, set()).add(k)
+        for name in ("x-inverse", "x-commute", "cyclotomic", "e-x-e"):
+            assert steps.pop(name) == {None}
+        for name in ("braid", "e-e-braid", "e-sandwich"):
+            assert steps.pop(name) == {1}
+        assert all(ks == {1, 2} for ks in steps.values()), steps
 
 
 class TestOmegaTable:
