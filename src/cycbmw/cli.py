@@ -13,6 +13,7 @@ from fractions import Fraction
 from .cellular import cell_datum, classify, gram_half, rank_certify, target_dimension
 from .params import (
     GroundParams,
+    certify_generic,
     check_admissible,
     generic_specialization,
     parse_preset,
@@ -264,6 +265,14 @@ def _cmd_gram(args, parser) -> tuple[dict, bool]:
 
 def _cmd_classify(args, parser) -> tuple[dict, bool]:
     p = _load_params(args, parser)
+    if args.preset:
+        # the census holds only at generic parameters, which a preset need not be
+        cert = certify_generic(p.q, p.u, args.n)
+        if not cert["ok"]:
+            named = "; ".join(kind if where is None else f"{kind} at {where}"
+                              for kind, where in cert["violations"])
+            return {"r": args.r, "n": args.n,
+                    "error": f"parameters not generic: {named}"}, False
     c = classify(args.n, args.r, p)
     report = {
         "r": args.r,

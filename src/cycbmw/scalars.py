@@ -1,37 +1,66 @@
 """Exact scalar kernels over Q.
 
-Provides big rationals (stdlib Fraction), Laurent polynomials in one
-variable y, rational functions of y compared by cross-multiplication, and
-series expansions of those returned as coefficient lists.
+Provides Laurent polynomials in one variable y, stored fraction-free as
+integer numerators over one positive denominator in lowest terms; rational
+functions of y, never reduced and compared by cross-multiplication; and
+series expansions of those returned as coefficient lists.  `Fraction`s
+appear only at the boundary: the `terms` view, `evaluate` and the series
+coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+
+def _poly(nums: dict[int, int], den: int) -> "LaurentPoly":
+    """The polynomial nums/den, for integer nums with no zero stored and
+    den > 0, reduced by one content gcd.
+    """
+    g = gcd(den, *nums.values())
+    if g != 1:
+        nums = {e: c // g for e, c in nums.items()}
+        den //= g
+    p = object.__new__(LaurentPoly)
+    p.nums = nums
+    p.den = den
+    return p
 
 
 class LaurentPoly:
-    """Laurent polynomial in y with Fraction coefficients, stored as
-    {exponent: coefficient}.
+    """Laurent polynomial in y over Q, stored as integer numerators
+    {exponent: int} over one positive denominator `den`.
 
-    Exponents may be negative; zero coefficients are never stored.
+    Exponents may be negative; zero numerators are never stored.  Every
+    result is reduced by one content gcd, gcd(den, *nums) == 1, so the form
+    is canonical and equal polynomials have equal (nums, den).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, terms: dict[int, Fraction]):
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+    def __init__(self, terms: dict[int, Fraction | int]):
+        terms = {e: c for e, c in terms.items() if c != 0}
+        # the lcm of reduced denominators leaves no common factor to divide out
+        den = lcm(*(c.denominator for c in terms.values()))
+        self.nums = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+        self.den = den
 
     @staticmethod
-    def const(c) -> "LaurentPoly":
-        return LaurentPoly({0: Fraction(c)})
+    def const(c: Fraction | int) -> "LaurentPoly":
+        return _poly({0: c.numerator} if c else {}, c.denominator)
 
     @staticmethod
     def y() -> "LaurentPoly":
-        return LaurentPoly({1: Fraction(1)})
+        return _poly({1: 1}, 1)
+
+    @property
+    def terms(self) -> dict[int, Fraction]:
+        """The coefficients as {exponent: Fraction}."""
+        return {e: Fraction(c, self.den) for e, c in self.nums.items()}
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def _coerce(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
@@ -46,15 +75,21 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms[e] + c if e in terms else c
-        return LaurentPoly(terms)
+        g = gcd(self.den, other.den)
+        s, t = other.den // g, self.den // g
+        nums = {e: c * s for e, c in self.nums.items()} if s != 1 else dict(self.nums)
+        for e, c in other.nums.items():
+            c = nums.get(e, 0) + c * t
+            if c:
+                nums[e] = c
+            else:
+                nums.pop(e, None)
+        return _poly(nums, self.den * s)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
+        return _poly({e: -c for e, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -69,12 +104,18 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[int, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        a, b = self.nums, other.nums
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:  # a monomial factor shifts and scales: nothing cancels
+            [(e2, c2)] = b.items()
+            return _poly({e + e2: c * c2 for e, c in a.items()}, self.den * other.den)
+        nums: dict[int, int] = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
-                terms[e] = terms[e] + c1 * c2 if e in terms else c1 * c2
-        return LaurentPoly(terms)
+                nums[e] = nums.get(e, 0) + c1 * c2
+        return _poly({e: c for e, c in nums.items() if c}, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -82,7 +123,7 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     def __bool__(self):
         return not self.is_zero()
@@ -91,19 +132,38 @@ class LaurentPoly:
 
     def derivative(self) -> "LaurentPoly":
         """Formal derivative d/dy."""
-        return LaurentPoly({e - 1: c * e for e, c in self.terms.items()})
+        return _poly({e - 1: c * e for e, c in self.nums.items() if e}, self.den)
 
     def evaluate(self, x: Fraction) -> Fraction:
-        """Value at y = x."""
+        """Value at y = x, by Horner's rule on integers: with x = p/q and
+        exponents lo..hi, sum c_e p^(e-lo) q^(hi-e) times p^lo / (q^hi den).
+        """
+        if not self.nums:
+            return Fraction(0)
         x = Fraction(x)
-        return sum((c * x ** e for e, c in self.terms.items()), Fraction(0))
+        p, q = x.numerator, x.denominator
+        lo, hi = min(self.nums), max(self.nums)
+        acc, qpow = 0, 1
+        for e in range(hi, lo - 1, -1):
+            acc = acc * p + self.nums.get(e, 0) * qpow
+            qpow *= q
+        den = self.den
+        if lo >= 0:
+            acc *= p ** lo
+        else:
+            den *= p ** -lo
+        if hi >= 0:
+            den *= q ** hi
+        else:
+            acc *= q ** -hi
+        return Fraction(acc, den)
 
     def __str__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         return " + ".join(
-            f"{self.terms[e]}" + (f"*y^{e}" if e else "")
-            for e in sorted(self.terms, reverse=True)
+            f"{Fraction(self.nums[e], self.den)}" + (f"*y^{e}" if e else "")
+            for e in sorted(self.nums, reverse=True)
         )
 
     __repr__ = __str__
@@ -202,7 +262,7 @@ class RatFunc:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self.num * other.den - other.num * self.den).is_zero()
+        return self.num * other.den == other.num * self.den
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -223,20 +283,16 @@ class RatFunc:
 # -- series expansion -------------------------------------------------------
 
 
-def _series_inverse(a: list, order: int) -> list:
-    inv0 = Fraction(1) / a[0]
-    out = [inv0]
-    for k in range(1, order + 1):
-        acc = a[1] * out[k - 1]
-        for i in range(2, k + 1):
-            acc = acc + a[i] * out[k - i]
-        out.append(-(inv0 * acc))
-    return out
-
-
 def expand_series(f: RatFunc, order: int, at: str = "inf") -> list[Fraction]:
     """Coefficients c_0..c_order of f as a power series in y (at 0) or in
     y^{-1} (at infinity).
+
+    Runs on the integer numerators A = sum a_i y^i of den and B of num,
+    shifted to start at y^0 (exponents negated at infinity).  1/A has
+    coefficients C_k / a_0^(k+1), with C_0 = 1 and
+    C_k = -sum_{i>=1} a_i a_0^(i-1) C_(k-i), so B/A has coefficients
+    sum_i b_i a_0^i C_(m-i) / a_0^(m+1).  One Fraction is built per returned
+    coefficient, where the two polynomials' denominators are applied.
 
     Raises ValueError naming the denominator when f has a pole at the
     expansion point.
@@ -244,8 +300,8 @@ def expand_series(f: RatFunc, order: int, at: str = "inf") -> list[Fraction]:
     if at not in ("zero", "inf"):
         raise ValueError("at must be 'zero' or 'inf'")
     sign = 1 if at == "zero" else -1
-    num_c = {sign * e: c for e, c in f.num.terms.items()}
-    den_c = {sign * e: c for e, c in f.den.terms.items()}
+    num_c = {sign * e: c for e, c in f.num.nums.items()}
+    den_c = {sign * e: c for e, c in f.den.nums.items()}
     zero = Fraction(0)
     if not num_c:
         return [zero] * (order + 1)
@@ -258,19 +314,21 @@ def expand_series(f: RatFunc, order: int, at: str = "inf") -> list[Fraction]:
             f"pole at y={point}: denominator factor ({f.den}) vanishes to "
             f"order {-lead} beyond the numerator"
         )
-    a = [den_c.get(v_den + i, zero) for i in range(order + 1)]
-    b = [num_c.get(v_num + i, zero) for i in range(order + 1)]
-    inv = _series_inverse(a, order)
-    coeffs = []
-    for k in range(order + 1):
-        if k < lead:
-            coeffs.append(zero)
-            continue
-        m = k - lead
-        acc = zero
-        for i in range(m + 1):
-            acc = acc + b[i] * inv[m - i]
-        coeffs.append(acc)
+    top = order - lead
+    a0 = den_c[v_den]
+    pw = [1]
+    for _ in range(top + 1):
+        pw.append(pw[-1] * a0)
+    a = [(i, den_c[v_den + i] * pw[i - 1]) for i in range(1, top + 1) if v_den + i in den_c]
+    b = [(i, num_c[v_num + i] * pw[i]) for i in range(top + 1) if v_num + i in num_c]
+    inv = [1]
+    for k in range(1, top + 1):
+        inv.append(-sum(w * inv[k - i] for i, w in a if i <= k))
+    scale_num, scale_den = f.den.den, f.num.den
+    coeffs = [zero] * min(lead, order + 1)
+    for m in range(top + 1):
+        acc = sum(w * inv[m - i] for i, w in b if i <= m)
+        coeffs.append(Fraction(acc * scale_num, scale_den * pw[m + 1]))
     return coeffs
 
 
