@@ -1,12 +1,17 @@
 """Cellular basis machinery on top of the seminormal modules.
 
 Provides the index sets for the cellular basis, generator words for its
-elements, evaluation of words over Q in the faithful direct sum of
-seminormal modules (token matrices are cached and words multiplied as
-integer sparse rows over one denominator, and each block image is returned
-as dense Fractions), a modular full-rank certificate for the evaluated
-basis, closed Gram values on the top annihilator layer, and the
+elements (each a left factor word followed by a right factor word),
+evaluation of words over Q in the faithful direct sum of seminormal modules
+(token matrices are cached per module and words multiplied as integer sparse
+rows over one denominator), a modular full-rank certificate for the
+evaluated basis, closed Gram values on the top annihilator layer, and the
 irreducible-label census.
+
+The certificate evaluates every left and every right factor once per label
+and block, takes each basis image as one product L·R of integer rows over
+den_L·den_R, and reduces those integer images mod p directly, with one
+inverse of the denominator per block image.
 """
 
 from __future__ import annotations
@@ -14,11 +19,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import permutations, product
-from math import factorial
+from math import factorial, gcd
 
-from .matrices import combine, dense, frac_rows, int_rows, mat_scale, sparse_diag
+from .matrices import combine, dense, frac_rows, int_rows, mat_mul, mat_scale, sparse_diag
 # bound only because bench/tracer.py patches them here (ROADMAP item 1)
-from .matrices import mat_add, mat_diag, mat_identity, mat_mul, mat_sub  # noqa: F401
+from .matrices import mat_add, mat_diag, mat_identity, mat_sub  # noqa: F401
 from .params import GroundParams
 from .seminormal import SeminormalModule, build_module, generator_matrix, word_product
 from .tableaux import (
@@ -97,16 +102,15 @@ def _t_word(perm: tuple[int, ...]) -> GenWord:
     return tuple(("T", i, 1) for i in reduced_word(perm))
 
 
-def m_word(s: StdTableau, t: StdTableau, r: int) -> GenWord:
-    """Word for the Hecke-level seed element attached to a pair of standard
-    fillings of the same shape: a descending-permutation prefix, the
-    eigenvalue-shift product, the row-stabilizer sum, and an ascending
-    permutation suffix.
+def _shape(s: StdTableau) -> RPartition:
+    return tuple(tuple(len(row) for row in comp) for comp in s)
+
+
+def _seed_left(s: StdTableau, r: int) -> GenWord:
+    """Left half of the seed element: the descending-permutation prefix of
+    s, the eigenvalue-shift product and the row-stabilizer sum of its shape.
     """
-    lam = tuple(tuple(len(row) for row in comp) for comp in s)
-    mu = tuple(tuple(len(row) for row in comp) for comp in t)
-    if lam != mu:
-        raise ValueError("fillings have different shapes")
+    lam = _shape(s)
     word: list[Token] = list(_t_word(tableau_permutation(s)))
     a = 0
     for comp_idx in range(1, r):
@@ -115,8 +119,27 @@ def m_word(s: StdTableau, t: StdTableau, r: int) -> GenWord:
             word.append(("Xshift", i, comp_idx + 1))
     if row_stabilizer_entries(lam):
         word.append(("rowsum", lam))
-    word.extend(_t_word(perm_inverse(tableau_permutation(t))))
     return tuple(word)
+
+
+def _seed_right(t: StdTableau) -> GenWord:
+    """Right half of the seed element: the ascending-permutation suffix of t."""
+    return _t_word(perm_inverse(tableau_permutation(t)))
+
+
+def _check_same_shape(s: StdTableau, t: StdTableau) -> None:
+    if _shape(s) != _shape(t):
+        raise ValueError("fillings have different shapes")
+
+
+def m_word(s: StdTableau, t: StdTableau, r: int) -> GenWord:
+    """Word for the Hecke-level seed element attached to a pair of standard
+    fillings of the same shape: a descending-permutation prefix, the
+    eigenvalue-shift product, the row-stabilizer sum, and an ascending
+    permutation suffix.
+    """
+    _check_same_shape(s, t)
+    return _seed_left(s, r) + _seed_right(t)
 
 
 def _x_power_word(kappa: tuple[int, ...], f: int, n: int) -> GenWord:
@@ -133,21 +156,31 @@ def e_arcs_word(f: int, n: int) -> GenWord:
     return tuple(("E", n - 2 * j + 1, 1) for j in range(1, f + 1))
 
 
-def cell_word(f: int, lam: RPartition, left, right, n: int, r: int) -> GenWord:
-    """Token word for one cellular basis element: starred coset prefix,
-    eigenvector-exponent factors, the arc idempotent, the seed element, then
-    the right exponents and coset suffix.
+def left_word(f: int, left, n: int, r: int) -> GenWord:
+    """Left factor of a cellular basis element, fixed by the left index
+    (s, rho, e): starred coset prefix, eigenvector-exponent factors, the arc
+    idempotent, then the left half of the seed element.
     """
     s, rho, e = left
+    return (word_star(_t_word_of_coset(e, n)) + _x_power_word(rho, f, n)
+            + e_arcs_word(f, n) + _seed_left(s, r))
+
+
+def right_word(f: int, right, n: int) -> GenWord:
+    """Right factor of a cellular basis element, fixed by the right index
+    (t, kappa, d): the right half of the seed element, the right exponents
+    and the coset suffix.
+    """
     t, kappa, d = right
-    word: list[Token] = []
-    word.extend(word_star(_t_word_of_coset(e, n)))
-    word.extend(_x_power_word(rho, f, n))
-    word.extend(e_arcs_word(f, n))
-    word.extend(m_word(s, t, r))
-    word.extend(_x_power_word(kappa, f, n))
-    word.extend(_t_word_of_coset(d, n))
-    return tuple(word)
+    return _seed_right(t) + _x_power_word(kappa, f, n) + _t_word_of_coset(d, n)
+
+
+def cell_word(f: int, lam: RPartition, left, right, n: int, r: int) -> GenWord:
+    """Token word for one cellular basis element: left_word of the left index
+    followed by right_word of the right index.
+    """
+    _check_same_shape(left[0], right[0])
+    return left_word(f, left, n, r) + right_word(f, right, n)
 
 
 def _t_word_of_coset(d: CosetRep, n: int) -> GenWord:
@@ -251,20 +284,76 @@ def eval_word(w: GenWord, rep: FaithfulRep) -> list:
 RANK_PRIMES = (2**64 - 59, 2**63 - 25, 2**62 - 57)
 
 
-def full_rank_mod_p(rows: list) -> bool:
-    """True when the square matrix of rational rows has full rank modulo one
-    of RANK_PRIMES, which implies full rank over Q.
+def label_images(f: int, lam: RPartition, rep: FaithfulRep) -> list:
+    """Exact images of the cellular basis elements of label (f, lam), in
+    basis order, each a list of (int rows, den) over the blocks of rep.
 
-    A prime that divides a denominator is skipped; a prime at which a pivot
-    column vanishes is followed by the next one.
+    Each element is left_word(left)·right_word(right), so every left and
+    right factor is evaluated once per block, and an image is one product of
+    a left factor by a right factor over the product of their denominators.
     """
-    d = len(rows)
-    dens = {x.denominator for row in rows for x in row}
+    idx = delta_index(f, lam, rep.n, rep.r)
+    lefts = [left_word(f, x, rep.n, rep.r) for x in idx]
+    rights = [right_word(f, x, rep.n) for x in idx]
+    factors = [
+        ([_module_word(w, m) for w in lefts], [_module_word(w, m) for w in rights])
+        for _, _, m in rep.blocks
+    ]
+    # a left factor that vanishes on a block gives a zero image there, which
+    # shares the factor's empty rows
+    return [
+        [(mat_mul(ls[i][0], rs[j][0]) if any(ls[i][0]) else ls[i][0], ls[i][1] * rs[j][1])
+         for ls, rs in factors]
+        for i in range(len(idx))
+        for j in range(len(idx))
+    ]
+
+
+def residue_rows(images: list, p: int) -> list | None:
+    """Dense rows mod p of the images (see full_rank_mod_p), or None when p
+    divides the reduced denominator of some entry.
+
+    An image (rows, den) stands for the entries x/den; when p divides den,
+    both are first divided by g = gcd(den, every numerator of the image), and
+    p must not divide den/g.
+    """
+    width = sum(len(rows) ** 2 for rows, _ in images[0]) if images else 0
+    out = []
+    for blocks in images:
+        flat = [0] * width
+        offset = 0
+        for rows, den in blocks:
+            dim = len(rows)
+            g = 1
+            if den % p == 0:
+                g = gcd(den, *(x for row in rows for x in row.values()))
+                if den // g % p == 0:
+                    return None
+            inv = pow(den // g, -1, p)
+            for i, row in enumerate(rows):
+                base = offset + i * dim
+                for j, x in row.items():
+                    flat[base + j] = x // g * inv % p
+            offset += dim * dim
+        out.append(flat)
+    return out
+
+
+def full_rank_mod_p(images: list) -> bool:
+    """True when the square matrix whose rows are the images has full rank
+    modulo one of RANK_PRIMES, which implies full rank over Q.
+
+    An image is a list of square block images (int rows, den) in one block
+    order for every image; its row is the blocks' entries, each block read
+    row by row.  A prime that divides an entry's reduced denominator is
+    skipped; a prime at which a pivot column vanishes is followed by the
+    next one.
+    """
+    d = len(images)
     for p in RANK_PRIMES:
-        if any(den % p == 0 for den in dens):
+        a = residue_rows(images, p)
+        if a is None:
             continue
-        inv = {den: pow(den, -1, p) for den in dens}
-        a = [[x.numerator * inv[x.denominator] % p for x in row] for row in rows]
         for col in range(d):
             pivot = next((i for i in range(col, d) if a[i][col]), None)
             if pivot is None:
@@ -290,17 +379,12 @@ def rank_certify(n: int, r: int, params: GroundParams) -> dict:
     rep = build_rep(n, r, params)
     if rep.total_dim != d_target:
         raise ArithmeticError("block dimensions do not add up")
-    rows = []
-    for f, lam in shapes_with_f(n, r):
-        idx = delta_index(f, lam, n, r)
-        for left in idx:
-            for right in idx:
-                rows.append(eval_word(cell_word(f, lam, left, right, n, r), rep))
-    if len(rows) != d_target:
+    images = [im for f, lam in shapes_with_f(n, r) for im in label_images(f, lam, rep)]
+    if len(images) != d_target:
         raise ArithmeticError("index census does not match the dimension")
     return {
         "D": d_target,
-        "certified": full_rank_mod_p(rows),
+        "certified": full_rank_mod_p(images),
         "elapsed": time.perf_counter() - t0,
     }
 

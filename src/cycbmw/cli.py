@@ -179,8 +179,26 @@ def _cmd_identities(args, parser) -> tuple[dict, bool]:
     return {"r": args.r, "n": args.n, "blocks": blocks, "ok": ok}, ok
 
 
+def _not_generic(args, p: GroundParams) -> dict | None:
+    """The {r, n, error} report of a preset that fails certify_generic, else
+    None; generic_specialization certifies its own parameters.
+    """
+    if not args.preset:
+        return None
+    cert = certify_generic(p.q, p.u, args.n)
+    if cert["ok"]:
+        return None
+    named = "; ".join(kind if where is None else f"{kind} at {where}"
+                      for kind, where in cert["violations"])
+    return {"r": args.r, "n": args.n, "error": f"parameters not generic: {named}"}
+
+
 def _cmd_omega(args, parser) -> tuple[dict, bool]:
     p = _load_params(args, parser)
+    # a table computed at non-generic parameters is no check of the identities
+    error = _not_generic(args, p)
+    if error:
+        return error, False
     a_max = 4 * p.r
 
     def check(f, lam):
@@ -265,14 +283,10 @@ def _cmd_gram(args, parser) -> tuple[dict, bool]:
 
 def _cmd_classify(args, parser) -> tuple[dict, bool]:
     p = _load_params(args, parser)
-    if args.preset:
-        # the census holds only at generic parameters, which a preset need not be
-        cert = certify_generic(p.q, p.u, args.n)
-        if not cert["ok"]:
-            named = "; ".join(kind if where is None else f"{kind} at {where}"
-                              for kind, where in cert["violations"])
-            return {"r": args.r, "n": args.n,
-                    "error": f"parameters not generic: {named}"}, False
+    # the census holds only at generic parameters, which a preset need not be
+    error = _not_generic(args, p)
+    if error:
+        return error, False
     c = classify(args.n, args.r, p)
     report = {
         "r": args.r,

@@ -81,15 +81,20 @@ def addable_removable(lam: RPartition) -> tuple[list[Node], list[Node]]:
 
 def content(node: Node, mode: str, params: GroundParams):
     """Content scalar of a node: u_s q^{2(col-row)} when added, its inverse
-    when removed.
+    when removed; memoized per parameter family on (component, col - row,
+    mode).
     """
-    u_s = params.u[node.comp - 1]
-    value = u_s * params.q ** (2 * (node.col - node.row))
-    if mode == "add":
-        return value
-    if mode == "remove":
-        return 1 / value
-    raise ValueError("mode must be 'add' or 'remove'")
+    diag = node.col - node.row
+    key = (node.comp, diag, mode)
+    value = params._content_cache.get(key)
+    if value is None:
+        value = params.u[node.comp - 1] * params.q ** (2 * diag)
+        if mode == "remove":
+            value = 1 / value
+        elif mode != "add":
+            raise ValueError("mode must be 'add' or 'remove'")
+        params._content_cache[key] = value
+    return value
 
 
 def content_product_identity(lam: RPartition, params: GroundParams) -> bool:

@@ -6,6 +6,8 @@ import pytest
 from cycbmw.cellular import (
     RANK_PRIMES,
     FaithfulRep,
+    _t_word_of_coset,
+    _x_power_word,
     build_rep,
     cell_datum,
     cell_word,
@@ -16,8 +18,12 @@ from cycbmw.cellular import (
     eval_word_blocks,
     full_rank_mod_p,
     gram_half,
+    label_images,
+    left_word,
     m_word,
     rank_certify,
+    residue_rows,
+    right_word,
     target_dimension,
     token_matrix,
     word_star,
@@ -91,6 +97,22 @@ class TestWords:
         left = (t, (0, 0), triv)
         right = (t, (1, 0), triv)
         assert cell_word(1, rp_empty(3), left, right, 2, 3) == (("E", 1, 1), ("X", 1, 1))
+
+    @pytest.mark.parametrize("r,n", [(1, 2), (1, 3), (3, 2), (5, 2), (1, 4)])
+    def test_cell_word_is_left_then_right(self, r, n):
+        # the seed element m_word sits between the arc idempotent and the
+        # right exponents, split between the two halves
+        for f, lam in shapes_with_f(n, r):
+            idx = delta_index(f, lam, n, r)
+            for s, rho, e in idx:
+                for t, kappa, d in idx:
+                    word = cell_word(f, lam, (s, rho, e), (t, kappa, d), n, r)
+                    assert word == (left_word(f, (s, rho, e), n, r)
+                                    + right_word(f, (t, kappa, d), n))
+                    assert word == (word_star(_t_word_of_coset(e, n))
+                                    + _x_power_word(rho, f, n) + e_arcs_word(f, n)
+                                    + m_word(s, t, r) + _x_power_word(kappa, f, n)
+                                    + _t_word_of_coset(d, n))
 
     def test_star_involutive(self):
         lam = ((2, 1),)
@@ -206,36 +228,78 @@ class TestEvalWord:
 
 class TestRankCertify:
     @staticmethod
-    def mixed_component_rows():
+    def mixed_component_images():
         p = generic_specialization(3, 3)
         lam = ((), (1,), (1, 1))
         rep = FaithfulRep(3, 3, p, [(0, lam, build_module(lam, 0, p))])
-        idx = delta_index(0, lam, 3, 3)
-        return [
-            eval_word(cell_word(0, lam, left, right, 3, 3), rep)
-            for left in idx
-            for right in idx
-        ]
+        return label_images(0, lam, rep)
+
+    @staticmethod
+    def scalar_images(entries):
+        """Images of a square matrix given by rows of (numerator, den)
+        entries, one 1x1 block per entry.
+        """
+        return [[([{0: x} if x else {}], den) for x, den in row] for row in entries]
 
     def test_mixed_component_block_independent(self):
         # a shape with a two-box component next to a one-box component once
         # produced dependent images under a wrong permutation convention
-        rows = self.mixed_component_rows()
-        assert len(rows) == 9
-        assert full_rank_mod_p(rows)
+        images = self.mixed_component_images()
+        assert len(images) == 9
+        assert full_rank_mod_p(images)
 
     def test_duplicated_row_not_certified(self):
-        rows = self.mixed_component_rows()
-        rows[4] = rows[7]
-        assert not full_rank_mod_p(rows)
+        images = self.mixed_component_images()
+        images[4] = images[7]
+        assert not full_rank_mod_p(images)
 
     def test_unlucky_and_dividing_primes_skipped(self):
-        p1 = RANK_PRIMES[0]
+        p1, p2, p3 = RANK_PRIMES
+        one = self.scalar_images
         # the determinant p1 vanishes modulo p1 only
-        assert full_rank_mod_p([[F(p1), F(0)], [F(0), F(1)]])
+        assert full_rank_mod_p(one([[(p1, 1), (0, 1)], [(0, 1), (1, 1)]]))
         # a denominator divisible by p1 rules p1 out
-        assert full_rank_mod_p([[F(1, p1), F(0)], [F(0), F(1)]])
-        assert not full_rank_mod_p([[F(1, p1), F(1)], [F(1, p1), F(1)]])
+        assert full_rank_mod_p(one([[(1, p1), (0, 1)], [(0, 1), (1, 1)]]))
+        assert not full_rank_mod_p(one([[(1, p1), (1, 1)], [(1, p1), (1, 1)]]))
+        # p1 divides den but no reduced denominator, so p1 is still used; it
+        # is the only prime at which p2·p3 is a unit
+        assert full_rank_mod_p(one([[(p1 * p2 * p3, p1)]]))
+        # the reduced denominator is p1, so p1 is skipped
+        assert not full_rank_mod_p(one([[(p2 * p3, p1)]]))
+
+    def test_reduced_denominator_over_a_whole_block(self):
+        # one 2x2 block per row: the unit rows of the 4x4 identity below a
+        # first row (p2·p3, x/p1), which is invertible modulo p1 only
+        p1, p2, p3 = RANK_PRIMES
+
+        def images(x):
+            first = [([{0: p1 * p2 * p3, 1: x}, {}], p1)]
+            units = [[([{k % 2: 1} if i == k // 2 else {} for i in range(2)], 1)]
+                     for k in range(1, 4)]
+            return [first] + units
+
+        assert full_rank_mod_p(images(p1))
+        # x = 1 leaves the entry 1/p1, whose reduced denominator is p1
+        assert residue_rows(images(1), p1) is None
+        assert not full_rank_mod_p(images(1))
+
+    @pytest.mark.parametrize("r,n", [(1, 3), (3, 2)])
+    def test_residues_match_word_by_word_oracle(self, r, n):
+        # the factorized images reduce to the residues of the cell words
+        # evaluated token by token
+        p = generic_specialization(r, n)
+        rep = build_rep(n, r, p)
+        prime = RANK_PRIMES[0]
+        images, expected = [], []
+        for f, lam in shapes_with_f(n, r):
+            images.extend(label_images(f, lam, rep))
+            idx = delta_index(f, lam, n, r)
+            for left in idx:
+                for right in idx:
+                    row = eval_word(cell_word(f, lam, left, right, n, r), rep)
+                    expected.append(
+                        [x.numerator * pow(x.denominator, -1, prime) % prime for x in row])
+        assert residue_rows(images, prime) == expected
 
     @pytest.mark.parametrize("r,n,d", [(1, 2, 3), (1, 3, 15), (3, 2, 27)])
     def test_full_rank(self, r, n, d):

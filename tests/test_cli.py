@@ -299,6 +299,26 @@ class TestErrors:
         assert "error" not in report and report["excluded"] == []
         assert len(report["labels"]) == 10
 
+    def test_omega_non_generic_preset_exit_one(self, capsys, tmp_path):
+        # the table can be computed at u = 4, 4, 16, but it certifies nothing
+        preset = tmp_path / "preset.txt"
+        preset.write_text("r = 3\nq = 2\nk = 1, 1, 2\n")
+        code, report = run_json(capsys, "omega", "--r", "3", "--n", "2",
+                                "--preset", str(preset))
+        assert code == 1
+        assert report == {"r": 3, "n": 2, "error": report["error"]}
+        assert report["error"].startswith("parameters not generic: ")
+        assert "u_i u_j^{+-1}=q^{2d} at (1, 2, 0)" in report["error"]
+
+    def test_omega_generic_preset_exit_zero(self, capsys, tmp_path):
+        preset = tmp_path / "preset.txt"
+        preset.write_text("r = 3\nq = 2\nk = 10, -6, 2\n")
+        code, report = run_json(capsys, "omega", "--r", "3", "--n", "2",
+                                "--preset", str(preset))
+        assert code == 0
+        assert "error" not in report and report["ok"] is True
+        assert len(report["blocks"]) == 10
+
     @pytest.mark.parametrize("r, k, pair", [("3", "2, -2, 5", "v_1 v_2"),
                                              ("1", "0", "v_1 v_1")])
     def test_br2_reciprocal_eigenvalues_exit_one(self, capsys, tmp_path, r, k, pair):
