@@ -364,7 +364,8 @@ def full_rank_mod_p(images: list) -> bool:
             for i in range(col + 1, d):
                 if a[i][col]:
                     c = a[i][col] * scale % p
-                    a[i] = [(x - c * y) % p for x, y in zip(a[i], top)]
+                    # columns before col are zero in both rows
+                    a[i][col:] = [(x - c * y) % p for x, y in zip(a[i][col:], top[col:])]
         else:
             return True
     return False

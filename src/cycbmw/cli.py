@@ -175,6 +175,10 @@ def _cmd_rep(args, parser) -> tuple[dict, bool]:
 
 def _cmd_identities(args, parser) -> tuple[dict, bool]:
     p = _load_params(args, parser)
+    # the identities hold only at generic parameters, which a preset need not be
+    error = _not_generic(args, p)
+    if error:
+        return error, False
     blocks, ok = _per_label(args, lambda f, lam: identity_suite(lam, f, p))
     return {"r": args.r, "n": args.n, "blocks": blocks, "ok": ok}, ok
 

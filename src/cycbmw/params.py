@@ -111,11 +111,13 @@ class GroundParams:
         self.rho = 1 / self.rho_inv
         self.sym = SymCache(self.u)
         self._omega: dict[int, object] = {}
-        # memos of seminormal._w_shape, seminormal._e_diag_value and
-        # tableaux.content
+        # memos of seminormal._w_shape, seminormal._e_diag_value,
+        # tableaux.content and the window-keyed results of
+        # seminormal.identity_suite
         self._w_shape_cache: dict = {}
         self._e_diag_cache: dict = {}
         self._content_cache: dict = {}
+        self._identity_cache: dict = {}
         # genericity scan of generic_specialization; None for other data
         self.certificate: dict | None = None
 

@@ -11,6 +11,13 @@ and each relation's terms are summed over the lcm of their denominators
 into one integer residual, so the check touches nonzero entries only and
 normalises no Fraction per entry.  A Fraction is made again only for a
 failing relation's residual.  Cellular word evaluation uses the same two.
+
+The identity suite keys each check by the window of the walk it reads (a
+shape, a shape and the step out of it, or shape(k-1) and steps k..k+2, or
+steps k and k+1), evaluates it once per window in
+GroundParams._identity_cache and replays the result for every (s, k) that
+shows the window.  The eigenvalue table builds route one's series once per
+distinct step prefix from its parent prefix's series.
 """
 
 from __future__ import annotations
@@ -38,12 +45,21 @@ from .tableaux import (
 )
 
 
-def _flank_contents(shape: RPartition, params: GroundParams) -> list:
-    """Contents of the addable (as added) and removable (as removed) nodes."""
+def _flank_steps(shape: RPartition, params: GroundParams) -> list:
+    """(step, content) for every step that leaves shape and comes back at the
+    next step (adding an addable node or removing a removable one), in the
+    order neighbors_k sorts the walks it returns.
+    """
     addable, removable = addable_removable(shape)
-    out = [content(nd, "add", params) for nd in addable]
-    out += [content(nd, "remove", params) for nd in removable]
-    return out
+    steps = sorted([(1, nd) for nd in addable] + [(-1, nd) for nd in removable])
+    return [(st, content(st[1], "add" if st[0] > 0 else "remove", params)) for st in steps]
+
+
+def _flank_contents(shape: RPartition, params: GroundParams) -> list:
+    """Contents of the addable (as added) and removable (as removed) nodes,
+    in _flank_steps order.
+    """
+    return [c for _, c in _flank_steps(shape, params)]
 
 
 def _w_shape(shape: RPartition, params: GroundParams) -> RatFunc:
@@ -531,6 +547,12 @@ def omega_k_table(lam: RPartition, f: int, params: GroundParams, a_max: int) -> 
     each walk; route two expands the node-product form W_k(y,s).  The routes
     must agree coefficientwise and be independent of the walk taken to a
     given intermediate shape.
+
+    Route one's series depends only on the steps before step k, so it is
+    built once per distinct step prefix, as its parent prefix's series times
+    one content factor, and expanded once.  Every distinct prefix is compared
+    against the entry of its (k, shape before step k); route two is expanded
+    once per entry.
     """
     n = rp_size(lam) + 2 * f
     basis = enumerate_updown(n, lam)
@@ -538,12 +560,17 @@ def omega_k_table(lam: RPartition, f: int, params: GroundParams, a_max: int) -> 
     one = RatFunc.const(1)
     shift = y * y / (y * y - one) - params.delta_inv * params.rho
     g_base = wtilde_rational(params, "+") - shift
+    series: dict = {}  # step prefix -> route one's series before the shift
     values: dict = {}
     for s in basis:
-        g = g_base
         for k in range(1, n + 1):
+            prefix = s.steps[:k - 1]
+            if prefix in series:
+                continue
+            series[prefix] = g_base if k == 1 else (
+                series[prefix[:-1]] * _content_factor(params, s.content(k - 1, params)))
             key = (k, s.shape(k - 1))
-            route_one = expand_series(g + shift, a_max, at="inf")
+            route_one = expand_series(series[prefix] + shift, a_max, at="inf")
             if key in values:
                 if values[key] != route_one:
                     raise ValueError(
@@ -557,12 +584,111 @@ def omega_k_table(lam: RPartition, f: int, params: GroundParams, a_max: int) -> 
                             f"omega table mismatch at s={s!r}, k={k}, a={a}"
                         )
                 values[key] = route_one
-            if k < n:
-                g = g * _content_factor(params, s.content(k, params))
     return OmegaKTable(lam, f, n, a_max, values)
 
 
 # -- exact identity suite -----------------------------------------------------------
+
+
+def _memo(params: GroundParams, key: tuple, compute, *args):
+    """params._identity_cache[key], set to compute(*args) on first use."""
+    cache = params._identity_cache
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = compute(*args)
+    return value
+
+
+def _partial_fractions(shape: RPartition, params: GroundParams) -> tuple:
+    """([(c, E(c) != 0) per flank content c], W/y equals its partial-fraction
+    expansion) at one shape.
+    """
+    y = RatFunc.y()
+    rhs = RatFunc.const(0)
+    nonzero = []
+    for ca in _flank_contents(shape, params):
+        ev = _e_diag_value(shape, ca, params)
+        nonzero.append((ca, ev != 0))
+        rhs = rhs + ev / (y - ca)
+    return nonzero, _w_shape(shape, params) / y == rhs
+
+
+def _neighbor_sums(shape: RPartition, cs, params: GroundParams) -> tuple:
+    """The linear and the quadratic neighbor-sum identities at a step of
+    content cs out of shape whose next step returns to shape.
+    """
+    dr = params.delta_inv * params.rho
+    flank = [(_e_diag_value(shape, ct, params), ct) for ct in _flank_contents(shape, params)]
+    linear = sum(e / (cs * ct - 1) for e, ct in flank)
+    quadratic = sum(e / (cs * ct - 1) ** 2 for e, ct in flank)
+    ess = _e_diag_value(shape, cs, params)
+    rhs = ((cs * cs + 1) / (cs * cs - 1) ** 2 - dr
+           + (params.delta_inv ** 2 - cs * cs / (cs * cs - 1) ** 2) / ess)
+    return (linear == dr + Fraction(1) / (cs * cs - 1), quadratic == rhs)
+
+
+def _neighbor_sum_cross(shape: RPartition, cs, ctp, params: GroundParams) -> bool:
+    """The cross neighbor-sum identity between two steps of contents cs and
+    ctp out of shape.
+    """
+    dr = params.delta_inv * params.rho
+    total = sum(
+        _e_diag_value(shape, ct, params) / ((cs * ct - 1) * (ct * ctp - 1))
+        for ct in _flank_contents(shape, params)
+    )
+    return total == (cs * ctp + 1) / ((cs * cs - 1) * (ctp * ctp - 1)) - dr
+
+
+def _window_checks(s: UpDownTableau, k: int, params: GroundParams) -> tuple:
+    """e-reciprocal and b-e-transport at a step k of s whose steps k+1 and
+    k+2 each undo the step before: (E_k E_{k+1} = 1, [(transport holds,
+    steps k..k+2 of its image)]).
+
+    Both read only shape(k-1) and steps k..k+2 of s: the walks compared
+    differ from s at those steps alone.
+    """
+    recip = E_diag(s, k, params) * E_diag(s, k + 1, params) == 1
+    # transport between swapped-step weights and diagonal residues
+    transported: dict = {}
+    for t in neighbors_k(s, k + 1):
+        if t.shape(k - 1) == t.shape(k + 1):
+            continue
+        image = sk_action(t, k)
+        if image is None:
+            continue
+        _, bsq_t = ab_coeffs(t, k, params)
+        transported[image] = bsq_t * E_diag(t, k + 1, params)
+    transports = []
+    for u in neighbors_k(s, k):
+        if u.shape(k) == u.shape(k + 2):
+            continue
+        image = sk_action(u, k + 1)
+        if image is None or image not in transported:
+            continue
+        _, bsq_u = ab_coeffs(u, k + 1, params)
+        transports.append((transported[image] == bsq_u * E_diag(u, k, params),
+                           image.steps[k - 1:k + 2]))
+    return recip, transports
+
+
+def _swap_checks(s: UpDownTableau, k: int, params: GroundParams) -> tuple:
+    """(b-squared-form holds, "degenerate-step" or "swap-symmetry", it holds)
+    at a step k of s whose next step does not undo it; reads steps k and k+1
+    of s only.
+    """
+    a, bsq = ab_coeffs(s, k, params)
+    ck = s.content(k, params)
+    ck1 = s.content(k + 1, params)
+    q2 = params.q ** 2
+    form = bsq == (ck1 - ck / q2) * (ck1 - q2 * ck) / (ck1 - ck) ** 2
+    w = sk_action(s, k)
+    if w is None:
+        return form, "degenerate-step", bsq == 0 and (a == params.q or a == -params.q_inv)
+    aw, bsqw = ab_coeffs(w, k, params)
+    return form, "swap-symmetry", (ck == w.content(k + 1, params)
+                                   and ck1 == w.content(k, params)
+                                   and aw == params.delta - a
+                                   and bsqw == bsq)
 
 
 def identity_suite(lam: RPartition, f: int, params: GroundParams) -> dict:
@@ -573,140 +699,90 @@ def identity_suite(lam: RPartition, f: int, params: GroundParams) -> dict:
     swap symmetry of the a/b coefficients, the factored form of b^2, the
     transport identity between b^2 and diagonal residues, the content
     product identity, and nonvanishing of every diagonal residue.
+
+    Each result is keyed by what it reads and kept in
+    params._identity_cache: content-product, e-nonzero and partial-fractions
+    by the shape; the linear and quadratic neighbor sums by (shape(k-1),
+    step k), the cross sum also by its partner's step; e-reciprocal and
+    b-e-transport by (shape(k-1), steps k..k+2); b-squared-form,
+    swap-symmetry and degenerate-step by (step k, step k+1).  The
+    shape-keyed and neighbor-sum checks count one instance per distinct key
+    in the label, the others one per (s, k), and each failure names its
+    instance.
     """
     n = rp_size(lam) + 2 * f
     basis = enumerate_updown(n, lam)
-    y = RatFunc.y()
-    dr = params.delta_inv * params.rho
     checks: dict[str, dict] = {}
     failures: list[str] = []
 
-    def run(name: str, ok: bool, detail: str):
+    def run(name: str, ok: bool, detail):
         entry = checks.setdefault(name, {"instances": 0, "failures": 0})
         entry["instances"] += 1
         if not ok:
             entry["failures"] += 1
-            failures.append(f"{name}: {detail}")
+            failures.append(f"{name}: {detail()}")
 
-    seen_shapes: set = set()
-    seen_pf: set = set()
-    seen_lin: set = set()
-    seen_quad: set = set()
-    seen_cross: set = set()
+    seen: set = set()  # keys of the checks counted once per label
 
     for s in basis:
-        for k in range(n + 1):
-            shape = s.shape(k)
-            if shape not in seen_shapes:
-                seen_shapes.add(shape)
-                run("content-product", content_product_identity(shape, params),
-                    f"shape={shape}")
+        shapes = s.partitions()
+        steps = s.steps
+        for shape in shapes:
+            key = ("content-product", shape)
+            if key not in seen:
+                seen.add(key)
+                run("content-product",
+                    _memo(params, key, content_product_identity, shape, params),
+                    lambda: f"shape={shape}")
 
         for k in range(1, n + 1):
-            shape = s.shape(k - 1)
-            equal_flanks = k == n or shape == s.shape(k + 1)
-            if not equal_flanks:
+            shape = shapes[k - 1]
+            if k < n and shape != shapes[k + 1]:
                 continue
-            if shape not in seen_pf:
-                seen_pf.add(shape)
-                lhs = _w_shape(shape, params) / y
-                rhs = RatFunc.const(0)
-                for ca in _flank_contents(shape, params):
-                    ev = _e_diag_value(shape, ca, params)
-                    run("e-nonzero", ev != 0, f"shape={shape}, c={ca}")
-                    rhs = rhs + ev / (y - ca)
-                run("partial-fractions", lhs == rhs, f"shape={shape}")
-            if k > n - 1:
+            key = ("partial-fractions", shape)
+            if key not in seen:
+                seen.add(key)
+                nonzero, pf = _memo(params, key, _partial_fractions, shape, params)
+                for ca, ok in nonzero:
+                    run("e-nonzero", ok, lambda: f"shape={shape}, c={ca}")
+                run("partial-fractions", pf, lambda: f"shape={shape}")
+            if k == n:
                 continue
+            step = steps[k - 1]
             cs = s.content(k, params)
-            neighbors = neighbors_k(s, k)
-            if (shape, cs) not in seen_lin:
-                seen_lin.add((shape, cs))
-                total = sum(
-                    E_diag(t, k, params) / (cs * t.content(k, params) - 1)
-                    for t in neighbors
-                )
-                run("neighbor-sum-linear",
-                    total == dr + Fraction(1) / (cs * cs - 1),
-                    f"shape={shape}, c={cs}")
-            if (shape, cs) not in seen_quad:
-                seen_quad.add((shape, cs))
-                total = sum(
-                    E_diag(t, k, params) / (cs * t.content(k, params) - 1) ** 2
-                    for t in neighbors
-                )
-                ess = E_diag(s, k, params)
-                rhs = ((cs * cs + 1) / (cs * cs - 1) ** 2 - dr
-                       + (params.delta_inv ** 2 - cs * cs / (cs * cs - 1) ** 2) / ess)
-                run("neighbor-sum-quadratic", total == rhs,
-                    f"shape={shape}, c={cs}")
-            if k < n - 1 and s.shape(k) != s.shape(k + 2):
-                for tp in neighbors:
-                    if tp == s:
+            key = ("neighbor-sum", shape, step)
+            if key not in seen:
+                seen.add(key)
+                linear, quadratic = _memo(params, key, _neighbor_sums, shape, cs, params)
+                run("neighbor-sum-linear", linear, lambda: f"shape={shape}, c={cs}")
+                run("neighbor-sum-quadratic", quadratic, lambda: f"shape={shape}, c={cs}")
+            if k < n - 1 and shapes[k] != shapes[k + 2]:
+                for partner, ctp in _memo(params, ("flank", shape), _flank_steps, shape, params):
+                    key = ("neighbor-sum-cross", shape, step, partner)
+                    if partner == step or key in seen:
                         continue
-                    ctp = tp.content(k, params)
-                    if (shape, cs, ctp) in seen_cross:
-                        continue
-                    seen_cross.add((shape, cs, ctp))
-                    total = sum(
-                        E_diag(t, k, params)
-                        / ((cs * t.content(k, params) - 1)
-                           * (t.content(k, params) * ctp - 1))
-                        for t in neighbors
-                    )
-                    rhs = ((cs * ctp + 1)
-                           / ((cs * cs - 1) * (ctp * ctp - 1)) - dr)
-                    run("neighbor-sum-cross", total == rhs,
-                        f"shape={shape}, c={cs}, c'={ctp}")
+                    seen.add(key)
+                    run("neighbor-sum-cross",
+                        _memo(params, key, _neighbor_sum_cross, shape, cs, ctp, params),
+                        lambda: f"shape={shape}, c={cs}, c'={ctp}")
 
         for k in range(1, n - 1):
-            if s.shape(k - 1) == s.shape(k + 1) and s.shape(k) == s.shape(k + 2):
-                prod = E_diag(s, k, params) * E_diag(s, k + 1, params)
-                run("e-reciprocal", prod == 1, f"s={s!r}, k={k}")
-                # transport between swapped-step weights and diagonal residues
-                transported: dict = {}
-                for t in neighbors_k(s, k + 1):
-                    if t.shape(k - 1) == t.shape(k + 1):
-                        continue
-                    image = sk_action(t, k)
-                    if image is None:
-                        continue
-                    _, bsq_t = ab_coeffs(t, k, params)
-                    transported[image] = bsq_t * E_diag(t, k + 1, params)
-                for u in neighbors_k(s, k):
-                    if u.shape(k) == u.shape(k + 2):
-                        continue
-                    image = sk_action(u, k + 1)
-                    if image is None or image not in transported:
-                        continue
-                    _, bsq_u = ab_coeffs(u, k + 1, params)
-                    run("b-e-transport",
-                        transported[image] == bsq_u * E_diag(u, k, params),
-                        f"s={s!r}, k={k}, image={image!r}")
+            if shapes[k - 1] == shapes[k + 1] and shapes[k] == shapes[k + 2]:
+                key = ("window", shapes[k - 1], steps[k - 1:k + 2])
+                recip, transports = _memo(params, key, _window_checks, s, k, params)
+                run("e-reciprocal", recip, lambda: f"s={s!r}, k={k}")
+                for ok, window in transports:
+                    run("b-e-transport", ok,
+                        lambda: f"s={s!r}, k={k}, image="
+                                f"{UpDownTableau(s.r, steps[:k - 1] + window + steps[k + 2:])!r}")
 
         for k in range(1, n):
-            if s.shape(k - 1) == s.shape(k + 1):
+            if shapes[k - 1] == shapes[k + 1]:
                 continue
-            a, bsq = ab_coeffs(s, k, params)
-            ck = s.content(k, params)
-            ck1 = s.content(k + 1, params)
-            q2 = params.q ** 2
-            run("b-squared-form",
-                bsq == (ck1 - ck / q2) * (ck1 - q2 * ck) / (ck1 - ck) ** 2,
-                f"s={s!r}, k={k}")
-            w = sk_action(s, k)
-            if w is None:
-                run("degenerate-step",
-                    bsq == 0 and (a == params.q or a == -params.q_inv),
-                    f"s={s!r}, k={k}")
-                continue
-            aw, bsqw = ab_coeffs(w, k, params)
-            run("swap-symmetry",
-                ck == w.content(k + 1, params)
-                and ck1 == w.content(k, params)
-                and aw == params.delta - a
-                and bsqw == bsq,
-                f"s={s!r}, k={k}")
+            form, name, ok = _memo(params, ("swap", steps[k - 1], steps[k]),
+                                   _swap_checks, s, k, params)
+            run("b-squared-form", form, lambda: f"s={s!r}, k={k}")
+            run(name, ok, lambda: f"s={s!r}, k={k}")
 
     return {
         "ok": not failures,

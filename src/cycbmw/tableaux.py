@@ -165,8 +165,24 @@ class UpDownTableau:
         return f"UpDownTableau[{body}]"
 
 
+def _box_distance(mu: RPartition, lam: RPartition) -> int:
+    """Number of boxes in exactly one of mu and lam: the sum over components
+    and rows of |mu_i - lam_i|.
+    """
+    return sum(abs(a - b) for cm, cl in zip(mu, lam)
+               for a, b in itertools.zip_longest(cm, cl, fillvalue=0))
+
+
 def enumerate_updown(n: int, lam: RPartition) -> list[UpDownTableau]:
-    """All walks of length n from the empty shape to lam, sorted."""
+    """All walks of length n from the empty shape to lam, sorted.
+
+    A prefix ending at cur after k steps is extended only while
+    _box_distance(cur, lam) <= n - k.  That bound is exact reachability: cur
+    reaches lam by removing the boxes of cur outside lam, adding those of lam
+    outside cur, and padding with add-remove pairs (the parity of the
+    distance and of n - k agree at every step), so every prefix kept ends
+    in at least one walk.
+    """
     r = len(lam)
     if (n - rp_size(lam)) % 2 != 0 or n < rp_size(lam):
         raise ValueError(f"parity mismatch: no length-{n} walks end at a shape of size {rp_size(lam)}")
@@ -174,11 +190,10 @@ def enumerate_updown(n: int, lam: RPartition) -> list[UpDownTableau]:
 
     def walk(cur: RPartition, steps: list):
         k = len(steps)
-        if k == n:
-            if cur == lam:
-                out.append(UpDownTableau(r, tuple(steps)))
+        if _box_distance(cur, lam) > n - k:
             return
-        if abs(rp_size(cur) - rp_size(lam)) > n - k:
+        if k == n:
+            out.append(UpDownTableau(r, tuple(steps)))
             return
         addable, removable = addable_removable(cur)
         for node in addable:

@@ -319,6 +319,33 @@ class TestErrors:
         assert "error" not in report and report["ok"] is True
         assert len(report["blocks"]) == 10
 
+    @pytest.mark.parametrize("k, n, violation", [
+        ("1, 1, 2", "2", "u_i u_j^{+-1}=q^{2d} at (1, 2, 0)"),
+        ("10, -6, 2", "3", "u=+-q^d at (3, 4)"),
+    ])
+    def test_identities_non_generic_preset_exit_one(self, capsys, tmp_path, k, n, violation):
+        # the identities fail at non-generic values for want of genericity,
+        # not of the identities: the report names the violations instead of
+        # one error block per label
+        preset = tmp_path / "preset.txt"
+        preset.write_text(f"r = 3\nq = 2\nk = {k}\n")
+        code, report = run_json(capsys, "identities", "--r", "3", "--n", n,
+                                "--preset", str(preset))
+        assert code == 1
+        assert report == {"r": 3, "n": int(n), "error": report["error"]}
+        assert report["error"].startswith("parameters not generic: ")
+        assert violation in report["error"]
+
+    def test_identities_generic_preset_exit_zero(self, capsys, tmp_path):
+        preset = tmp_path / "preset.txt"
+        preset.write_text("r = 3\nq = 2\nk = 10, -6, 2\n")
+        code, report = run_json(capsys, "identities", "--r", "3", "--n", "2",
+                                "--preset", str(preset))
+        assert code == 0
+        assert "error" not in report and report["ok"] is True
+        assert len(report["blocks"]) == 10
+        assert all(b["ok"] and not b["failures"] for b in report["blocks"])
+
     @pytest.mark.parametrize("r, k, pair", [("3", "2, -2, 5", "v_1 v_2"),
                                              ("1", "0", "v_1 v_1")])
     def test_br2_reciprocal_eigenvalues_exit_one(self, capsys, tmp_path, r, k, pair):

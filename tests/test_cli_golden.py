@@ -3,7 +3,9 @@
 Each case pins the exit code and the sha256 of the command's canonical JSON
 (``sort_keys``, compact separators, ``rank``'s volatile ``elapsed`` dropped).
 A usage error prints no JSON and pins ``None``.  ``rank`` at (3, 3) is D=405
-and is left to the ``BMW_EXTENDED`` run.
+and is left to the ``BMW_EXTENDED`` run.  ``LARGE`` adds ``identities`` and
+``omega`` at the sizes where most of their exact arithmetic is repeated
+across walks.
 
 Print the table for the current tree with
 ``PYTHONPATH=src python3 tests/test_cli_golden.py``.
@@ -20,6 +22,7 @@ from cycbmw.cli import run
 
 COMMANDS = ("params", "tabs", "rep", "identities", "omega", "br2", "basis",
             "rank", "gram", "classify")
+LARGE = (("identities", 3, 4), ("identities", 5, 3), ("omega", 1, 4))
 
 
 def _grid():
@@ -32,6 +35,9 @@ def _grid():
                 if cmd == "gram":
                     argv += ["--ell", "0"]
                 yield " ".join(argv)
+    for cmd, r, n in LARGE:
+        for seed in (0, 7):
+            yield f"{cmd} --r {r} --n {n} --seed {seed}"
 
 
 def _run(case: str):
@@ -207,6 +213,18 @@ GOLDEN = {
         (0, "cec1a32cc11c0e30d480874c9faadb784bda26ed76dd019ad847da35b24384f8"),
     "classify --r 3 --n 3 --seed 7":
         (0, "cec1a32cc11c0e30d480874c9faadb784bda26ed76dd019ad847da35b24384f8"),
+    "identities --r 3 --n 4 --seed 0":
+        (0, "3d57621a80b7ff956f417342bbd6828cfc7d007c0929a7082065d843d3aa7fe6"),
+    "identities --r 3 --n 4 --seed 7":
+        (0, "3d57621a80b7ff956f417342bbd6828cfc7d007c0929a7082065d843d3aa7fe6"),
+    "identities --r 5 --n 3 --seed 0":
+        (0, "39efd9f2f86e9c228a0e72bbbe85591e8d8f39d52b39f44d5b81513e3d1ddb59"),
+    "identities --r 5 --n 3 --seed 7":
+        (0, "39efd9f2f86e9c228a0e72bbbe85591e8d8f39d52b39f44d5b81513e3d1ddb59"),
+    "omega --r 1 --n 4 --seed 0":
+        (0, "0b522c47790f8ccc0a9396817df7bb3c17c6b0fe47690c980d9c8812ab60e235"),
+    "omega --r 1 --n 4 --seed 7":
+        (0, "5ee4f4e9556169b9b6ad70580bc35be081be210b2d2764b2b4fed02273472a7e"),
 }
 
 

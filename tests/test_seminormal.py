@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycbmw import seminormal
 from cycbmw.matrices import dense, mat_diag, mat_mul, sparse
 from cycbmw.params import GroundParams, generic_specialization, wtilde_rational
 from cycbmw.scalars import RatFunc
@@ -28,6 +29,7 @@ from cycbmw.seminormal import (
 from cycbmw.tableaux import (
     Node,
     UpDownTableau,
+    content,
     enumerate_updown,
     neighbors_k,
     rp_empty,
@@ -401,6 +403,18 @@ class TestOmegaTable:
         t = omega_k_table(rp_empty(3), 1, p, a_max=6)
         assert t.values[(1, rp_empty(3))] == [p.omega(a) for a in range(7)]
 
+    def test_wrong_content_factor_depends_on_the_walk(self, monkeypatch):
+        # route one is built once per step prefix from its parent prefix: a
+        # factor that is wrong at one content (removing the box in row 2,
+        # column 1) must still make the table depend on the walk
+        p = generic_specialization(1, 4)
+        wrong = content(Node(1, 2, 1), "remove", p)
+        factor = seminormal._content_factor
+        monkeypatch.setattr(seminormal, "_content_factor",
+                            lambda params, c: factor(params, c) * (2 if c == wrong else 1))
+        with pytest.raises(ValueError, match="depends on the walk at k=4"):
+            omega_k_table(rp_empty(1), 2, p, a_max=4)
+
 
 class TestIdentitySuite:
     @pytest.mark.parametrize("r,n", [(1, 3), (1, 4), (3, 2)])
@@ -427,6 +441,71 @@ class TestIdentitySuite:
         p = GroundParams(3, base.q, base.u, alpha=-1)
         rep = identity_suite(((1,), (), ()), 1, p)
         assert rep["ok"], rep["failures"][:3]
+
+    def test_wrong_bsq_fails_every_instance_of_its_step_pair(self, monkeypatch):
+        # b^2 is checked once per step pair and the result replayed: a wrong
+        # b^2 at one content pair must fail at every (s, k) with that pair,
+        # on every label that shares the parameters, each failure naming its
+        # own walk
+        base = generic_specialization(3, 3)
+        p = GroundParams(3, base.q, base.u)  # nothing cached yet
+        target = (p.u[1], p.u[2])  # add box (2,1,1), then box (3,1,1)
+        ab = seminormal.ab_coeffs
+
+        def wrong_ab(s, k, params):
+            a, bsq = ab(s, k, params)
+            if (s.content(k, params), s.content(k + 1, params)) == target:
+                bsq += 1
+            return a, bsq
+
+        monkeypatch.setattr(seminormal, "ab_coeffs", wrong_ab)
+        n, labels = 3, 0
+        for f, lam in shapes_with_f(n, 3):
+            expected = [
+                f"b-squared-form: s={s!r}, k={k}"
+                for s in enumerate_updown(n, lam) for k in range(1, n)
+                if s.shape(k - 1) != s.shape(k + 1)
+                and (s.content(k, p), s.content(k + 1, p)) == target
+            ]
+            rep = identity_suite(lam, f, p)
+            form = rep["checks"].get("b-squared-form", {"failures": 0})
+            assert form["failures"] == len(expected), lam
+            reported = [x for x in rep["failures"] if x.startswith("b-squared-form:")]
+            assert reported == expected[:len(reported)]
+            assert len(set(reported)) == len(reported)
+            assert rep["ok"] == (not expected)
+            labels += bool(expected)
+        assert labels == 7
+
+    def test_wrong_residue_fails_every_window_that_reads_it(self, monkeypatch):
+        # e-reciprocal is checked once per window (shape(k-1), steps k..k+2):
+        # a diagonal residue that is wrong over one shape only must fail at
+        # exactly the (s, k) whose window reads it, counted walk by walk
+        base = generic_specialization(3, 4)
+        p = GroundParams(3, base.q, base.u)  # nothing cached yet
+        shape, wrong = rp_empty(3), p.u[0]
+        e_diag = seminormal.E_diag
+
+        def wrong_e(s, k, params):
+            e = e_diag(s, k, params)
+            return 2 * e if (s.shape(k - 1), s.content(k, params)) == (shape, wrong) else e
+
+        monkeypatch.setattr(seminormal, "E_diag", wrong_e)
+        n, failing = 4, 0
+        for f, lam in shapes_with_f(n, 3):
+            expected = [
+                f"e-reciprocal: s={s!r}, k={k}"
+                for s in enumerate_updown(n, lam) for k in range(1, n - 1)
+                if s.shape(k - 1) == s.shape(k + 1) and s.shape(k) == s.shape(k + 2)
+                and wrong_e(s, k, p) * wrong_e(s, k + 1, p) != 1
+            ]
+            rep = identity_suite(lam, f, p)
+            recip = rep["checks"].get("e-reciprocal", {"failures": 0})
+            assert recip["failures"] == len(expected), lam
+            reported = [x for x in rep["failures"] if x.startswith("e-reciprocal:")]
+            assert reported == expected[:len(reported)]
+            failing += len(expected)
+        assert failing == 6
 
     def test_single_term_linear_instance(self):
         # r=1 over the empty flank: w0/(u^2-1) = rho/delta + 1/(u^2-1)

@@ -136,6 +136,31 @@ class TestEnumerateUpdown:
             counts = count_updown(n, r)
             assert sum(c * c for c in counts.values()) == r ** n * double_factorial(2 * n - 1)
 
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_matches_unpruned_walks(self, r):
+        # every walk of length n, extended with no look-ahead, kept by its
+        # end shape: the pruned enumeration must give the same sorted list
+        for n in range(1, 6):
+            walks: list = []
+
+            def walk(cur, steps):
+                if len(steps) == n:
+                    walks.append((cur, UpDownTableau(r, tuple(steps))))
+                    return
+                addable, removable = addable_removable(cur)
+                for node in addable:
+                    walk(rp_add(cur, node), steps + [(1, node)])
+                for node in removable:
+                    walk(rp_remove(cur, node), steps + [(-1, node)])
+
+            walk(rp_empty(r), [])
+            total = 0
+            for f, lam in shapes_with_f(n, r):
+                found = enumerate_updown(n, lam)
+                assert found == sorted(t for end, t in walks if end == lam)
+                total += len(found)
+            assert total == len(walks)
+
     def test_branching_recursion_explicit(self):
         r, n = 3, 4
         prev = count_updown(n - 1, r)
