@@ -151,6 +151,10 @@ def _per_label(args, check) -> tuple[list, bool]:
 
 def _cmd_rep(args, parser) -> tuple[dict, bool]:
     p = _load_params(args, parser)
+    # the seminormal modules exist only at generic parameters
+    error = _not_generic(args, p)
+    if error:
+        return error, False
 
     def check(f, lam):
         m = build_module(lam, f, p)
@@ -261,6 +265,9 @@ def _cmd_basis(args, parser) -> tuple[dict, bool, tuple]:
 
 def _cmd_rank(args, parser) -> tuple[dict, bool]:
     p = _load_params(args, parser)
+    error = _not_generic(args, p)
+    if error:
+        return error, False
     try:
         rep = rank_certify(args.n, args.r, p)
     except (ValueError, ArithmeticError) as exc:
@@ -276,6 +283,10 @@ def _cmd_gram(args, parser) -> tuple[dict, bool]:
     if abs(args.ell) > p.r - 1:
         parser.error(f"--ell must satisfy |ell| <= r - 1 = {p.r - 1}")
     report = {"r": args.r, "n": args.n, "ell": args.ell}
+    error = _not_generic(args, p)
+    if error:
+        report["error"] = error["error"]
+        return report, False
     try:
         g = gram_half(args.n, args.ell, p)
     except (ValueError, ArithmeticError) as exc:

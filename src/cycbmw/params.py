@@ -5,7 +5,9 @@ once, so every derived scalar (q^{-1}, delta, rho, omega_a) is plain Fraction
 arithmetic.  From (q, u_1..u_r, alpha) it constructs the family
 Omega = {omega_a} together with rho, validates the admissibility equations,
 and produces generic rational specializations on which the seminormal
-matrices are real and well conditioned.
+matrices are real and well conditioned.  The symmetric-function coefficients
+Q_a behind the omega_a come from one order-1 recurrence per u_i, and
+SymCache keeps Q_0..Q_A in one list per family, grown geometrically.
 """
 
 from __future__ import annotations
@@ -31,24 +33,22 @@ def elem_symmetric(u: Sequence, i: int):
     return es[i]
 
 
-def _q_factor_coeff(u, k: int):
-    # series of (y-u)/(uy-1) at y=0: u at k=0, then u^(k+1) - u^(k-1)
-    if k == 0:
-        return u
-    return u ** (k + 1) - u ** (k - 1)
-
-
 def _q_poly_list(u: Sequence, a_max: int) -> list:
     """Coefficients Q_0..Q_{a_max} of Prod_i (y-u_i)/(u_i y - 1) at y=0.
 
+    Each factor is applied by its order-1 recurrence: multiplying by (y - u)
+    gives s_k = Q_{k-1} - u Q_k, and dividing by (u y - 1) gives
+    t_k = u t_{k-1} - s_k, so the list costs O(r a_max) ring operations.
     The u_i are Fractions for ground data; any ring elements that mix with
     Fraction (rational functions in y, for symbolic checks) work too.
     """
     out = [Fraction(1)] + [Fraction(0)] * a_max
     for ui in u:
-        fac = [_q_factor_coeff(ui, k) for k in range(a_max + 1)]
-        out = [sum((out[i] * fac[k - i] for i in range(k + 1)), Fraction(0))
-               for k in range(a_max + 1)]
+        prev_q, t = Fraction(0), Fraction(0)
+        for k in range(a_max + 1):
+            qk = out[k]
+            t = ui * t - (prev_q - ui * qk)
+            prev_q, out[k] = qk, t
     return out
 
 
@@ -63,21 +63,28 @@ def q_poly(a: int, u: Sequence, primed: bool = False):
 
 @dataclass
 class SymCache:
-    """Memoized symmetric-function data for a fixed u-tuple."""
+    """Memoized symmetric-function data for a fixed u-tuple.
+
+    Q_0..Q_A and Q'_0..Q'_A are kept as one list each, recomputed with twice
+    the length whenever a larger a is asked for.
+    """
 
     u: tuple
     sigma: list = field(default_factory=list)
-    _qpoly: dict = field(default_factory=dict)
-    _qpoly_primed: dict = field(default_factory=dict)
+    _qlist: list = field(default_factory=list)
+    _qlist_primed: list = field(default_factory=list)
 
     def __post_init__(self):
         self.sigma = [elem_symmetric(self.u, i) for i in range(len(self.u) + 1)]
 
     def q(self, a: int, primed: bool = False):
-        memo = self._qpoly_primed if primed else self._qpoly
-        if a not in memo:
-            memo[a] = q_poly(a, self.u, primed)
-        return memo[a]
+        if a < 0:
+            return Fraction(0)
+        qs = self._qlist_primed if primed else self._qlist
+        if a >= len(qs):
+            u = [1 / x for x in self.u] if primed else self.u
+            qs[:] = _q_poly_list(u, max(a, 2 * len(qs)))
+        return qs[a]
 
 
 class GroundParams:
@@ -111,11 +118,14 @@ class GroundParams:
         self.rho = 1 / self.rho_inv
         self.sym = SymCache(self.u)
         self._omega: dict[int, object] = {}
-        # memos of seminormal._w_shape, seminormal._e_diag_value,
-        # tableaux.content and the window-keyed results of
-        # seminormal.identity_suite
+        # memos of seminormal._w_shape, seminormal._residue_parts,
+        # seminormal._e_diag_value, the integer series of
+        # seminormal.omega_k_table, tableaux.content and the window-keyed
+        # results of seminormal.identity_suite
         self._w_shape_cache: dict = {}
+        self._residue_cache: dict = {}
         self._e_diag_cache: dict = {}
+        self._series_cache: dict = {}
         self._content_cache: dict = {}
         self._identity_cache: dict = {}
         # genericity scan of generic_specialization; None for other data

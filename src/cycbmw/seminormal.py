@@ -16,19 +16,27 @@ The identity suite keys each check by the window of the walk it reads (a
 shape, a shape and the step out of it, or shape(k-1) and steps k..k+2, or
 steps k and k+1), evaluates it once per window in
 GroundParams._identity_cache and replays the result for every (s, k) that
-shows the window.  The eigenvalue table builds route one's series once per
-distinct step prefix from its parent prefix's series.
+shows the window.
+
+W_k(y,s) and each content factor are built as one quotient of Laurent
+polynomial products.  A diagonal residue multiplies its product form on
+integer numerators and denominators into one Fraction and is cross-checked
+by three Horner evaluations of W/y's numerator, denominator and the
+denominator's derivative, kept per shape.  The eigenvalue table runs on
+truncated integer series at infinity: every series it expands is expanded
+once per parameter family, and route one's series of each distinct step
+prefix is its parent prefix's series times one content factor's series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 from .matrices import combine, int_rows, mat_diag, mat_mul, mat_zero, sparse, sparse_diag
 from .params import GroundParams, wtilde_rational
-from .scalars import RatFunc, expand_series
+from .scalars import LaurentPoly, RatFunc, expand_series
 # bound only because bench/tracer.py patches them here (ROADMAP item 1)
 from .matrices import mat_add, mat_identity, mat_scale, mat_sub  # noqa: F401
 from .scalars import ball_sqrt  # noqa: F401
@@ -63,17 +71,23 @@ def _flank_contents(shape: RPartition, params: GroundParams) -> list:
 
 
 def _w_shape(shape: RPartition, params: GroundParams) -> RatFunc:
+    """W_k(y,s) over the shape before step k, built as one quotient:
+    with N = prod (y - 1/c) and D = prod (y - c) over the flank contents c,
+    W = y^2/(y^2-1) - dr + (dr P + y/(y^2-1)) P N/D
+      = [(y^2 - dr (y^2-1)) D + (dr P (y^2-1) + y) P N] / ((y^2-1) D).
+    """
     cache = params._w_shape_cache
     if shape in cache:
         return cache[shape]
-    y = RatFunc.y()
-    one = RatFunc.const(1)
+    y = LaurentPoly.y()
+    y2m1 = y * y - 1
+    num = den = LaurentPoly.const(1)
+    for c in _flank_contents(shape, params):
+        num = num * (y - 1 / c)
+        den = den * (y - c)
     dr = params.delta_inv * params.rho
     P = params.u_prod
-    factors = one
-    for c in _flank_contents(shape, params):
-        factors = factors * (y - 1 / c) / (y - c)
-    w = y * y / (y * y - one) - dr + (dr * P + y / (y * y - one)) * P * factors
+    w = RatFunc((y * y - dr * y2m1) * den + (dr * P * y2m1 + y) * P * num, y2m1 * den)
     cache[shape] = w
     return w
 
@@ -87,40 +101,54 @@ def W_rational(s: UpDownTableau, k: int, params: GroundParams) -> RatFunc:
     return _w_shape(s.shape(k - 1), params)
 
 
-def _residue_simple(f: RatFunc, c: Fraction) -> Fraction:
-    """Residue of f at a simple pole y=c, via the derivative of the
-    (unreduced) denominator.
+def _residue_parts(shape: RPartition, params: GroundParams) -> tuple:
+    """(numerator, denominator, derivative of the denominator) of the
+    unreduced W/y at one shape, kept in params._residue_cache.
     """
-    if f.den.evaluate(c) != 0:
-        raise ArithmeticError(f"no pole at y={c}")
-    dval = f.den.derivative().evaluate(c)
-    if dval == 0:
-        raise ArithmeticError(f"pole at y={c} is not simple")
-    return f.num.evaluate(c) / dval
+    cache = params._residue_cache
+    parts = cache.get(shape)
+    if parts is None:
+        wy = _w_shape(shape, params) / RatFunc.y()
+        parts = cache[shape] = (wy.num, wy.den, wy.den.derivative())
+    return parts
 
 
 def _e_diag_value(shape: RPartition, c, params: GroundParams):
     """Diagonal residue at content c over the given flanking shape.
 
-    Computed from the closed product form and cross-checked against the
-    residue of W/y at y=c.
+    Computed from the closed product form, whose factors
+    (c - 1/c_a)/(c - c_a) over the other flank contents c_a are multiplied
+    as integer numerators and denominators into one Fraction, and
+    cross-checked against the residue of W/y at the simple pole y=c: three
+    Horner evaluations of the shape's _residue_parts.
     """
     cache = params._e_diag_cache
     key = (shape, c)
     if key in cache:
         return cache[key]
-    value = params.rho_inv / c * ((c - 1 / c) * params.delta_inv + params.alpha)
+    p, q = c.numerator, c.denominator
+    num = den = 1
     skipped = 0
     for ca in _flank_contents(shape, params):
         if ca == c:
             skipped += 1
             continue
-        value = value * (c - 1 / ca) / (c - ca)
+        pa, qa = ca.numerator, ca.denominator
+        num *= (p * pa - q * qa) * qa
+        den *= (p * qa - q * pa) * pa
     if skipped != 1:
         raise ArithmeticError(
             f"content {c} matched {skipped} nodes of {shape}; parameters not generic"
         )
-    res = _residue_simple(_w_shape(shape, params) / RatFunc.y(), c)
+    head = params.rho_inv / c * ((c - 1 / c) * params.delta_inv + params.alpha)
+    value = Fraction(head.numerator * num, head.denominator * den)
+    wy_num, wy_den, wy_dden = _residue_parts(shape, params)
+    if wy_den.evaluate(c) != 0:
+        raise ArithmeticError(f"no pole at y={c}")
+    dval = wy_dden.evaluate(c)
+    if dval == 0:
+        raise ArithmeticError(f"pole at y={c} is not simple")
+    res = wy_num.evaluate(c) / dval
     if res != value:
         raise ArithmeticError(
             f"residue {res} disagrees with product form {value} at c={c}"
@@ -532,12 +560,53 @@ class OmegaKTable:
 
 
 def _content_factor(params: GroundParams, c) -> RatFunc:
-    y = RatFunc.y()
+    """The factor by which a step of content c multiplies route one:
+    (y - c)^2 (y - 1/(c q^2)) (y - q^2/c) / ((y - 1/c)^2 (y - c/q^2) (y - q^2 c)).
+    """
+    y = LaurentPoly.y()
     q2 = params.q ** 2
     cinv = 1 / c
-    num = (y - c) ** 2 * (y - cinv / q2) * (y - q2 * cinv)
-    den = (y - cinv) ** 2 * (y - c / q2) * (y - q2 * c)
-    return num / den
+    num = (y - c) * (y - c) * (y - cinv / q2) * (y - q2 * cinv)
+    den = (y - cinv) * (y - cinv) * (y - c / q2) * (y - q2 * c)
+    return RatFunc(num, den)
+
+
+def _int_series(coeffs: list) -> tuple:
+    """A list of Fractions as (integer numerators, their lcm denominator),
+    the canonical form in which no factor divides every numerator and the
+    denominator.
+    """
+    den = lcm(*(x.denominator for x in coeffs))
+    return tuple(x.numerator * (den // x.denominator) for x in coeffs), den
+
+
+def _reduced(nums: list, den: int) -> tuple:
+    g = gcd(den, *nums)
+    return tuple(x // g for x in nums), den // g
+
+
+def _series_mul(f: tuple, g: tuple) -> tuple:
+    """Truncated product of two power series in canonical integer form."""
+    fn, gn = f[0], g[0]
+    nums = [sum(fn[i] * gn[m - i] for i in range(m + 1)) for m in range(len(fn))]
+    return _reduced(nums, f[1] * g[1])
+
+
+def _series_add(f: tuple, g: tuple) -> tuple:
+    den = lcm(f[1], g[1])
+    s, t = den // f[1], den // g[1]
+    return _reduced([x * s + z * t for x, z in zip(f[0], g[0])], den)
+
+
+def _series(params: GroundParams, key: tuple, rational, a_max: int) -> tuple:
+    """The canonical integer series at infinity of rational(), to order
+    a_max, kept in params._series_cache under (key, a_max).
+    """
+    cache = params._series_cache
+    value = cache.get((key, a_max))
+    if value is None:
+        value = cache[(key, a_max)] = _int_series(expand_series(rational(), a_max, at="inf"))
+    return value
 
 
 def omega_k_table(lam: RPartition, f: int, params: GroundParams, a_max: int) -> OmegaKTable:
@@ -548,42 +617,63 @@ def omega_k_table(lam: RPartition, f: int, params: GroundParams, a_max: int) -> 
     must agree coefficientwise and be independent of the walk taken to a
     given intermediate shape.
 
-    Route one's series depends only on the steps before step k, so it is
-    built once per distinct step prefix, as its parent prefix's series times
-    one content factor, and expanded once.  Every distinct prefix is compared
-    against the entry of its (k, shape before step k); route two is expanded
-    once per entry.
+    Both routes run on truncated series at infinity in canonical integer
+    form (numerators over one denominator, no common factor).  Every series
+    that is expanded is expanded once per parameter family and a_max: the
+    one-strand series before the shift and the shift itself, the factor
+    _content_factor(params, c) per content c, and W_k per shape before
+    step k, on which alone it depends.  Route one's series depends only on
+    the steps before step k, so it is built once per distinct step prefix,
+    as its parent prefix's series times one factor series: exact, since
+    every factor has no pole at infinity.  Every distinct prefix is compared
+    with its (k, shape before step k) entry, and Fractions are made once
+    per entry.
     """
     n = rp_size(lam) + 2 * f
     basis = enumerate_updown(n, lam)
     y = RatFunc.y()
     one = RatFunc.const(1)
-    shift = y * y / (y * y - one) - params.delta_inv * params.rho
-    g_base = wtilde_rational(params, "+") - shift
+
+    def shift_rational():
+        return y * y / (y * y - one) - params.delta_inv * params.rho
+
+    shift = _series(params, ("shift",), shift_rational, a_max)
+    base = _series(params, ("base",),
+                   lambda: wtilde_rational(params, "+") - shift_rational(), a_max)
     series: dict = {}  # step prefix -> route one's series before the shift
+    exact: dict = {}  # (k, shape before step k) -> its canonical series
     values: dict = {}
     for s in basis:
         for k in range(1, n + 1):
             prefix = s.steps[:k - 1]
             if prefix in series:
                 continue
-            series[prefix] = g_base if k == 1 else (
-                series[prefix[:-1]] * _content_factor(params, s.content(k - 1, params)))
-            key = (k, s.shape(k - 1))
-            route_one = expand_series(series[prefix] + shift, a_max, at="inf")
-            if key in values:
-                if values[key] != route_one:
+            if k == 1:
+                series[prefix] = base
+            else:
+                c = s.content(k - 1, params)
+                factor = _series(params, ("content", c),
+                                 lambda: _content_factor(params, c), a_max)
+                series[prefix] = _series_mul(series[prefix[:-1]], factor)
+            route_one = _series_add(series[prefix], shift)
+            shape = s.shape(k - 1)
+            key = (k, shape)
+            if key in exact:
+                if exact[key] != route_one:
                     raise ValueError(
                         f"omega table depends on the walk at k={k}, s={s!r}"
                     )
-            else:
-                route_two = expand_series(W_rational(s, k, params), a_max, at="inf")
-                for a, (x1, x2) in enumerate(zip(route_one, route_two)):
-                    if x1 != x2:
-                        raise ValueError(
-                            f"omega table mismatch at s={s!r}, k={k}, a={a}"
-                        )
-                values[key] = route_one
+                continue
+            route_two = _series(params, ("shape", shape),
+                                lambda: W_rational(s, k, params), a_max)
+            nums, den = route_one
+            if route_two != route_one:
+                nums2, den2 = route_two
+                a = next(a for a, (x1, x2) in enumerate(zip(nums, nums2))
+                         if x1 * den2 != x2 * den)
+                raise ValueError(f"omega table mismatch at s={s!r}, k={k}, a={a}")
+            exact[key] = route_one
+            values[key] = [Fraction(x, den) for x in nums]
     return OmegaKTable(lam, f, n, a_max, values)
 
 

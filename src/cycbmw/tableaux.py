@@ -165,47 +165,48 @@ class UpDownTableau:
         return f"UpDownTableau[{body}]"
 
 
-def _box_distance(mu: RPartition, lam: RPartition) -> int:
-    """Number of boxes in exactly one of mu and lam: the sum over components
-    and rows of |mu_i - lam_i|.
-    """
-    return sum(abs(a - b) for cm, cl in zip(mu, lam)
-               for a, b in itertools.zip_longest(cm, cl, fillvalue=0))
-
-
 def enumerate_updown(n: int, lam: RPartition) -> list[UpDownTableau]:
     """All walks of length n from the empty shape to lam, sorted.
 
-    A prefix ending at cur after k steps is extended only while
-    _box_distance(cur, lam) <= n - k.  That bound is exact reachability: cur
-    reaches lam by removing the boxes of cur outside lam, adding those of lam
-    outside cur, and padding with add-remove pairs (the parity of the
-    distance and of n - k agree at every step), so every prefix kept ends
-    in at least one walk.
+    A prefix ending at cur after k steps is extended only while the box
+    distance from cur to lam (the number of boxes in exactly one of them)
+    is at most n - k.  That bound is exact reachability: cur reaches lam by
+    removing the boxes of cur outside lam, adding those of lam outside cur,
+    and padding with add-remove pairs (the parity of the distance and of
+    n - k agree at every step), so every prefix kept ends in at least one
+    walk.  The distance starts at |lam| and moves by one per step: down when
+    the step adds a box of lam or removes a box outside lam, up otherwise.
     """
     r = len(lam)
     if (n - rp_size(lam)) % 2 != 0 or n < rp_size(lam):
         raise ValueError(f"parity mismatch: no length-{n} walks end at a shape of size {rp_size(lam)}")
     out: list[UpDownTableau] = []
 
-    def walk(cur: RPartition, steps: list):
+    def in_lam(node: Node) -> bool:
+        comp = lam[node.comp - 1]
+        return node.row <= len(comp) and node.col <= comp[node.row - 1]
+
+    def walk(cur: RPartition, steps: list, dist: int):
         k = len(steps)
-        if _box_distance(cur, lam) > n - k:
-            return
         if k == n:
             out.append(UpDownTableau(r, tuple(steps)))
             return
+        left = n - k - 1  # steps left after the next one
         addable, removable = addable_removable(cur)
         for node in addable:
-            steps.append((1, node))
-            walk(rp_add(cur, node), steps)
-            steps.pop()
+            d = dist - 1 if in_lam(node) else dist + 1
+            if d <= left:
+                steps.append((1, node))
+                walk(rp_add(cur, node), steps, d)
+                steps.pop()
         for node in removable:
-            steps.append((-1, node))
-            walk(rp_remove(cur, node), steps)
-            steps.pop()
+            d = dist + 1 if in_lam(node) else dist - 1
+            if d <= left:
+                steps.append((-1, node))
+                walk(rp_remove(cur, node), steps, d)
+                steps.pop()
 
-    walk(rp_empty(r), [])
+    walk(rp_empty(r), [], rp_size(lam))
     out.sort()
     return out
 

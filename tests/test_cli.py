@@ -278,6 +278,36 @@ class TestErrors:
         assert report.get("ok", report.get("certified", False)) is False
         assert "parameters not generic" in out
 
+    @pytest.mark.parametrize("command", ["rep", "rank", "gram"])
+    def test_module_commands_check_genericity_first(self, capsys, tmp_path, command):
+        # u = 4, 4, 16 is caught before any module is built: one report
+        # naming the violations, not a build error per block
+        preset = tmp_path / "preset.txt"
+        preset.write_text("r = 3\nq = 2\nk = 1, 1, 2\n")
+        code, report = run_json(capsys, command, "--r", "3", "--n", "2",
+                                "--preset", str(preset))
+        assert code == 1
+        expected = {"r": 3, "n": 2, "error": report["error"]}
+        if command == "gram":
+            expected["ell"] = 0
+        assert report == expected
+        assert report["error"].startswith("parameters not generic: ")
+        assert "u_i u_j^{+-1}=q^{2d} at (1, 2, 0)" in report["error"]
+
+    def test_rep_rank_generic_preset_exit_zero(self, capsys, tmp_path):
+        preset = tmp_path / "preset.txt"
+        preset.write_text("r = 3\nq = 2\nk = 10, -6, 2\n")
+        code, report = run_json(capsys, "rep", "--r", "3", "--n", "2",
+                                "--preset", str(preset))
+        assert code == 0
+        assert "error" not in report and report["ok"] is True
+        assert len(report["blocks"]) == 10
+        code, report = run_json(capsys, "rank", "--r", "3", "--n", "2",
+                                "--preset", str(preset))
+        assert code == 0
+        assert "error" not in report and report["certified"] is True
+        assert report["D"] == 27
+
     def test_classify_non_generic_preset_exit_one(self, capsys, tmp_path):
         # u = 4, 4, 16 breaks the genericity the census rests on: the report
         # names the violations instead of certifying every label

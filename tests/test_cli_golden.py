@@ -5,7 +5,8 @@ Each case pins the exit code and the sha256 of the command's canonical JSON
 A usage error prints no JSON and pins ``None``.  ``rank`` at (3, 3) is D=405
 and is left to the ``BMW_EXTENDED`` run.  ``LARGE`` adds ``identities`` and
 ``omega`` at the sizes where most of their exact arithmetic is repeated
-across walks.
+across walks, and ``params`` and ``br2`` at r=5, where the Q_a coefficients
+of the omega family run to the highest a.
 
 Print the table for the current tree with
 ``PYTHONPATH=src python3 tests/test_cli_golden.py``.
@@ -22,7 +23,8 @@ from cycbmw.cli import run
 
 COMMANDS = ("params", "tabs", "rep", "identities", "omega", "br2", "basis",
             "rank", "gram", "classify")
-LARGE = (("identities", 3, 4), ("identities", 5, 3), ("omega", 1, 4))
+LARGE = (("identities", 3, 4), ("identities", 5, 3), ("omega", 1, 4),
+         ("params", 5, 2), ("br2", 5, 2))
 
 
 def _grid():
@@ -225,6 +227,14 @@ GOLDEN = {
         (0, "0b522c47790f8ccc0a9396817df7bb3c17c6b0fe47690c980d9c8812ab60e235"),
     "omega --r 1 --n 4 --seed 7":
         (0, "5ee4f4e9556169b9b6ad70580bc35be081be210b2d2764b2b4fed02273472a7e"),
+    "params --r 5 --n 2 --seed 0":
+        (0, "1449109404ded88584bf31f0ab3c04e6e12ad68820df5ec118a43cbf27a7eb65"),
+    "params --r 5 --n 2 --seed 7":
+        (0, "4c637fecbad97d71d5dc4e19f175433a767d93bebdb058f88c4387d0b952c9cb"),
+    "br2 --r 5 --n 2 --seed 0":
+        (0, "e17eba4ed1e974de0a8c8900bb8254d3ef5afc5140fa408875080f5393eae956"),
+    "br2 --r 5 --n 2 --seed 7":
+        (0, "e17eba4ed1e974de0a8c8900bb8254d3ef5afc5140fa408875080f5393eae956"),
 }
 
 

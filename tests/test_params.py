@@ -10,6 +10,8 @@ from cycbmw.params import (
     certify_generic,
     elem_symmetric,
     generic_specialization,
+    SymCache,
+    _q_poly_list,
     parse_preset,
     q_poly,
     wtilde_closed,
@@ -77,7 +79,45 @@ class TestElemSymmetric:
             assert prod.terms.get(i, F(0)) == elem_symmetric(u, i)
 
 
+def q_poly_reference(u, a_max):
+    """Oracle: Q_0..Q_{a_max} by convolving the series of every factor
+    (y - u)/(u y - 1) at y=0, which is u at k=0, then u^(k+1) - u^(k-1).
+    """
+    out = [F(1)] + [F(0)] * a_max
+    for x in u:
+        fac = [x] + [x ** (k + 1) - x ** (k - 1) for k in range(1, a_max + 1)]
+        out = [sum((out[i] * fac[k - i] for i in range(k + 1)), F(0))
+               for k in range(a_max + 1)]
+    return out
+
+
+nonzero_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
+
+
 class TestQPoly:
+    @given(st.lists(nonzero_fractions, min_size=1, max_size=5),
+           st.integers(min_value=0, max_value=20))
+    @settings(max_examples=60, deadline=None)
+    def test_recurrence_matches_convolution_and_series(self, u, a_max):
+        qs = _q_poly_list(u, a_max)
+        assert qs == q_poly_reference(u, a_max)
+        y = LaurentPoly.y()
+        f = RatFunc.const(1)
+        for x in u:
+            f = f * RatFunc.from_poly(y - x) / RatFunc.from_poly(x * y - 1)
+        assert qs == expand_series(f, a_max, at="zero")
+
+    @given(st.lists(nonzero_fractions, min_size=1, max_size=5),
+           st.lists(st.tuples(st.integers(min_value=-2, max_value=20), st.booleans()),
+                    min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_sym_cache_in_any_order(self, u, queries):
+        # the cached lists grow as larger a are asked for; every answer must
+        # match a fresh computation whatever the order of the queries
+        cache = SymCache(tuple(u))
+        for a, primed in queries:
+            assert cache.q(a, primed) == q_poly(a, u, primed)
+
     def test_negative_index(self):
         assert q_poly(-3, [F(2)]) == 0
 

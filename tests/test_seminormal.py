@@ -173,6 +173,20 @@ class TestEDiag:
         s = updown(1, (1, (1, 1, 1)), (-1, (1, 1, 1)), (1, (1, 1, 1)), (-1, (1, 1, 1)))
         assert E_diag(s, 1, p) * E_diag(s, 2, p) == 1
 
+    def test_wrong_w_fails_the_residue_cross_check(self, monkeypatch):
+        # the residue of W/y is taken from parts kept per shape: W doubled
+        # over one shape must fail the cross-check there, after another
+        # shape's parts are cached, and leave the other shapes untouched
+        p = generic_specialization(1, 2)
+        target = ((1,),)
+        w_shape = seminormal._w_shape
+        monkeypatch.setattr(seminormal, "_w_shape",
+                            lambda shape, params: w_shape(shape, params)
+                            * (2 if shape == target else 1))
+        assert build_module(((1,),), 0, p).dim == 1  # reads the empty shape only
+        with pytest.raises(ArithmeticError, match="disagrees with product form"):
+            build_module(rp_empty(1), 1, p)  # the last step flanks (1)
+
     def test_nonzero_everywhere(self):
         p = generic_specialization(3, 3)
         for f, lam in shapes_with_f(3, 3):
@@ -414,6 +428,26 @@ class TestOmegaTable:
                             lambda params, c: factor(params, c) * (2 if c == wrong else 1))
         with pytest.raises(ValueError, match="depends on the walk at k=4"):
             omega_k_table(rp_empty(1), 2, p, a_max=4)
+
+
+    @pytest.mark.parametrize("target, k", [(rp_empty(1), 1), (((1,),), 2), (((2,),), 3)])
+    def test_wrong_w_fails_route_two(self, monkeypatch, target, k):
+        # route two is expanded once per shape: W doubled over one shape
+        # must fail at the first walk that reaches it, at the first nonzero
+        # coefficient, and nowhere before
+        p = generic_specialization(1, 4)
+        a_max = 4
+        basis = enumerate_updown(4, rp_empty(1))
+        s = next(t for t in basis if t.shape(k - 1) == target)
+        coeffs = seminormal.expand_series(W_rational(s, k, p), a_max, at="inf")
+        a = next(a for a, x in enumerate(coeffs) if x != 0)
+        w_shape = seminormal._w_shape
+        monkeypatch.setattr(seminormal, "_w_shape",
+                            lambda shape, params: w_shape(shape, params)
+                            * (2 if shape == target else 1))
+        with pytest.raises(ValueError) as exc:
+            omega_k_table(rp_empty(1), 2, p, a_max)
+        assert str(exc.value) == f"omega table mismatch at s={s!r}, k={k}, a={a}"
 
 
 class TestIdentitySuite:
