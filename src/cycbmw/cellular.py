@@ -3,8 +3,9 @@
 Provides the index sets for the cellular basis, generator words for its
 elements (each a left factor word followed by a right factor word),
 evaluation of words over Q in the faithful direct sum of seminormal modules
-(token matrices are cached per module and words multiplied as integer sparse
-rows over one denominator), a modular full-rank certificate for the
+(token matrices are cached per module, words multiplied as integer sparse
+rows over one denominator, and the row-stabilizer sum formed by word_sum
+over its permutation words), a modular full-rank certificate for the
 evaluated basis, closed Gram values on the top annihilator layer, and the
 irreducible-label census.
 
@@ -21,11 +22,11 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial, gcd
 
-from .matrices import combine, dense, frac_rows, int_rows, mat_mul, mat_scale, sparse_diag
+from .matrices import dense, frac_rows, int_rows, mat_mul, mat_scale, sparse_diag
 # bound only because bench/tracer.py patches them here (ROADMAP item 1)
 from .matrices import mat_add, mat_diag, mat_identity, mat_sub  # noqa: F401
 from .params import GroundParams
-from .seminormal import SeminormalModule, build_module, generator_matrix, word_product
+from .seminormal import SeminormalModule, build_module, generator_matrix, word_product, word_sum
 from .tableaux import (
     CosetRep,
     RPartition,
@@ -231,8 +232,8 @@ def _rowsum_matrix(m: SeminormalModule, lam: RPartition) -> tuple:
         for row, img in zip(rows, choice):
             for pos, val in zip(row, img):
                 p[pos - 1] = val
-        words.append((1, _module_word(_t_word(tuple(p)), m)))
-    return combine(words, m.dim)
+        words.append((1, _t_word(tuple(p))))
+    return word_sum(words, lambda tok: token_matrix(tok, m), m.dim)
 
 
 def token_matrix(tok: Token, m: SeminormalModule) -> tuple:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -23,6 +24,7 @@ from .seminormal import (
     build_module,
     identity_suite,
     omega_k_table,
+    relation_table,
     verify_relations,
 )
 from .tableaux import count_updown, enumerate_updown, rp_size, shapes_with_f
@@ -155,10 +157,12 @@ def _cmd_rep(args, parser) -> tuple[dict, bool]:
     error = _not_generic(args, p)
     if error:
         return error, False
+    # every module on n strands checks the same table
+    relations = relation_table(args.n, p)
 
     def check(f, lam):
         m = build_module(lam, f, p)
-        rel = verify_relations(m)
+        rel = verify_relations(m, relations)
         failing = [x for x in rel["relations"] if not x["pass"]]
         block = {
             "dim": m.dim,
@@ -331,7 +335,11 @@ _CSV_COMMANDS = {"tabs", "basis"}
 _MODULE_COMMANDS = {"rep", "rank", "gram"}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first run and reused by every later
+    one in the same process.
+    """
     parser = argparse.ArgumentParser(
         prog="cycbmw",
         description="Exact-arithmetic workbench for cyclotomic BMW algebras.",

@@ -1,19 +1,19 @@
 """Matrix helpers over exact scalars: dense rows for assembly and output,
-integer sparse rows over one denominator for products and relation residuals.
+integer sparse rows over one denominator for products.
 
 A dense matrix is a list of rows of Fractions (or ints).  A sparse-row
 matrix is a list with one ``{column: entry}`` dict per row that never stores
 an exact zero.  The seminormal generators are mostly zeros (X_i is diagonal,
-T_k and E_k have a few entries per row), so words are multiplied and
-residuals summed in sparse rows, touching nonzero entries only; ``sparse``
-and ``dense`` convert between the two forms.
+T_k and E_k have a few entries per row), so words are multiplied in sparse
+rows, touching nonzero entries only; ``sparse`` and ``dense`` convert
+between the two forms.
 
-Products and sums run fraction-free: a matrix is a pair ``(rows, den)`` of
-sparse rows of ints and one positive int denominator, standing for
-rows/den.  ``mat_mul`` and ``mat_acc`` use only ``*``, ``+`` and truthiness,
-so the same kernels multiply int rows with no gcd per entry; the
-denominators of a product multiply, and ``combine`` sums terms over the lcm
-of theirs.  ``int_rows`` and ``frac_rows`` convert at the boundary.
+Products run fraction-free: a matrix is a pair ``(rows, den)`` of sparse
+rows of ints and one positive int denominator, standing for rows/den.
+``mat_mul`` uses only ``*``, ``+`` and truthiness, so it multiplies int rows
+with no gcd per entry, and the denominators of a product multiply.  Sums of
+words are formed by ``seminormal.word_sum``.  ``int_rows`` and
+``frac_rows`` convert at the boundary.
 """
 
 from __future__ import annotations
@@ -90,31 +90,6 @@ def frac_rows(rows: list, den: int) -> list:
     return [{j: Fraction(x, den) for j, x in row.items()} for row in rows]
 
 
-def combine(terms, dim: int) -> tuple[list, int]:
-    """(int rows, L) of the sum of c·rows/den over the terms (c, (rows, den))
-    of dim-row matrices, with L the lcm of the c.denominator·den; terms with
-    c == 0 are skipped, and entries that cancel are dropped.
-
-    terms is read once, so a generator keeps one term alive at a time; the
-    partial sum is rescaled whenever the lcm grows.
-    """
-    total = 1
-    acc: list = [{} for _ in range(dim)]
-    for c, (rows, den) in terms:
-        if not c:
-            continue
-        d = c.denominator * den
-        grown = lcm(total, d)
-        if grown != total:
-            scale = grown // total
-            for row in acc:
-                for j in row:
-                    row[j] *= scale
-            total = grown
-        mat_acc(acc, c.numerator * (total // d), rows)
-    return acc, total
-
-
 def mat_mul(a: list, b: list) -> list:
     """Sparse-row product a·b: every term pairs a nonzero of a with a nonzero
     of b, and entries that cancel to zero are dropped.
@@ -135,25 +110,3 @@ def mat_mul(a: list, b: list) -> list:
                     acc[j] = x * y
         out.append({j: v for j, v in acc.items() if v})
     return out
-
-
-def mat_acc(acc: list, c, a: list) -> None:
-    """acc += c·a in place over the nonzero entries of a, deleting entries
-    that cancel to zero; a is only read.
-    """
-    if not c:
-        return
-    sub = c == -1
-    scale = c != 1 and not sub
-    for acc_row, row in zip(acc, a):
-        if scale:
-            row = {j: c * x for j, x in row.items()}
-        for j, x in row.items():
-            if j in acc_row:
-                y = acc_row[j] - x if sub else acc_row[j] + x
-                if y:
-                    acc_row[j] = y
-                else:
-                    del acc_row[j]
-            else:
-                acc_row[j] = -x if sub else x

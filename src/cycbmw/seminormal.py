@@ -6,11 +6,17 @@ irreducible module attached to each (f, lambda) over Q in a rational gauge,
 which the module keeps, and verifies the defining relations and rational
 identities exactly.  The module keeps dense Fraction matrices;
 generator_matrix converts each generator once to integer sparse rows over
-one denominator, word_product multiplies those rows and their denominators,
-and each relation's terms are summed over the lcm of their denominators
-into one integer residual, so the check touches nonzero entries only and
-normalises no Fraction per entry.  A Fraction is made again only for a
-failing relation's residual.  Cellular word evaluation uses the same two.
+one denominator (X_i^a from integer powers of each content's numerator and
+denominator).  word_product multiplies a word's rows left to right and its
+denominators together; a diagonal factor scales the columns of the product
+so far.  word_sum is the one kernel for a sum of c·word terms: it fixes the
+lcm L of the terms' denominators before any product is formed, multiplies
+each word's prefix, and multiplies the last factor straight into integer
+accumulator rows scaled by c's numerator times L over the term's
+denominator.  A relation's residual is one such sum, so the check touches
+nonzero entries only and normalises no Fraction per entry; a Fraction is
+made again only for a failing relation's residual.  Cellular word
+evaluation uses word_product, and its row-stabilizer sums word_sum.
 
 The identity suite keys each check by the window of the walk it reads (a
 shape, a shape and the step out of it, or shape(k-1) and steps k..k+2, or
@@ -34,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
-from .matrices import combine, int_rows, mat_diag, mat_mul, mat_zero, sparse, sparse_diag
+from .matrices import int_rows, mat_diag, mat_mul, mat_zero, sparse
 from .params import GroundParams, wtilde_rational
 from .scalars import LaurentPoly, RatFunc, expand_series
 # bound only because bench/tracer.py patches them here (ROADMAP item 1)
@@ -455,16 +461,51 @@ def generator_matrix(tok: tuple, matX: list, matT: list, matE: list, delta) -> t
         raise ValueError(f"token index {i} out of range for {len(matX)} strands")
     m = mats[i - 1]
     if kind == "X":
-        return int_rows(sparse_diag([m[j][j] ** e for j in range(len(m))]))
+        # (p/q)^e = p^e/q^e and (p/q)^-e = q^e/p^e, both in lowest terms; a
+        # negative q^e leaves den = lcm(...) positive, and den // q^e carries
+        # its sign to the numerator
+        pairs = [(m[j][j].numerator, m[j][j].denominator) for j in range(len(m))]
+        if e < 0:
+            e = -e
+            pairs = [(q, p) for p, q in pairs]
+        pairs = [(p ** e, q ** e) for p, q in pairs]
+        den = lcm(*(q for _, q in pairs))
+        return [{j: p * (den // q)} if p else {} for j, (p, q) in enumerate(pairs)], den
     out = int_rows(sparse(m))
     if kind == "T" and e != 1:
-        out = combine([(1, out), (-delta, _identity(len(m))),
-                       (delta, int_rows(sparse(matE[i - 1])))], len(m))
+        tokens = {tok: out, ("E", i, 1): int_rows(sparse(matE[i - 1]))}
+        out = word_sum([(1, (tok,)), (-delta, ()), (delta, (("E", i, 1),))],
+                       tokens.__getitem__, len(m))
     return out
 
 
-def _identity(dim: int) -> tuple:
-    return [{i: 1} for i in range(dim)], 1
+def _diagonal(rows: list) -> list | None:
+    """The diagonal entries of sparse rows that hold nothing off the
+    diagonal (0 where a row is empty), else None.
+    """
+    diag = []
+    for i, row in enumerate(rows):
+        if not row:
+            diag.append(0)
+        elif len(row) == 1 and i in row:
+            diag.append(row[i])
+        else:
+            return None
+    return diag
+
+
+def _product(factors: list) -> list:
+    """Left-to-right product of a nonempty list of int rows; a diagonal
+    factor after the first scales the columns of the product so far.
+    """
+    out = factors[0]
+    for rows in factors[1:]:
+        diag = _diagonal(rows)
+        if diag is None:
+            out = mat_mul(out, rows)
+        else:
+            out = [{j: x * diag[j] for j, x in row.items() if diag[j]} for row in out]
+    return out
 
 
 def word_product(word, matrix_of, dim: int) -> tuple:
@@ -472,45 +513,87 @@ def word_product(word, matrix_of, dim: int) -> tuple:
     word, the identity of size dim when no factor is left; X_i^0 is 1 and is
     skipped.
 
-    A one-factor word yields matrix_of's pair itself, so callers must not
-    mutate the result.
+    A one-factor word shares matrix_of's rows, so callers must not mutate
+    the result.
     """
-    out = None
-    for tok in word:
-        if tok[0] == "X" and tok[2] == 0:
+    mats = [matrix_of(tok) for tok in word if tok[0] != "X" or tok[2]]
+    if not mats:
+        return [{i: 1} for i in range(dim)], 1
+    return _product([rows for rows, _ in mats]), prod(den for _, den in mats)
+
+
+def word_sum(terms, matrix_of, dim: int) -> tuple:
+    """(int rows, L) of the sum of c·word over the terms (c, word), each word
+    a product of matrix_of(token) pairs as in word_product; terms with c == 0
+    are skipped.
+
+    L is the lcm over the terms of c.denominator times the product of the
+    word's token denominators, fixed before any product is formed.  Each
+    word's prefix (every factor but the last) is multiplied left to right,
+    a diagonal factor applied as a column scaling, and the last factor is
+    multiplied straight into the accumulator rows, scaled by
+    c.numerator·L/d for the term's denominator d; entries that cancel are
+    dropped.
+    """
+    plan = []
+    total = 1
+    for c, word in terms:
+        if not c:
             continue
-        m = matrix_of(tok)
-        out = m if out is None else (mat_mul(out[0], m[0]), out[1] * m[1])
-    return _identity(dim) if out is None else out
+        d = c.denominator
+        factors = []
+        for tok in word:
+            if tok[0] != "X" or tok[2]:
+                rows, den = matrix_of(tok)
+                factors.append(rows)
+                d *= den
+        total = lcm(total, d)
+        plan.append((c.numerator, d, factors))
+    identity = [{i: 1} for i in range(dim)]
+    acc: list = [{} for _ in range(dim)]
+    for num, d, factors in plan:
+        s = num * (total // d)
+        last = factors[-1] if factors else identity
+        prefix = _product(factors[:-1]) if len(factors) > 1 else identity
+        for acc_row, row in zip(acc, prefix):
+            for k, x in row.items():
+                x *= s
+                for j, y in last[k].items():
+                    if j in acc_row:
+                        y = acc_row[j] + x * y
+                        if y:
+                            acc_row[j] = y
+                        else:
+                            del acc_row[j]
+                    else:
+                        acc_row[j] = x * y
+    return acc, total
 
 
 def _check_relations(relations: list, matX: list, matT: list, matE: list, delta) -> dict:
     """Evaluate every relation on the given dense generator matrices.
 
-    Each generator is converted to int rows over one denominator once per
-    call, and the terms c·word of a relation are summed over the lcm of
-    their denominators, so a relation holds exactly when no integer residual
-    entry is left.  Returns name -> None when every instance vanishes, else
-    the first failing instance as {"instance": its position among the name's
-    instances in table order, "k": its step (None for a relation that has
-    none), "entry": (i, j) the first nonzero residual entry in row-major
-    order, "residual": its value as a Fraction}.
+    Every generator the table names is converted to int rows over one
+    denominator once per call, and each relation's terms c·word are summed
+    by word_sum into one
+    integer residual over the lcm of their denominators, so a relation holds
+    exactly when no residual entry is left.  Returns name -> None when every
+    instance vanishes, else the first failing instance as {"instance": its
+    position among the name's instances in table order, "k": its step (None
+    for a relation that has none), "entry": (i, j) the first nonzero
+    residual entry in row-major order, "residual": its value as a Fraction}.
     """
     dim = len(matX[0])
-    gens: dict = {}
-
-    def generator(tok):
-        if tok not in gens:
-            gens[tok] = generator_matrix(tok, matX, matT, matE, delta)
-        return gens[tok]
+    tokens = {tok for _, _, terms in relations for _, word in terms for tok in word
+              if tok[0] != "X" or tok[2]}
+    gens = {tok: generator_matrix(tok, matX, matT, matE, delta) for tok in tokens}
 
     merged: dict = {}
     instances: dict = {}
     for name, k, terms in relations:
         instance = instances.get(name, 0)
         instances[name] = instance + 1
-        residual, den = combine(((c, word_product(word, generator, dim))
-                                 for c, word in terms), dim)
+        residual, den = word_sum(terms, gens.__getitem__, dim)
         if merged.get(name) is None:
             i = next((i for i, row in enumerate(residual) if row), None)
             if i is None:
@@ -522,17 +605,26 @@ def _check_relations(relations: list, matX: list, matT: list, matE: list, delta)
     return merged
 
 
-def verify_relations(module: SeminormalModule) -> dict:
+def relation_table(n: int, params: GroundParams) -> list:
+    """The defining relations and the X-shift identities on n strands with
+    the ground data's rho and moments, the table verify_relations checks.
+    """
+    return (defining_relations(n, params, params.rho, params.omega)
+            + x_shift_relations(n, params, params.rho))
+
+
+def verify_relations(module: SeminormalModule, relations: list | None = None) -> dict:
     """Check the defining relations and the X-shift identities on the
-    module's matrices.
+    module's matrices; relations is relation_table(module.n, module.params),
+    built here when not given.
 
     Every residual entry must vanish identically, so every width is 0.  A
     failing relation also reports its first failing instance, entry and
     residual value (see _check_relations).
     """
     p = module.params
-    relations = (defining_relations(module.n, p, p.rho, p.omega)
-                 + x_shift_relations(module.n, p, p.rho))
+    if relations is None:
+        relations = relation_table(module.n, p)
     merged = _check_relations(relations, module.matX, module.matT, module.matE, p.delta)
     report = []
     for name, failure in sorted(merged.items()):

@@ -344,16 +344,21 @@ def std_tableaux(lam: RPartition) -> list[StdTableau]:
     increasing along rows and columns within each component.
     """
     m = rp_size(lam)
+    # the fillings of each sub-shape, built once per call
+    seen: dict = {}
 
     def build(shape: RPartition, entry: int) -> list[StdTableau]:
         if entry == 0:
             return [tuple(() for _ in shape)]
+        if shape in seen:
+            return seen[shape]
         out = []
         _, removable = addable_removable(shape)
         for node in removable:
             smaller = rp_remove(shape, node)
             for t in build(smaller, entry - 1):
                 out.append(_tab_add(t, smaller, node, entry))
+        seen[shape] = out
         return out
 
     if m == 0:

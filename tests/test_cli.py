@@ -130,6 +130,35 @@ class TestCommands:
         assert out.strip() == "[]"
 
 
+class TestRunsInOneProcess:
+    # run builds its parser once per process; back-to-back runs must print
+    # exactly what fresh interpreters print
+    SEQUENCES = [
+        [["tabs", "--r", "3", "--n", "2", "--list"], ["tabs", "--r", "3", "--n", "2"]],
+        [["basis", "--r", "3", "--n", "2", "--format", "csv"], ["basis", "--r", "3", "--n", "2"]],
+        [["rep", "--r", "2"], ["params", "--r", "3"]],
+    ]
+
+    @staticmethod
+    def fresh(argv):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        # bytes, so that the CSV's \r\n line ends are compared as written
+        done = subprocess.run([sys.executable, "-m", "cycbmw.cli", *argv], env=env,
+                              capture_output=True)
+        return done.returncode, done.stdout.decode(), done.stderr.decode()
+
+    @pytest.mark.parametrize("sequence", SEQUENCES, ids=lambda seq: seq[0][0])
+    def test_back_to_back_runs_match_fresh_interpreters(self, capsys, sequence):
+        for argv in sequence:
+            try:
+                code = run(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == self.fresh(argv), argv
+
+
 class TestOutputs:
     def test_csv_format(self, capsys):
         code, out = run_cli(capsys, "tabs", "--r", "1", "--n", "4", "--format", "csv")

@@ -6,7 +6,9 @@ A usage error prints no JSON and pins ``None``.  ``rank`` at (3, 3) is D=405
 and is left to the ``BMW_EXTENDED`` run.  ``LARGE`` adds ``identities`` and
 ``omega`` at the sizes where most of their exact arithmetic is repeated
 across walks, and ``params`` and ``br2`` at r=5, where the Q_a coefficients
-of the omega family run to the highest a.
+of the omega family run to the highest a.  It also adds ``rep`` at (1, 4),
+which the benchmark's relation workload runs and the grid does not reach,
+and at (3, 1), where no relation has a step.
 
 Print the table for the current tree with
 ``PYTHONPATH=src python3 tests/test_cli_golden.py``.
@@ -24,7 +26,7 @@ from cycbmw.cli import run
 COMMANDS = ("params", "tabs", "rep", "identities", "omega", "br2", "basis",
             "rank", "gram", "classify")
 LARGE = (("identities", 3, 4), ("identities", 5, 3), ("omega", 1, 4),
-         ("params", 5, 2), ("br2", 5, 2))
+         ("params", 5, 2), ("br2", 5, 2), ("rep", 1, 4), ("rep", 3, 1))
 
 
 def _grid():
@@ -235,6 +237,14 @@ GOLDEN = {
         (0, "e17eba4ed1e974de0a8c8900bb8254d3ef5afc5140fa408875080f5393eae956"),
     "br2 --r 5 --n 2 --seed 7":
         (0, "e17eba4ed1e974de0a8c8900bb8254d3ef5afc5140fa408875080f5393eae956"),
+    "rep --r 1 --n 4 --seed 0":
+        (0, "073bd23cb766332d7c6dc4e9c9cc5d78474784784bcc717969e0cf520d12ee68"),
+    "rep --r 1 --n 4 --seed 7":
+        (0, "073bd23cb766332d7c6dc4e9c9cc5d78474784784bcc717969e0cf520d12ee68"),
+    "rep --r 3 --n 1 --seed 0":
+        (0, "2524b8301ad8665ba746a46e202455ca2adb1721a421132d425e5a50b28418f9"),
+    "rep --r 3 --n 1 --seed 7":
+        (0, "2524b8301ad8665ba746a46e202455ca2adb1721a421132d425e5a50b28418f9"),
 }
 
 

@@ -2,23 +2,21 @@ import copy
 from fractions import Fraction as F
 from math import lcm, prod
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycbmw import cellular
 from cycbmw.cellular import build_rep, cell_word, delta_index, eval_word_blocks, rank_certify
-from cycbmw.matrices import (
-    combine,
-    dense,
-    frac_rows,
-    int_rows,
-    mat_acc,
-    mat_mul,
-    sparse,
-    sparse_diag,
-)
+from cycbmw.matrices import dense, frac_rows, int_rows, mat_diag, mat_mul, sparse, sparse_diag
 from cycbmw.params import generic_specialization
-from cycbmw.seminormal import build_module, verify_relations, word_product
+from cycbmw.seminormal import (
+    build_module,
+    generator_matrix,
+    verify_relations,
+    word_product,
+    word_sum,
+)
 from cycbmw.tableaux import rp_empty, shapes_with_f
 
 NONZERO = st.one_of(
@@ -126,25 +124,34 @@ class TestMatMul:
         assert (a, b) == (a0, b0)
 
 
+def pair_terms(*terms):
+    """(terms, matrix_of) for word_sum over one-token words: each (c, pair)
+    becomes (c, (token,)) with matrix_of(token) == pair.
+    """
+    pairs = [pair for _, pair in terms]
+    return [(c, (("M", i, 1),)) for i, (c, _) in enumerate(terms)], lambda tok: pairs[tok[1]]
+
+
 class TestMatAcc:
+    """Accumulating c·a into a sum, as word_sum does for every term."""
+
     @given(sum_pair(), SPARSE)
     @settings(max_examples=200, deadline=None)
     def test_matches_dense_reference(self, pair, c):
         a, b = pair
-        acc, addend = sparse(a), sparse(b)
-        before = copy.deepcopy(addend)
-        mat_acc(acc, c, addend)
-        assert no_zero_stored(acc)
-        assert addend == before
+        pa, pb = int_rows(sparse(a)), int_rows(sparse(b))
+        before = copy.deepcopy(pb)
+        rows, total = word_sum(*pair_terms((1, pa), (c, pb)), len(a))
+        assert no_zero_stored(rows)
+        assert pb == before
         expected = [[x + c * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-        assert dense(acc, len(a[0])) == expected
+        assert dense(frac_rows(rows, total), len(a[0])) == expected
 
     def test_cancelling_sum_stores_no_zero(self):
-        acc = sparse([[1, F(2)], [0, 5]])
-        mat_acc(acc, -1, sparse([[1, F(2)], [0, 0]]))
-        assert acc == [{}, {1: 5}]
-        mat_acc(acc, F(1, 5), sparse([[0, 0], [0, -25]]))
-        assert acc == [{}, {}]
+        a, b = int_rows(sparse([[1, F(2)], [0, 5]])), int_rows(sparse([[1, F(2)], [0, 0]]))
+        assert word_sum(*pair_terms((1, a), (-1, b)), 2) == ([{}, {1: 5}], 1)
+        c = int_rows(sparse([[0, 0], [0, -25]]))
+        assert word_sum(*pair_terms((1, a), (-1, b), (F(1, 5), c)), 2) == ([{}, {}], 5)
 
 
 class TestIntRows:
@@ -174,11 +181,12 @@ class TestIntRows:
     @given(sum_pair(), NONZERO, NONZERO)
     @settings(max_examples=100, deadline=None)
     def test_combine_matches_dense_reference(self, pair, c, d):
-        # read from a generator, and rescaled when a later term grows the lcm
+        # word_sum reads its terms from a generator and fixes the lcm of
+        # their denominators before it sums them
         a, b = pair
         pa, pb = int_rows(sparse(a)), int_rows(sparse(b))
-        rows, total = combine(((x, p) for x, p in [(c, pa), (d, pb), (F(1, 13), pa)]),
-                              len(a))
+        terms, matrix_of = pair_terms((c, pa), (d, pb), (F(1, 13), pa))
+        rows, total = word_sum((t for t in terms), matrix_of, len(a))
         assert integer_pair((rows, total)) and no_zero_stored(rows)
         assert total == lcm(F(c).denominator * pa[1], F(d).denominator * pb[1], 13 * pa[1])
         expected = [[(c + F(1, 13)) * x + d * y for x, y in zip(ra, rb)]
@@ -190,7 +198,7 @@ class TestIntRows:
     def test_combine_cancelling_terms_leave_empty_rows(self, pair, c):
         a, b = pair
         pa, pb = int_rows(sparse(a)), int_rows(sparse(b))
-        rows, _ = combine([(c, pa), (1, pb), (-1, pb), (-c, pa)], len(a))
+        rows, _ = word_sum(*pair_terms((c, pa), (1, pb), (-1, pb), (-c, pa)), len(a))
         assert rows == [{} for _ in a]
 
     @given(sum_pair(), NONZERO)
@@ -200,12 +208,13 @@ class TestIntRows:
         a, b = pair
         pa, pb = int_rows(sparse(a)), int_rows(sparse(b))
         odd = ([{0: 1}] + [{} for _ in a[1:]], 11)
-        rows, total = combine([(0, odd), (c, pa), (F(0), pb)], len(a))
+        rows, total = word_sum(*pair_terms((0, odd), (c, pa), (F(0), pb)), len(a))
         assert total == F(c).denominator * pa[1]
         assert dense(frac_rows(rows, total), len(a[0])) == [[c * x for x in row] for row in a]
 
     def test_combine_of_no_terms_is_zero(self):
-        assert combine([(0, ([{0: 3}], 2))], 1) == ([{}], 1)
+        assert word_sum(*pair_terms((0, ([{0: 3}], 2))), 1) == ([{}], 1)
+        assert word_sum([], None, 2) == ([{}, {}], 1)
 
     def test_token_matrices_are_integer_pairs(self):
         # relation generators and cell-word tokens carry no Fraction entries
@@ -217,6 +226,120 @@ class TestIntRows:
                 eval_word_blocks(cell_word(f, lam, left, idx[-1], n, r), rep)
         for _, _, m in rep.blocks:
             assert m._word_cache and all(map(integer_pair, m._word_cache.values()))
+
+
+COEFFS = st.one_of(st.just(0), st.just(F(0)), NONZERO)
+
+
+@st.composite
+def word_terms(draw):
+    """(dim, dense token matrices, terms) over a vocabulary of dense tokens
+    ("M", i, 1) and diagonal tokens ("D", i, 1); words may hold X_i^0, which
+    is skipped, and may be empty (the identity).
+    """
+    dim = draw(st.integers(1, 4))
+    dense_tokens = draw(st.lists(matrix(dim, dim), min_size=1, max_size=3))
+    diagonals = draw(st.lists(st.lists(SPARSE, min_size=dim, max_size=dim),
+                              min_size=1, max_size=3))
+    mats = {("M", i, 1): m for i, m in enumerate(dense_tokens)}
+    for i, entries in enumerate(diagonals):
+        mats[("D", i, 1)] = [[x if j == k else F(0) for k in range(dim)]
+                             for j, x in enumerate(entries)]
+    vocab = sorted(mats) + [("X", 1, 0)]
+    terms = draw(st.lists(
+        st.tuples(COEFFS, st.lists(st.sampled_from(vocab), max_size=4).map(tuple)),
+        min_size=1, max_size=5))
+    return dim, mats, terms
+
+
+def dense_word_sum(dim, mats, terms):
+    """Reference: every word multiplied out densely in Fractions."""
+    identity = [[F(int(i == j)) for j in range(dim)] for i in range(dim)]
+    total = [[F(0)] * dim for _ in range(dim)]
+    for c, word in terms:
+        product = identity
+        for tok in word:
+            if tok[0] != "X":
+                product = dense_mul(product, mats[tok])
+        total = [[x + c * y for x, y in zip(rt, rp)] for rt, rp in zip(total, product)]
+    return total
+
+
+class TestWordSum:
+    @given(word_terms())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_reference(self, drawn):
+        dim, mats, terms = drawn
+        pairs = {tok: int_rows(sparse(m)) for tok, m in mats.items()}
+        before = copy.deepcopy(pairs)
+        rows, total = word_sum(terms, pairs.__getitem__, dim)
+        assert integer_pair((rows, total)) and no_zero_stored(rows)
+        assert total == lcm(*(F(c).denominator
+                              * prod(pairs[tok][1] for tok in word if tok[0] != "X")
+                              for c, word in terms if c))
+        assert dense(frac_rows(rows, total), dim) == dense_word_sum(dim, mats, terms)
+        assert pairs == before
+
+    @given(word_terms())
+    @settings(max_examples=100, deadline=None)
+    def test_cancelling_terms_leave_empty_rows(self, drawn):
+        dim, mats, terms = drawn
+        pairs = {tok: int_rows(sparse(m)) for tok, m in mats.items()}
+        negated = [(-c, word) for c, word in reversed(terms)]
+        rows, _ = word_sum(terms + negated, pairs.__getitem__, dim)
+        assert rows == [{} for _ in range(dim)]
+
+    def test_identity_and_skipped_tokens(self):
+        # () and (X_1^0,) are both the identity; a zero coefficient is
+        # skipped even when its word names no known token
+        x2 = ([{0: 3}, {1: -1}], 2)
+        rows, total = word_sum([(F(1, 3), ()), (1, (("X", 1, 0),)), (0, (("?", 0, 1),)),
+                                (-2, (("D", 0, 1), ("X", 2, 0), ("D", 0, 1)))],
+                               {("D", 0, 1): x2}.__getitem__, 2)
+        # 4/3 - 2·diag(9/4, 1/4) = diag(-19/6, 5/6) over L = lcm(3, 1, 2·2),
+        # which is not reduced
+        assert (rows, total) == ([{0: -38}, {1: 10}], 12)
+
+    def test_dim_one(self):
+        rows, total = word_sum([(F(1, 2), (("M", 0, 1), ("M", 0, 1))), (-1, ())],
+                               {("M", 0, 1): ([{0: 2}], 1)}.__getitem__, 1)
+        # (1/2)·2·2 - 1 = 2/2
+        assert (rows, total) == ([{0: 2}], 2)
+        assert word_sum([(2, ()), (-2, ())], None, 1) == ([{}], 1)
+
+    @given(chain(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_word_product_with_diagonal_factors(self, mats, data):
+        # diagonal factors, zero entries included, are applied as column
+        # scalings; the product still matches the dense one
+        square = [len(a[0]) for a in mats]
+        for i in range(1, len(mats)):
+            if data.draw(st.booleans()):
+                n = square[i - 1]
+                entries = data.draw(st.lists(SPARSE, min_size=n, max_size=n))
+                mats.insert(i, [[x if j == k else F(0) for k in range(n)]
+                                for j, x in enumerate(entries)])
+                square.insert(i, n)
+        pairs = [int_rows(sparse(a)) for a in mats]
+        word = tuple(("M", i, 1) for i in range(len(mats)))
+        rows, den = word_product(word, lambda tok: pairs[tok[1]], len(mats[0]))
+        assert integer_pair((rows, den)) and no_zero_stored(rows)
+        expected = mats[0]
+        for b in mats[1:]:
+            expected = dense_mul(expected, b)
+        assert dense(frac_rows(rows, den), len(mats[-1][0])) == expected
+
+
+class TestGeneratorMatrix:
+    @pytest.mark.parametrize("e", [-3, -2, -1, 0, 1, 2, 3])
+    def test_x_powers_match_fraction_powers(self, e):
+        # contents of either sign, with the sign of a negative power moved to
+        # the numerator so that the denominator stays positive
+        entries = [F(-2, 3), F(5, 7), F(-1), F(4), F(1, -6)]
+        rows, den = generator_matrix(("X", 1, e), [mat_diag(entries)], [], [], F(1))
+        assert integer_pair((rows, den)) and no_zero_stored(rows)
+        assert den == lcm(*((x ** e).denominator for x in entries))
+        assert frac_rows(rows, den) == [{i: x ** e} for i, x in enumerate(entries)]
 
 
 class TestCachesNotMutated:

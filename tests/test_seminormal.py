@@ -23,6 +23,7 @@ from cycbmw.seminormal import (
     det_Ad_brute,
     identity_suite,
     omega_k_table,
+    relation_table,
     verify_relations,
     x_shift_relations,
 )
@@ -368,6 +369,89 @@ class TestRelations:
         for name in ("braid", "e-e-braid", "e-sandwich"):
             assert steps.pop(name) == {1}
         assert all(ks == {1, 2} for ks in steps.values()), steps
+
+
+def dense_residual(terms, m, delta):
+    """Sum of c·word over the terms, every word multiplied out densely in
+    Fractions from the module's dense matrices: X_i^a from the diagonal of
+    X_i, T_k^{-1} as T_k - delta + delta E_k.
+    """
+    d = m.dim
+    identity = [[F(int(i == j)) for j in range(d)] for i in range(d)]
+
+    def token(tok):
+        kind, i, e = tok
+        if kind == "X":
+            return [[m.matX[i - 1][j][j] ** e if j == l else F(0) for l in range(d)]
+                    for j in range(d)]
+        mat = (m.matT if kind == "T" else m.matE)[i - 1]
+        if e == 1:
+            return mat
+        E = m.matE[i - 1]
+        return [[x - delta * one + delta * y for x, one, y in zip(rt, ri, re)]
+                for rt, ri, re in zip(mat, identity, E)]
+
+    total = [[F(0)] * d for _ in range(d)]
+    for c, word in terms:
+        product = identity
+        for tok in word:
+            b = token(tok)
+            product = [[sum((row[l] * b[l][j] for l in range(d)), F(0)) for j in range(d)]
+                       for row in product]
+        total = [[x + c * y for x, y in zip(rt, rp)] for rt, rp in zip(total, product)]
+    return total
+
+
+def oracle_failures(m, p) -> set:
+    """Check the module's relation report against the dense oracle: every
+    failing relation's first failing instance, its step, first nonzero entry
+    in row-major order and residual.  Returns the failing names.
+    """
+    table = relation_table(m.n, p)
+    report = {x["name"]: x for x in verify_relations(m, table)["relations"]}
+    failing = {name for name, x in report.items() if not x["pass"]}
+    instances: dict = {}
+    expected: dict = {}
+    for name, k, terms in table:
+        instance = instances.get(name, 0)
+        instances[name] = instance + 1
+        if name not in failing or name in expected:
+            continue
+        residual = dense_residual(terms, m, p.delta)
+        entry = next(((a, b) for a in range(m.dim) for b in range(m.dim)
+                      if residual[a][b]), None)
+        if entry is not None:
+            expected[name] = {"instance": instance, "k": k, "entry": entry,
+                              "residual": residual[entry[0]][entry[1]]}
+    for name in failing:
+        got = {key: report[name][key] for key in ("instance", "k", "entry", "residual")}
+        assert got == expected[name], name
+    return failing
+
+
+class TestFailureReports:
+    def test_perturbed_t2_and_e1(self):
+        p = generic_specialization(3, 3)
+        m = build_module(((1,), (), ()), 1, p)
+        T2, E1 = m.matT[1], m.matE[0]
+        i, j = next((i, j) for i in range(m.dim) for j in range(m.dim) if i != j and T2[i][j])
+        T2[i][j] += F(1, 7)
+        i, j = next((i, j) for i in range(m.dim) for j in range(m.dim) if E1[i][j])
+        E1[i][j] -= F(2, 3)
+        failing = oracle_failures(m, p)
+        # the x-shift words with X^{-a}, T^{-1}, E_1 X_1^a E_1 and the braid
+        assert {"x-shift-4", "x-shift-5", "x-shift-6", "t-inverse", "e-x-e",
+                "braid"} <= failing
+
+    def test_perturbed_x2(self):
+        # the integer powers X_2^{+-a} follow a perturbed diagonal of X_2, so
+        # X_2 X_2^{-1} = 1 still holds while the x-shift words fail
+        p = generic_specialization(3, 3)
+        m = build_module(((1,), (), ()), 1, p)
+        m.matX[1][0][0] *= 3
+        failing = oracle_failures(m, p)
+        assert {"x-shift-4", "x-shift-5"} <= failing
+        assert "x-inverse" not in failing
 
 
 class TestOmegaTable:

@@ -1,3 +1,4 @@
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -290,6 +291,31 @@ class TestStdTableaux:
         lam = ((2, 1), (1,), ())
         assert superstandard(lam) in std_tableaux(lam)
         assert tableau_permutation(superstandard(lam)) == (1, 2, 3, 4)
+
+
+    @pytest.mark.parametrize("lam", [((2, 1), (1,), ()), ((2,), (1, 1), (1,)),
+                                     ((3, 1), (1,)), ((1,), (2, 1), (1,))])
+    def test_matches_brute_force(self, lam):
+        # every placement of 1..m into the boxes, kept when rows and columns
+        # increase in each component, as one sorted list
+        boxes = [(c, i, j) for c, comp in enumerate(lam)
+                 for i, part in enumerate(comp) for j in range(part)]
+        expected = []
+        for perm in permutations(range(1, len(boxes) + 1)):
+            at = dict(zip(boxes, perm))
+            if all(at[(c, i, j)] < at.get((c, i, j + 1), 99)
+                   and at[(c, i, j)] < at.get((c, i + 1, j), 99) for c, i, j in boxes):
+                expected.append(tuple(
+                    tuple(tuple(at[(c, i, j)] for j in range(part))
+                          for i, part in enumerate(comp))
+                    for c, comp in enumerate(lam)))
+        assert std_tableaux(lam) == sorted(expected)
+
+    def test_no_state_between_calls(self):
+        lam = ((2, 1), (1,), ())
+        first = std_tableaux(lam)
+        first.clear()
+        assert len(std_tableaux(lam)) == 8
 
 
 class TestPermutationWords:
