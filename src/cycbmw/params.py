@@ -118,13 +118,11 @@ class GroundParams:
         self.rho = 1 / self.rho_inv
         self.sym = SymCache(self.u)
         self._omega: dict[int, object] = {}
-        # memos of seminormal._w_shape, seminormal._residue_parts,
-        # seminormal._e_diag_value, the integer series of
-        # seminormal.omega_k_table, tableaux.content and the window-keyed
-        # results of seminormal.identity_suite
-        self._w_shape_cache: dict = {}
-        self._residue_cache: dict = {}
-        self._e_diag_cache: dict = {}
+        # memos of the per-shape residue records (seminormal.ShapeResidues:
+        # flank steps, W, W/y's Horner parts and the diagonal residues), the
+        # integer series of seminormal.omega_k_table, tableaux.content and
+        # the window-keyed results of seminormal.identity_suite
+        self._shape_cache: dict = {}
         self._series_cache: dict = {}
         self._content_cache: dict = {}
         self._identity_cache: dict = {}

@@ -54,6 +54,13 @@ class LaurentPoly:
     def y() -> "LaurentPoly":
         return _poly({1: 1}, 1)
 
+    @staticmethod
+    def from_ints(coeffs: list[int], den: int = 1) -> "LaurentPoly":
+        """The polynomial sum_e coeffs[e] y^e / den for integers, den != 0."""
+        if den < 0:
+            coeffs, den = [-c for c in coeffs], -den
+        return _poly({e: c for e, c in enumerate(coeffs) if c}, den)
+
     @property
     def terms(self) -> dict[int, Fraction]:
         """The coefficients as {exponent: Fraction}."""
@@ -135,13 +142,18 @@ class LaurentPoly:
         return _poly({e - 1: c * e for e, c in self.nums.items() if e}, self.den)
 
     def evaluate(self, x: Fraction) -> Fraction:
-        """Value at y = x, by Horner's rule on integers: with x = p/q and
-        exponents lo..hi, sum c_e p^(e-lo) q^(hi-e) times p^lo / (q^hi den).
+        """Value at y = x as a Fraction (see value_pair)."""
+        x = Fraction(x)
+        return Fraction(*self.value_pair(x.numerator, x.denominator))
+
+    def value_pair(self, p: int, q: int) -> tuple:
+        """Value at y = p/q (q != 0, p != 0 when an exponent is negative) as
+        an unreduced integer pair (num, den), den != 0 of either sign, by
+        Horner's rule on integers: with exponents lo..hi, sum c_e p^(e-lo)
+        q^(hi-e) times p^lo / (q^hi den).
         """
         if not self.nums:
-            return Fraction(0)
-        x = Fraction(x)
-        p, q = x.numerator, x.denominator
+            return 0, 1
         lo, hi = min(self.nums), max(self.nums)
         acc, qpow = 0, 1
         for e in range(hi, lo - 1, -1):
@@ -156,7 +168,7 @@ class LaurentPoly:
             den *= q ** hi
         else:
             acc *= q ** -hi
-        return Fraction(acc, den)
+        return acc, den
 
     def __str__(self):
         if not self.nums:

@@ -24,14 +24,22 @@ steps k and k+1), evaluates it once per window in
 GroundParams._identity_cache and replays the result for every (s, k) that
 shows the window.
 
-W_k(y,s) and each content factor are built as one quotient of Laurent
-polynomial products.  A diagonal residue multiplies its product form on
-integer numerators and denominators into one Fraction and is cross-checked
-by three Horner evaluations of W/y's numerator, denominator and the
-denominator's derivative, kept per shape.  The eigenvalue table runs on
-truncated integer series at infinity: every series it expands is expanded
-once per parameter family, and route one's series of each distinct step
-prefix is its parent prefix's series times one content factor's series.
+The residue layer is one record per shape, ShapeResidues, kept in
+GroundParams._shape_cache: the flank steps (the steps that leave the shape
+and come back), each content also as an integer pair (p, q), W_k(y,s) built
+by _w_shape as one quotient of integer polynomials, the Horner parts of W/y
+and the diagonal residues asked for so far.  A diagonal residue takes its
+product form and the residue of W/y at its pole (three Horner evaluations)
+on integers, compares the two by cross-multiplication and makes one
+Fraction; a/b coefficients are one Fraction each from integer formulas.
+The identities that read residues or b^2 (partial fractions, the neighbor
+sums, b-squared-form, swap-symmetry, e-reciprocal, b-e-transport) sum each
+side over one integer denominator and compare cross-multiplied.
+
+The eigenvalue table runs on truncated integer series at infinity: every
+series it expands is expanded once per parameter family, and route one's
+series of each distinct step prefix is its parent prefix's series times one
+content factor's series.
 """
 
 from __future__ import annotations
@@ -59,21 +67,44 @@ from .tableaux import (
 )
 
 
-def _flank_steps(shape: RPartition, params: GroundParams) -> list:
-    """(step, content) for every step that leaves shape and comes back at the
-    next step (adding an addable node or removing a removable one), in the
-    order neighbors_k sorts the walks it returns.
+# -- the per-shape residue layer ---------------------------------------------
+
+
+@dataclass
+class ShapeResidues:
+    """The residue layer of one shape, kept in params._shape_cache.
+
+    steps lists (step, content) for every step that leaves the shape and
+    comes back at the next step (adding an addable node or removing a
+    removable one), in the order neighbors_k sorts the walks it returns;
+    pairs holds each of those contents as its integer pair (numerator,
+    denominator).  w is W_k(y,s) over the shape, built by _w_shape, and
+    horner the numerator, the denominator and the denominator's derivative
+    of the unreduced W/y, which the residue cross-check evaluates.
+    residues maps each flank content asked for so far to its E(c).
     """
+
+    steps: list
+    pairs: list
+    w: RatFunc
+    horner: tuple
+    residues: dict = field(default_factory=dict)
+
+
+def _flank_steps(shape: RPartition, params: GroundParams) -> list:
+    """(step, content) for every flank step of shape, in ShapeResidues order."""
     addable, removable = addable_removable(shape)
     steps = sorted([(1, nd) for nd in addable] + [(-1, nd) for nd in removable])
     return [(st, content(st[1], "add" if st[0] > 0 else "remove", params)) for st in steps]
 
 
-def _flank_contents(shape: RPartition, params: GroundParams) -> list:
-    """Contents of the addable (as added) and removable (as removed) nodes,
-    in _flank_steps order.
-    """
-    return [c for _, c in _flank_steps(shape, params)]
+def _times(f: list, g: list) -> list:
+    """Product of two integer polynomials, coefficients from y^0 up."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, z in enumerate(g):
+            out[i + j] += x * z
+    return out
 
 
 def _w_shape(shape: RPartition, params: GroundParams) -> RatFunc:
@@ -81,21 +112,41 @@ def _w_shape(shape: RPartition, params: GroundParams) -> RatFunc:
     with N = prod (y - 1/c) and D = prod (y - c) over the flank contents c,
     W = y^2/(y^2-1) - dr + (dr P + y/(y^2-1)) P N/D
       = [(y^2 - dr (y^2-1)) D + (dr P (y^2-1) + y) P N] / ((y^2-1) D).
+
+    On integers: with c = p/q, D = prod (q y - p)/prod q and
+    N = prod (p y - q)/prod p, and with dr = a/b and P = u/v the numerator
+    is [((b - a) y^2 + a) v^2 prod p · prod (q y - p)
+    + (a u y^2 + b v y - a u) u prod q · prod (p y - q)] / (b v^2 prod q prod p).
     """
-    cache = params._w_shape_cache
-    if shape in cache:
-        return cache[shape]
-    y = LaurentPoly.y()
-    y2m1 = y * y - 1
-    num = den = LaurentPoly.const(1)
-    for c in _flank_contents(shape, params):
-        num = num * (y - 1 / c)
-        den = den * (y - c)
+    d, n, qs, ps = [1], [1], 1, 1
+    for _, c in _flank_steps(shape, params):
+        p, q = c.numerator, c.denominator
+        d = _times(d, [-p, q])
+        n = _times(n, [-q, p])
+        qs *= q
+        ps *= p
     dr = params.delta_inv * params.rho
-    P = params.u_prod
-    w = RatFunc((y * y - dr * y2m1) * den + (dr * P * y2m1 + y) * P * num, y2m1 * den)
-    cache[shape] = w
-    return w
+    a, b = dr.numerator, dr.denominator
+    u, v = params.u_prod.numerator, params.u_prod.denominator
+    first = _times([a * v * v * ps, 0, (b - a) * v * v * ps], d)
+    second = _times([-a * u * u * qs, b * v * u * qs, a * u * u * qs], n)
+    num = [x + z for x, z in zip(first, second)]
+    return RatFunc(LaurentPoly.from_ints(num, b * v * v * qs * ps),
+                   LaurentPoly.from_ints(_times([-1, 0, 1], d), qs))
+
+
+def _shape_residues(shape: RPartition, params: GroundParams) -> ShapeResidues:
+    """The ShapeResidues of shape, built on first use."""
+    cache = params._shape_cache
+    record = cache.get(shape)
+    if record is None:
+        steps = _flank_steps(shape, params)
+        w = _w_shape(shape, params)
+        wy = w / RatFunc.y()
+        record = cache[shape] = ShapeResidues(
+            steps, [(c.numerator, c.denominator) for _, c in steps], w,
+            (wy.num, wy.den, wy.den.derivative()))
+    return record
 
 
 def W_rational(s: UpDownTableau, k: int, params: GroundParams) -> RatFunc:
@@ -107,59 +158,52 @@ def W_rational(s: UpDownTableau, k: int, params: GroundParams) -> RatFunc:
     return _w_shape(s.shape(k - 1), params)
 
 
-def _residue_parts(shape: RPartition, params: GroundParams) -> tuple:
-    """(numerator, denominator, derivative of the denominator) of the
-    unreduced W/y at one shape, kept in params._residue_cache.
-    """
-    cache = params._residue_cache
-    parts = cache.get(shape)
-    if parts is None:
-        wy = _w_shape(shape, params) / RatFunc.y()
-        parts = cache[shape] = (wy.num, wy.den, wy.den.derivative())
-    return parts
-
-
 def _e_diag_value(shape: RPartition, c, params: GroundParams):
     """Diagonal residue at content c over the given flanking shape.
 
-    Computed from the closed product form, whose factors
-    (c - 1/c_a)/(c - c_a) over the other flank contents c_a are multiplied
-    as integer numerators and denominators into one Fraction, and
-    cross-checked against the residue of W/y at the simple pole y=c: three
-    Horner evaluations of the shape's _residue_parts.
+    Computed on integers from the closed product form
+    rho^{-1}/c ((c - 1/c) delta^{-1} + alpha) prod (c - 1/c_a)/(c - c_a) over
+    the other flank contents c_a, and cross-checked against the residue of
+    W/y at the simple pole y=c: three Horner evaluations of the shape's
+    horner parts, compared by cross-multiplication.  One Fraction is made
+    per residue and kept in the shape's ShapeResidues.
     """
-    cache = params._e_diag_cache
-    key = (shape, c)
-    if key in cache:
-        return cache[key]
+    record = _shape_residues(shape, params)
+    value = record.residues.get(c)
+    if value is not None:
+        return value
     p, q = c.numerator, c.denominator
     num = den = 1
     skipped = 0
-    for ca in _flank_contents(shape, params):
-        if ca == c:
+    for pa, qa in record.pairs:
+        if pa == p and qa == q:
             skipped += 1
             continue
-        pa, qa = ca.numerator, ca.denominator
         num *= (p * pa - q * qa) * qa
         den *= (p * qa - q * pa) * pa
     if skipped != 1:
         raise ArithmeticError(
             f"content {c} matched {skipped} nodes of {shape}; parameters not generic"
         )
-    head = params.rho_inv / c * ((c - 1 / c) * params.delta_inv + params.alpha)
-    value = Fraction(head.numerator * num, head.denominator * den)
-    wy_num, wy_den, wy_dden = _residue_parts(shape, params)
-    if wy_den.evaluate(c) != 0:
+    # the head, with rho^{-1} = R/S and delta^{-1} = i/j:
+    # R ((p^2 - q^2) i + alpha p q j) / (S p^2 j)
+    rho_inv, delta_inv = params.rho_inv, params.delta_inv
+    i, j = delta_inv.numerator, delta_inv.denominator
+    num *= rho_inv.numerator * ((p * p - q * q) * i + params.alpha * p * q * j)
+    den *= rho_inv.denominator * p * p * j
+    wy_num, wy_den, wy_dden = record.horner
+    if wy_den.value_pair(p, q)[0]:
         raise ArithmeticError(f"no pole at y={c}")
-    dval = wy_dden.evaluate(c)
-    if dval == 0:
+    dn, dd = wy_dden.value_pair(p, q)
+    if not dn:
         raise ArithmeticError(f"pole at y={c} is not simple")
-    res = wy_num.evaluate(c) / dval
-    if res != value:
+    rn, rd = wy_num.value_pair(p, q)
+    if num * rd * dn != den * rn * dd:
         raise ArithmeticError(
-            f"residue {res} disagrees with product form {value} at c={c}"
+            f"residue {Fraction(rn * dd, rd * dn)} disagrees with product form "
+            f"{Fraction(num, den)} at c={c}"
         )
-    cache[key] = value
+    value = record.residues[c] = Fraction(num, den)
     return value
 
 
@@ -173,16 +217,21 @@ def E_diag(s: UpDownTableau, k: int, params: GroundParams):
 
 
 def ab_coeffs(s: UpDownTableau, k: int, params: GroundParams):
-    """Exact a_s(k) and b_s(k)^2 for a step pair with differing flanks."""
+    """Exact a_s(k) = delta c'/(c' - c) and b_s(k)^2 = 1 - a^2 + delta a for
+    a step pair with differing flanks, c and c' the contents of steps k and
+    k+1; on integers, one Fraction each.
+    """
     if not 1 <= k <= s.n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= n-1, got {k}")
     if s.shape(k - 1) == s.shape(k + 1):
         raise ValueError("a/b coefficients undefined when the flanking shapes coincide")
     ck = s.content(k, params)
     ck1 = s.content(k + 1, params)
-    a = params.delta * ck1 / (ck1 - ck)
-    bsq = 1 - a * a + params.delta * a
-    return a, bsq
+    dn, dd = params.delta.numerator, params.delta.denominator
+    p, q = ck.numerator, ck.denominator
+    p1, q1 = ck1.numerator, ck1.denominator
+    an, ad = dn * p1 * q, dd * (p1 * q - p * q1)
+    return Fraction(an, ad), Fraction(dd * (ad * ad - an * an) + dn * an * ad, dd * ad * ad)
 
 
 # -- module assembly -----------------------------------------------------------
@@ -781,44 +830,106 @@ def _memo(params: GroundParams, key: tuple, compute, *args):
     return value
 
 
+def _equal(lhs: tuple, rhs: tuple) -> bool:
+    """lhs == rhs for two integer pairs (numerator, denominator) of either
+    sign, by cross-multiplication; a zero denominator raises
+    ZeroDivisionError.
+    """
+    (a, b), (c, d) = lhs, rhs
+    if not b or not d:
+        raise ZeroDivisionError("zero denominator in an identity check")
+    return a * d == c * b
+
+
 def _partial_fractions(shape: RPartition, params: GroundParams) -> tuple:
     """([(c, E(c) != 0) per flank content c], W/y equals its partial-fraction
     expansion) at one shape.
+
+    The expansion is built on integers over one denominator: with the flank
+    contents c_a = p_a/q_a, Pi = prod (q_a y - p_a), E(c_a) = e_a/f_a and
+    F = lcm f_a, sum_a E(c_a)/(y - c_a) = sum_a e_a q_a (F/f_a) Pi_a / (F Pi),
+    each Pi_a = Pi/(q_a y - p_a) by exact synthetic division, and it is
+    compared with W/y by one cross-multiplication.
     """
-    y = RatFunc.y()
-    rhs = RatFunc.const(0)
-    nonzero = []
-    for ca in _flank_contents(shape, params):
-        ev = _e_diag_value(shape, ca, params)
-        nonzero.append((ca, ev != 0))
-        rhs = rhs + ev / (y - ca)
-    return nonzero, _w_shape(shape, params) / y == rhs
+    record = _shape_residues(shape, params)
+    pi = [1]  # coefficients from y^0 up
+    for p, q in record.pairs:
+        pi = [q * x - p * z for x, z in zip([0] + pi, pi + [0])]
+    residues = [_e_diag_value(shape, c, params) for _, c in record.steps]
+    den = lcm(*(e.denominator for e in residues))
+    rhs = [0] * (len(pi) - 1)
+    for (p, q), e in zip(record.pairs, residues):
+        scale = e.numerator * q * (den // e.denominator)
+        b = 0  # Pi_a from its top coefficient down
+        for k in range(len(pi) - 1, 0, -1):
+            b = (pi[k] + p * b) // q
+            rhs[k - 1] += scale * b
+    expansion = RatFunc(LaurentPoly.from_ints(rhs, den), LaurentPoly.from_ints(pi))
+    return ([(c, e != 0) for (_, c), e in zip(record.steps, residues)],
+            record.w / RatFunc.y() == expansion)
 
 
 def _neighbor_sums(shape: RPartition, cs, params: GroundParams) -> tuple:
     """The linear and the quadratic neighbor-sum identities at a step of
-    content cs out of shape whose next step returns to shape.
+    content cs out of shape whose next step returns to shape:
+    sum_t E(c_t)/(cs c_t - 1) = dr + 1/(cs^2 - 1) and
+    sum_t E(c_t)/(cs c_t - 1)^2
+      = (cs^2 + 1)/(cs^2 - 1)^2 - dr + (delta^{-2} - cs^2/(cs^2 - 1)^2)/E(cs)
+    over the flank contents c_t, with dr = delta^{-1} rho.
+
+    On integers: with cs = p/q and c_t = p_t/q_t the terms are
+    e q q_t/m_t and e (q q_t)^2/m_t^2, m_t = p p_t - q q_t, for E(c_t) = e;
+    each side is summed over one denominator and compared by _equal.
     """
+    record = _shape_residues(shape, params)
+    p, q = cs.numerator, cs.denominator
+    lin, lin_den, quad, quad_den = 0, 1, 0, 1
+    for (_, ct), (pt, qt) in zip(record.steps, record.pairs):
+        e = _e_diag_value(shape, ct, params)
+        en, ed = e.numerator, e.denominator
+        qq = q * qt
+        m = p * pt - qq
+        x, d = en * qq, ed * m
+        lin, lin_den = lin * d + x * lin_den, lin_den * d
+        x, d = x * qq, d * m
+        quad, quad_den = quad * d + x * quad_den, quad_den * d
     dr = params.delta_inv * params.rho
-    flank = [(_e_diag_value(shape, ct, params), ct) for ct in _flank_contents(shape, params)]
-    linear = sum(e / (cs * ct - 1) for e, ct in flank)
-    quadratic = sum(e / (cs * ct - 1) ** 2 for e, ct in flank)
+    dn, dd = dr.numerator, dr.denominator
+    i, j = params.delta_inv.numerator, params.delta_inv.denominator
     ess = _e_diag_value(shape, cs, params)
-    rhs = ((cs * cs + 1) / (cs * cs - 1) ** 2 - dr
-           + (params.delta_inv ** 2 - cs * cs / (cs * cs - 1) ** 2) / ess)
-    return (linear == dr + Fraction(1) / (cs * cs - 1), quadratic == rhs)
+    en, ed = ess.numerator, ess.denominator
+    p2, q2 = p * p, q * q
+    m = p2 - q2
+    linear = _equal((lin, lin_den), (dn * m + dd * q2, dd * m))
+    # the quadratic right side over dd j^2 m^2 e_s, for E(cs) = e_s/f_s and
+    # delta^{-1} = i/j
+    jj, mm = j * j, m * m
+    rhs = ((p2 + q2) * q2 * dd * jj * en - dn * jj * mm * en
+           + (i * i * mm - jj * p2 * q2) * ed * dd, dd * jj * mm * en)
+    return linear, _equal((quad, quad_den), rhs)
 
 
 def _neighbor_sum_cross(shape: RPartition, cs, ctp, params: GroundParams) -> bool:
     """The cross neighbor-sum identity between two steps of contents cs and
-    ctp out of shape.
+    ctp out of shape:
+    sum_t E(c_t)/((cs c_t - 1)(c_t ctp - 1)) = (cs ctp + 1)/((cs^2 - 1)(ctp^2 - 1)) - dr.
+
+    On integers as in _neighbor_sums: with ctp = p'/q' a term is
+    e q q_t^2 q'/((p p_t - q q_t)(p_t p' - q_t q')).
     """
+    record = _shape_residues(shape, params)
+    p, q = cs.numerator, cs.denominator
+    p1, q1 = ctp.numerator, ctp.denominator
+    total, den = 0, 1
+    for (_, ct), (pt, qt) in zip(record.steps, record.pairs):
+        e = _e_diag_value(shape, ct, params)
+        x = e.numerator * q * qt * qt * q1
+        d = e.denominator * (p * pt - q * qt) * (pt * p1 - qt * q1)
+        total, den = total * d + x * den, den * d
     dr = params.delta_inv * params.rho
-    total = sum(
-        _e_diag_value(shape, ct, params) / ((cs * ct - 1) * (ct * ctp - 1))
-        for ct in _flank_contents(shape, params)
-    )
-    return total == (cs * ctp + 1) / ((cs * cs - 1) * (ctp * ctp - 1)) - dr
+    dn, dd = dr.numerator, dr.denominator
+    m = (p * p - q * q) * (p1 * p1 - q1 * q1)
+    return _equal((total, den), ((p * p1 + q * q1) * q * q1 * dd - dn * m, dd * m))
 
 
 def _window_checks(s: UpDownTableau, k: int, params: GroundParams) -> tuple:
@@ -827,9 +938,11 @@ def _window_checks(s: UpDownTableau, k: int, params: GroundParams) -> tuple:
     steps k..k+2 of its image)]).
 
     Both read only shape(k-1) and steps k..k+2 of s: the walks compared
-    differ from s at those steps alone.
+    differ from s at those steps alone.  Products of a b^2 and a residue
+    are integer pairs, compared by _equal.
     """
-    recip = E_diag(s, k, params) * E_diag(s, k + 1, params) == 1
+    e, e1 = E_diag(s, k, params), E_diag(s, k + 1, params)
+    recip = _equal((e.numerator * e1.numerator, e.denominator * e1.denominator), (1, 1))
     # transport between swapped-step weights and diagonal residues
     transported: dict = {}
     for t in neighbors_k(s, k + 1):
@@ -838,8 +951,9 @@ def _window_checks(s: UpDownTableau, k: int, params: GroundParams) -> tuple:
         image = sk_action(t, k)
         if image is None:
             continue
-        _, bsq_t = ab_coeffs(t, k, params)
-        transported[image] = bsq_t * E_diag(t, k + 1, params)
+        _, bsq = ab_coeffs(t, k, params)
+        e = E_diag(t, k + 1, params)
+        transported[image] = (bsq.numerator * e.numerator, bsq.denominator * e.denominator)
     transports = []
     for u in neighbors_k(s, k):
         if u.shape(k) == u.shape(k + 2):
@@ -847,8 +961,10 @@ def _window_checks(s: UpDownTableau, k: int, params: GroundParams) -> tuple:
         image = sk_action(u, k + 1)
         if image is None or image not in transported:
             continue
-        _, bsq_u = ab_coeffs(u, k + 1, params)
-        transports.append((transported[image] == bsq_u * E_diag(u, k, params),
+        _, bsq = ab_coeffs(u, k + 1, params)
+        e = E_diag(u, k, params)
+        transports.append((_equal(transported[image], (bsq.numerator * e.numerator,
+                                                       bsq.denominator * e.denominator)),
                            image.steps[k - 1:k + 2]))
     return recip, transports
 
@@ -857,19 +973,31 @@ def _swap_checks(s: UpDownTableau, k: int, params: GroundParams) -> tuple:
     """(b-squared-form holds, "degenerate-step" or "swap-symmetry", it holds)
     at a step k of s whose next step does not undo it; reads steps k and k+1
     of s only.
+
+    b-squared-form is b^2 = (c' - c/q^2)(c' - q^2 c)/(c' - c)^2 for the
+    contents c = p/q and c' = p'/q' of steps k and k+1, on integers: with
+    q^2 = Q/R the right side is (p'qQ - pq'R)(p'qR - pq'Q)/(QR (p'q - pq')^2).
     """
     a, bsq = ab_coeffs(s, k, params)
     ck = s.content(k, params)
     ck1 = s.content(k + 1, params)
-    q2 = params.q ** 2
-    form = bsq == (ck1 - ck / q2) * (ck1 - q2 * ck) / (ck1 - ck) ** 2
+    p, q = ck.numerator, ck.denominator
+    p1, q1 = ck1.numerator, ck1.denominator
+    Q, R = params.q.numerator ** 2, params.q.denominator ** 2
+    m = p1 * q - p * q1
+    form = _equal((bsq.numerator, bsq.denominator),
+                  ((p1 * q * Q - p * q1 * R) * (p1 * q * R - p * q1 * Q), Q * R * m * m))
     w = sk_action(s, k)
     if w is None:
         return form, "degenerate-step", bsq == 0 and (a == params.q or a == -params.q_inv)
     aw, bsqw = ab_coeffs(w, k, params)
+    delta = params.delta
     return form, "swap-symmetry", (ck == w.content(k + 1, params)
                                    and ck1 == w.content(k, params)
-                                   and aw == params.delta - a
+                                   and _equal((aw.numerator * a.denominator
+                                               + a.numerator * aw.denominator,
+                                               aw.denominator * a.denominator),
+                                              (delta.numerator, delta.denominator))
                                    and bsqw == bsq)
 
 
@@ -939,7 +1067,7 @@ def identity_suite(lam: RPartition, f: int, params: GroundParams) -> dict:
                 run("neighbor-sum-linear", linear, lambda: f"shape={shape}, c={cs}")
                 run("neighbor-sum-quadratic", quadratic, lambda: f"shape={shape}, c={cs}")
             if k < n - 1 and shapes[k] != shapes[k + 2]:
-                for partner, ctp in _memo(params, ("flank", shape), _flank_steps, shape, params):
+                for partner, ctp in _shape_residues(shape, params).steps:
                     key = ("neighbor-sum-cross", shape, step, partner)
                     if partner == step or key in seen:
                         continue

@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycbmw import cli
 from cycbmw.cli import run
-from cycbmw.params import generic_specialization
+from cycbmw.params import certify_generic, generic_specialization
 from cycbmw.seminormal import build_module
 
 
@@ -461,3 +466,30 @@ class TestErrors:
             assert kauffman["instance"] == 0 and kauffman["k"] == 1
             assert len(kauffman["entry"]) == 2
             assert F(kauffman["residual"]) != 0
+
+
+class TestSignedPresets:
+    # the residue layer runs on integer pairs, which carry the signs that a
+    # Fraction normalises: alpha = -1, q < 0 and q < 1 must keep the exit
+    # contract of identities and omega
+    @settings(max_examples=60, deadline=None)
+    @given(command=st.sampled_from(["identities", "omega"]),
+           r=st.sampled_from([1, 3]), n=st.integers(1, 3), alpha=st.sampled_from([1, -1]),
+           q=st.sampled_from(["-3", "-2", "1/3", "3", "7/2"]),
+           k=st.lists(st.integers(-12, 12), min_size=3, max_size=3))
+    def test_generic_passes_non_generic_exits_one(self, command, r, n, alpha, q, k):
+        k = k[:r]
+        u = [F(q) ** (2 * x) for x in k]
+        with tempfile.TemporaryDirectory() as tmp:
+            preset = Path(tmp) / "preset.txt"
+            preset.write_text(f"r = {r}\nq = {q}\nk = {', '.join(map(str, k))}\n"
+                              f"alpha = {alpha}\n")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = run([command, "--r", str(r), "--n", str(n), "--preset", str(preset)])
+        report = json.loads(out.getvalue())
+        if certify_generic(F(q), u, n)["ok"]:
+            assert code == 0 and report["ok"] is True, report
+        else:
+            assert code == 1
+            assert report == {"r": r, "n": n, "error": report["error"]}

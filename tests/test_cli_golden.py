@@ -8,7 +8,9 @@ and is left to the ``BMW_EXTENDED`` run.  ``LARGE`` adds ``identities`` and
 across walks, and ``params`` and ``br2`` at r=5, where the Q_a coefficients
 of the omega family run to the highest a.  It also adds ``rep`` at (1, 4),
 which the benchmark's relation workload runs and the grid does not reach,
-and at (3, 1), where no relation has a step.
+and at (3, 1), where no relation has a step; and ``identities`` at (5, 4)
+and ``omega`` at (3, 4), which have the widest flank sets and the largest
+integers of the residue layer.
 
 Print the table for the current tree with
 ``PYTHONPATH=src python3 tests/test_cli_golden.py``.
@@ -26,7 +28,8 @@ from cycbmw.cli import run
 COMMANDS = ("params", "tabs", "rep", "identities", "omega", "br2", "basis",
             "rank", "gram", "classify")
 LARGE = (("identities", 3, 4), ("identities", 5, 3), ("omega", 1, 4),
-         ("params", 5, 2), ("br2", 5, 2), ("rep", 1, 4), ("rep", 3, 1))
+         ("params", 5, 2), ("br2", 5, 2), ("rep", 1, 4), ("rep", 3, 1),
+         ("identities", 5, 4), ("omega", 3, 4))
 
 
 def _grid():
@@ -245,6 +248,14 @@ GOLDEN = {
         (0, "2524b8301ad8665ba746a46e202455ca2adb1721a421132d425e5a50b28418f9"),
     "rep --r 3 --n 1 --seed 7":
         (0, "2524b8301ad8665ba746a46e202455ca2adb1721a421132d425e5a50b28418f9"),
+    "identities --r 5 --n 4 --seed 0":
+        (0, "7e06a82822d23f862b61f2cd6ce1094f77baa573f3e2c71ac1081a782f283385"),
+    "identities --r 5 --n 4 --seed 7":
+        (0, "7e06a82822d23f862b61f2cd6ce1094f77baa573f3e2c71ac1081a782f283385"),
+    "omega --r 3 --n 4 --seed 0":
+        (0, "ad0e2ffd9d1a6ed0fe3b2b60f96d44b4c97427cf527a8e80a72415b59a08baf4"),
+    "omega --r 3 --n 4 --seed 7":
+        (0, "2bd47a50269476d9a5870af38a6c1735cba4f0252c8a35676ef6ecb544bc3de9"),
 }
 
 

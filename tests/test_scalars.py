@@ -121,6 +121,21 @@ class TestCanonicalForm:
         assert type(value) is F
         assert value == sum((c * x ** e for e, c in p.terms.items()), F(0))
 
+    @given(st.lists(st.integers(-10**6, 10**6), max_size=6),
+           st.integers(-10**4, 10**4).filter(bool))
+    @settings(max_examples=60, deadline=None)
+    def test_from_ints_is_canonical(self, coeffs, den):
+        p = LaurentPoly.from_ints(coeffs, den)
+        assert is_canonical(p)
+        assert p == LaurentPoly({e: F(c, den) for e, c in enumerate(coeffs)})
+
+    @given(laurent_polys(), fractions.filter(lambda x: x != 0))
+    @settings(max_examples=60, deadline=None)
+    def test_value_pair_matches_evaluate(self, p, x):
+        num, den = p.value_pair(x.numerator, x.denominator)
+        assert type(num) is int and type(den) is int and den != 0
+        assert F(num, den) == p.evaluate(x)
+
     def test_evaluate_negative_exponents_at_ratio(self):
         p = LaurentPoly({-3: F(5, 6), -1: F(-2, 9), 2: F(7, 4)})
         for x in (F(3, 7), F(-7, 3), F(1, 12), F(-5)):

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -624,6 +625,137 @@ class TestIdentitySuite:
             assert reported == expected[:len(reported)]
             failing += len(expected)
         assert failing == 6
+
+    @pytest.mark.parametrize("shape, index", [(rp_empty(3), 0), (((1,), (), ()), 2)])
+    def test_wrong_residue_fails_every_residue_sum_that_reads_it(self, monkeypatch,
+                                                                 shape, index):
+        # partial fractions and the neighbor sums run on integers over one
+        # denominator: a residue wrong at one (shape, content) must fail them
+        # at exactly the keys whose Fraction oracle fails, all of them over
+        # that shape, each key counted once per label
+        base = generic_specialization(3, 4)
+        p = GroundParams(3, base.q, base.u)  # nothing cached yet
+        wrong = seminormal._flank_steps(shape, p)[index][1]
+        e_value = seminormal._e_diag_value
+
+        def wrong_e(sh, c, params):
+            e = e_value(sh, c, params)
+            return 2 * e if (sh, c) == (shape, wrong) else e
+
+        monkeypatch.setattr(seminormal, "_e_diag_value", wrong_e)
+        dr = p.delta_inv * p.rho
+
+        def flank(sh):
+            return [(wrong_e(sh, ct, p), ct) for _, ct in seminormal._flank_steps(sh, p)]
+
+        def partial_fractions(sh):
+            y = RatFunc.y()
+            rhs = sum((e / (y - ct) for e, ct in flank(sh)), RatFunc.const(0))
+            return seminormal._w_shape(sh, p) / y == rhs
+
+        def linear(sh, cs):
+            return sum(e / (cs * ct - 1) for e, ct in flank(sh)) == dr + 1 / (cs * cs - 1)
+
+        def quadratic(sh, cs):
+            rhs = ((cs * cs + 1) / (cs * cs - 1) ** 2 - dr
+                   + (p.delta_inv ** 2 - cs * cs / (cs * cs - 1) ** 2) / wrong_e(sh, cs, p))
+            return sum(e / (cs * ct - 1) ** 2 for e, ct in flank(sh)) == rhs
+
+        def cross(sh, cs, ctp):
+            total = sum(e / ((cs * ct - 1) * (ct * ctp - 1)) for e, ct in flank(sh))
+            return total == (cs * ctp + 1) / ((cs * cs - 1) * (ctp * ctp - 1)) - dr
+
+        names = ("partial-fractions", "neighbor-sum-linear", "neighbor-sum-quadratic",
+                 "neighbor-sum-cross")
+        n, totals = 4, Counter()
+        for f, lam in shapes_with_f(n, 3):
+            expected, seen = Counter(), set()
+            for s in enumerate_updown(n, lam):
+                shapes = s.partitions()
+                for k in range(1, n + 1):
+                    sh = shapes[k - 1]
+                    if k < n and sh != shapes[k + 1]:
+                        continue
+                    if sh not in seen:
+                        seen.add(sh)
+                        expected[names[0]] += not partial_fractions(sh)
+                    if k == n:
+                        continue
+                    step, cs = s.steps[k - 1], s.content(k, p)
+                    if (sh, step) not in seen:
+                        seen.add((sh, step))
+                        expected[names[1]] += not linear(sh, cs)
+                        expected[names[2]] += not quadratic(sh, cs)
+                    if k < n - 1 and shapes[k] != shapes[k + 2]:
+                        for partner, ctp in seminormal._flank_steps(sh, p):
+                            if partner != step and (sh, step, partner) not in seen:
+                                seen.add((sh, step, partner))
+                                expected[names[3]] += not cross(sh, cs, ctp)
+            rep = identity_suite(lam, f, p)
+            for name in names:
+                assert rep["checks"].get(name, {"failures": 0})["failures"] == expected[name]
+            assert all(x.startswith(f"{x.split(':')[0]}: shape={shape}")
+                       for x in rep["failures"] if x.startswith(names))
+            totals += expected
+        assert all(totals[name] for name in names), totals
+
+    def test_wrong_bsq_fails_swap_symmetry_and_transport_where_read(self, monkeypatch):
+        # swap-symmetry and b-e-transport compare b^2 on integers: a b^2
+        # wrong at one content pair must fail both at exactly the (s, k) whose
+        # Fraction oracle fails, each failure naming its own walk
+        base = generic_specialization(3, 4)
+        p = GroundParams(3, base.q, base.u)  # nothing cached yet
+        target = (p.u[1], p.u[2])  # add box (2,1,1), then box (3,1,1)
+        ab = seminormal.ab_coeffs
+
+        def wrong_ab(s, k, params):
+            a, bsq = ab(s, k, params)
+            if (s.content(k, params), s.content(k + 1, params)) == target:
+                bsq += 1
+            return a, bsq
+
+        monkeypatch.setattr(seminormal, "ab_coeffs", wrong_ab)
+
+        def swap_holds(s, k):
+            w = sk_action(s, k)
+            (a, bsq), (aw, bsqw) = wrong_ab(s, k, p), wrong_ab(w, k, p)
+            return (s.content(k, p) == w.content(k + 1, p)
+                    and s.content(k + 1, p) == w.content(k, p)
+                    and aw == p.delta - a and bsqw == bsq)
+
+        def transport_failures(s, k):
+            # the walks that differ from s at step k+1, carried to the walks
+            # that differ from s at step k
+            transported = {}
+            for t in neighbors_k(s, k + 1):
+                if t.shape(k - 1) != t.shape(k + 1) and sk_action(t, k) is not None:
+                    transported[sk_action(t, k)] = wrong_ab(t, k, p)[1] * E_diag(t, k + 1, p)
+            failures = 0
+            for u in neighbors_k(s, k):
+                if u.shape(k) != u.shape(k + 2) and sk_action(u, k + 1) in transported:
+                    failures += (transported[sk_action(u, k + 1)]
+                                 != wrong_ab(u, k + 1, p)[1] * E_diag(u, k, p))
+            return failures
+
+        n, totals = 4, Counter()
+        for f, lam in shapes_with_f(n, 3):
+            swap, transport = [], 0
+            for s in enumerate_updown(n, lam):
+                for k in range(1, n):
+                    if (s.shape(k - 1) != s.shape(k + 1) and sk_action(s, k) is not None
+                            and not swap_holds(s, k)):
+                        swap.append(f"swap-symmetry: s={s!r}, k={k}")
+                for k in range(1, n - 1):
+                    if s.shape(k - 1) == s.shape(k + 1) and s.shape(k) == s.shape(k + 2):
+                        transport += transport_failures(s, k)
+            rep = identity_suite(lam, f, p)
+            checks = rep["checks"]
+            assert checks.get("swap-symmetry", {"failures": 0})["failures"] == len(swap), lam
+            reported = [x for x in rep["failures"] if x.startswith("swap-symmetry:")]
+            assert reported == swap[:len(reported)]
+            assert checks.get("b-e-transport", {"failures": 0})["failures"] == transport, lam
+            totals.update(swap=len(swap), transport=transport)
+        assert totals["swap"] and totals["transport"], totals
 
     def test_single_term_linear_instance(self):
         # r=1 over the empty flank: w0/(u^2-1) = rho/delta + 1/(u^2-1)
