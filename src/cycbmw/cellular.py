@@ -39,6 +39,7 @@ from .tableaux import (
     rp_empty,
     rp_size,
     shapes_with_f,
+    std_count,
     std_tableaux,
     tableau_permutation,
 )
@@ -84,7 +85,7 @@ def delta_index(f: int, lam: RPartition, n: int, r: int) -> list:
 def cell_datum(n: int, r: int) -> CellDatum:
     blocks = []
     for f, lam in shapes_with_f(n, r):
-        n_std = len(std_tableaux(lam))
+        n_std = std_count(lam)
         n_kappa = len(enumerate_kappa(f, n, r))
         n_cosets = len(enumerate_cosets(f, n))
         blocks.append((f, lam, n_std, n_kappa, n_cosets, n_std * n_kappa * n_cosets))

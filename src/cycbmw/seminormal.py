@@ -76,7 +76,7 @@ class ShapeResidues:
 
     steps lists (step, content) for every step that leaves the shape and
     comes back at the next step (adding an addable node or removing a
-    removable one), in the order neighbors_k sorts the walks it returns;
+    removable one), in the order of the walks neighbors_k returns;
     pairs holds each of those contents as its integer pair (numerator,
     denominator).  w is W_k(y,s) over the shape, built by _w_shape, and
     horner the numerator, the denominator and the denominator's derivative
@@ -94,7 +94,7 @@ class ShapeResidues:
 def _flank_steps(shape: RPartition, params: GroundParams) -> list:
     """(step, content) for every flank step of shape, in ShapeResidues order."""
     addable, removable = addable_removable(shape)
-    steps = sorted([(1, nd) for nd in addable] + [(-1, nd) for nd in removable])
+    steps = [(-1, nd) for nd in removable] + [(1, nd) for nd in addable]
     return [(st, content(st[1], "add" if st[0] > 0 else "remove", params)) for st in steps]
 
 
@@ -332,6 +332,7 @@ def build_module(lam: RPartition, f: int, params: GroundParams) -> SeminormalMod
     e_diag: dict = {}
     a_coef: dict = {}
     b_sq: dict = {}
+    swaps: dict = {}  # (j, k) -> index of sk_action(s, k), None when undefined
     for j, s in enumerate(basis):
         for k in range(1, n + 1):
             if k == n or s.shape(k - 1) == s.shape(k + 1):
@@ -346,10 +347,12 @@ def build_module(lam: RPartition, f: int, params: GroundParams) -> SeminormalMod
                 a, bsq = ab_coeffs(s, k, params)
                 a_coef[(j, k)] = a
                 b_sq[(j, k)] = bsq
-                if sk_action(s, k) is None and bsq != 0:
+                u = sk_action(s, k)
+                if u is None and bsq != 0:
                     raise ArithmeticError(
                         f"expected zero off-diagonal weight at k={k}, s={s!r}"
                     )
+                swaps[(j, k)] = None if u is None else index[u]
     table = ResidueTable(e_diag, a_coef, b_sq)
 
     matX = [
@@ -377,9 +380,9 @@ def build_module(lam: RPartition, f: int, params: GroundParams) -> SeminormalMod
                         edges.append((k, i, j, _weight(es, e_diag[(i, k)]), ratio))
             else:
                 T[j][j] = a_coef[(j, k)]
-                u = sk_action(s, k)
-                if u is not None:
-                    edges.append((k, index[u], j, _weight(b_sq[(j, k)]), None))
+                i = swaps[(j, k)]
+                if i is not None:
+                    edges.append((k, i, j, _weight(b_sq[(j, k)]), None))
 
     gauge, roots = _gauged_roots(d, edges)
     for (k, i, j, _, ratio), x in zip(edges, roots):

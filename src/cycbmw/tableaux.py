@@ -9,6 +9,7 @@ All enumeration orders are deterministic.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
@@ -114,16 +115,17 @@ class UpDownTableau:
     """Walk of r-multipartitions from the empty shape, one box per step.
 
     Stored as the signed-step sequence ((sign, node), ...) with sign +1 for
-    an added box and -1 for a removed one; intermediate shapes are
-    reconstructed lazily.
+    an added box and -1 for a removed one; intermediate shapes are given
+    by the function that built the walk, else reconstructed lazily.
     """
 
     __slots__ = ("r", "steps", "_parts")
 
-    def __init__(self, r: int, steps: tuple[tuple[int, Node], ...]):
+    def __init__(self, r: int, steps: tuple[tuple[int, Node], ...],
+                 parts: list[RPartition] | None = None):
         self.r = r
         self.steps = tuple(steps)
-        self._parts: list[RPartition] | None = None
+        self._parts = parts
 
     @property
     def n(self) -> int:
@@ -168,6 +170,11 @@ class UpDownTableau:
 def enumerate_updown(n: int, lam: RPartition) -> list[UpDownTableau]:
     """All walks of length n from the empty shape to lam, sorted.
 
+    Depth first, removals before additions, each in (component, row) order:
+    that is sort_key's order, so the walks come out sorted.  Each walk
+    carries the shapes built on the way; the steps out of a shape are listed
+    once per call.
+
     A prefix ending at cur after k steps is extended only while the box
     distance from cur to lam (the number of boxes in exactly one of them)
     is at most n - k.  That bound is exact reachability: cur reaches lam by
@@ -180,34 +187,37 @@ def enumerate_updown(n: int, lam: RPartition) -> list[UpDownTableau]:
     r = len(lam)
     if (n - rp_size(lam)) % 2 != 0 or n < rp_size(lam):
         raise ValueError(f"parity mismatch: no length-{n} walks end at a shape of size {rp_size(lam)}")
+    boxes = {Node(s, i, j) for s, comp in enumerate(lam, start=1)
+             for i, part in enumerate(comp, start=1) for j in range(1, part + 1)}
+    # shape -> [step, shape after it (set when first taken), distance change]
+    branches: dict = {}
     out: list[UpDownTableau] = []
+    steps: list = []
+    shapes = [rp_empty(r)]
 
-    def in_lam(node: Node) -> bool:
-        comp = lam[node.comp - 1]
-        return node.row <= len(comp) and node.col <= comp[node.row - 1]
-
-    def walk(cur: RPartition, steps: list, dist: int):
-        k = len(steps)
-        if k == n:
-            out.append(UpDownTableau(r, tuple(steps)))
+    def walk(cur: RPartition, dist: int):
+        if len(steps) == n:
+            out.append(UpDownTableau(r, tuple(steps), shapes[:]))
             return
-        left = n - k - 1  # steps left after the next one
-        addable, removable = addable_removable(cur)
-        for node in addable:
-            d = dist - 1 if in_lam(node) else dist + 1
-            if d <= left:
-                steps.append((1, node))
-                walk(rp_add(cur, node), steps, d)
+        left = n - len(steps) - 1  # steps left after the next one
+        branch = branches.get(cur)
+        if branch is None:
+            addable, removable = addable_removable(cur)
+            branch = branches[cur] = (
+                [[(-1, nd), None, 1 if nd in boxes else -1] for nd in removable]
+                + [[(1, nd), None, -1 if nd in boxes else 1] for nd in addable])
+        for move in branch:
+            step, nxt, change = move
+            if dist + change <= left:
+                if nxt is None:
+                    nxt = move[1] = (rp_add if step[0] > 0 else rp_remove)(cur, step[1])
+                steps.append(step)
+                shapes.append(nxt)
+                walk(nxt, dist + change)
                 steps.pop()
-        for node in removable:
-            d = dist + 1 if in_lam(node) else dist - 1
-            if d <= left:
-                steps.append((-1, node))
-                walk(rp_remove(cur, node), steps, d)
-                steps.pop()
+                shapes.pop()
 
-    walk(rp_empty(r), [], rp_size(lam))
-    out.sort()
+    walk(shapes[0], rp_size(lam))
     return out
 
 
@@ -298,40 +308,44 @@ def neighbors_k(t: UpDownTableau, k: int) -> list[UpDownTableau]:
     When the flanking shapes differ only t itself is returned; the neighbor
     sums in the generator matrices are needed only in the equal-flank case,
     where the class is in bijection with the addable/removable nodes of the
-    flanking shape: steps k and k+1 add and remove an addable node, or remove
-    and re-add a removable one.
+    flanking shape: steps k and k+1 remove and re-add a removable node, or
+    add and remove an addable one: in that order, each by (component, row),
+    the class is sorted.  Each neighbour takes t's shapes but shape k.
     """
     if not 1 <= k <= t.n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= n-1, got {k}")
-    prev = t.shape(k - 1)
-    if prev != t.shape(k + 1):
+    parts = t.partitions()
+    prev = parts[k - 1]
+    if prev != parts[k + 1]:
         return [t]
     addable, removable = addable_removable(prev)
     head, tail = t.steps[:k - 1], t.steps[k + 1:]
-    out = [UpDownTableau(t.r, head + ((1, nd), (-1, nd)) + tail) for nd in addable]
-    out += [UpDownTableau(t.r, head + ((-1, nd), (1, nd)) + tail) for nd in removable]
-    out.sort()
-    return out
+    return ([UpDownTableau(t.r, head + ((-1, nd), (1, nd)) + tail,
+                           parts[:k] + [rp_remove(prev, nd)] + parts[k + 1:]) for nd in removable]
+            + [UpDownTableau(t.r, head + ((1, nd), (-1, nd)) + tail,
+                             parts[:k] + [rp_add(prev, nd)] + parts[k + 1:]) for nd in addable])
 
 
 def sk_action(t: UpDownTableau, k: int) -> UpDownTableau | None:
     """Swap the boxes changed at steps k and k+1.
 
     Defined exactly when the two boxes lie in different rows and different
-    columns (always true across components); None otherwise.
+    columns (always true across components); None otherwise.  Only shape k
+    is rebuilt and validated: the next step then always lands on shape k+1.
     """
     if not 1 <= k <= t.n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= n-1, got {k}")
-    if t.shape(k - 1) == t.shape(k + 1):
+    parts = t.partitions()
+    if parts[k - 1] == parts[k + 1]:
         raise ValueError("swap undefined when the flanking shapes coincide")
     (s1, n1), (s2, n2) = t.steps[k - 1], t.steps[k]
     if n1.comp == n2.comp and (n1.row == n2.row or n1.col == n2.col):
         return None
-    steps = list(t.steps)
-    steps[k - 1], steps[k] = (s2, n2), (s1, n1)
-    swapped = UpDownTableau(t.r, tuple(steps))
-    swapped.partitions()  # validates; different rows+columns always commute
-    return swapped
+    mid = rp_add(parts[k - 1], n2) if s2 > 0 else rp_remove(parts[k - 1], n2)
+    if mid is None:
+        raise ValueError(f"invalid walk step {(s2, n2)}")
+    steps = t.steps[:k - 1] + ((s2, n2), (s1, n1)) + t.steps[k + 1:]
+    return UpDownTableau(t.r, steps, parts[:k] + [mid] + parts[k + 1:])
 
 
 # -- standard tableaux ---------------------------------------------------------
@@ -366,6 +380,18 @@ def std_tableaux(lam: RPartition) -> list[StdTableau]:
     result = build(lam, m)
     result.sort()
     return result
+
+
+def std_count(lam: RPartition) -> int:
+    """len(std_tableaux(lam)) without building them: |lam|! over the hook
+    lengths of every box of every component (hook formula times multinomial).
+    """
+    hooks = 1
+    for comp in lam:
+        for i, part in enumerate(comp):
+            for j in range(part):
+                hooks *= part - j + sum(1 for below in comp[i + 1:] if below > j)
+    return math.factorial(rp_size(lam)) // hooks
 
 
 def _tab_add(tab: StdTableau, shape: RPartition, node: Node, entry: int) -> StdTableau:

@@ -164,6 +164,38 @@ class TestRunsInOneProcess:
             assert (code, captured.out, captured.err) == self.fresh(argv), argv
 
 
+class TestTabsAndBasis:
+    # the two counting commands over random sizes and seeds: the counts square
+    # to the algebra's dimension, and the CSV table holds the JSON counts
+    @settings(max_examples=40, deadline=None)
+    @given(command=st.sampled_from(["tabs", "basis"]), r=st.sampled_from([1, 3, 5]),
+           n=st.integers(0, 5), seed=st.integers(0, 2**31 - 1))
+    def test_counts_square_to_the_dimension(self, command, r, n, seed):
+        argv = [command, "--r", str(r), "--n", str(n), "--seed", str(seed)]
+        listed = command == "tabs" and n <= 4
+        outputs = []
+        for extra in (["--list"] if listed else [], ["--format", "csv"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = run(argv + extra)
+            assert code == 0
+            outputs.append(out.getvalue())
+        report = json.loads(outputs[0])
+        assert report["ok"] is True and report["total_sq"] == report["expected"]
+        rows = [line.split(",") for line in outputs[1].splitlines()[1:]]
+        if command == "tabs":
+            labels = report["labels"]
+            assert rows == [[str(r), str(n), str(label["f"]), label["shape"], str(label["count"])]
+                            for label in labels]
+            assert sum(label["count"] ** 2 for label in labels) == report["total_sq"]
+            if listed:
+                assert all(len(label["tableaux"]) == label["count"] for label in labels)
+        else:
+            keys = ("f", "shape", "std", "kappa", "cosets", "size")
+            assert rows == [[str(b[key]) for key in keys] for b in report["blocks"]]
+            assert sum(b["size"] ** 2 for b in report["blocks"]) == report["total_sq"]
+
+
 class TestOutputs:
     def test_csv_format(self, capsys):
         code, out = run_cli(capsys, "tabs", "--r", "1", "--n", "4", "--format", "csv")

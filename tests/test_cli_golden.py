@@ -10,7 +10,8 @@ of the omega family run to the highest a.  It also adds ``rep`` at (1, 4),
 which the benchmark's relation workload runs and the grid does not reach,
 and at (3, 1), where no relation has a step; and ``identities`` at (5, 4)
 and ``omega`` at (3, 4), which have the widest flank sets and the largest
-integers of the residue layer.
+integers of the residue layer; ``tabs --list`` at (3, 4), which pins the
+order of the walks, and ``basis`` at (5, 4), the benchmark's size.
 
 Print the table for the current tree with
 ``PYTHONPATH=src python3 tests/test_cli_golden.py``.
@@ -29,7 +30,7 @@ COMMANDS = ("params", "tabs", "rep", "identities", "omega", "br2", "basis",
             "rank", "gram", "classify")
 LARGE = (("identities", 3, 4), ("identities", 5, 3), ("omega", 1, 4),
          ("params", 5, 2), ("br2", 5, 2), ("rep", 1, 4), ("rep", 3, 1),
-         ("identities", 5, 4), ("omega", 3, 4))
+         ("identities", 5, 4), ("omega", 3, 4), ("tabs --list", 3, 4), ("basis", 5, 4))
 
 
 def _grid():
@@ -256,6 +257,14 @@ GOLDEN = {
         (0, "ad0e2ffd9d1a6ed0fe3b2b60f96d44b4c97427cf527a8e80a72415b59a08baf4"),
     "omega --r 3 --n 4 --seed 7":
         (0, "2bd47a50269476d9a5870af38a6c1735cba4f0252c8a35676ef6ecb544bc3de9"),
+    "tabs --list --r 3 --n 4 --seed 0":
+        (0, "c587ed73543f1e5dedfeefd27e9e1f83ffe9856afd4e73839e89a5afbe445809"),
+    "tabs --list --r 3 --n 4 --seed 7":
+        (0, "c587ed73543f1e5dedfeefd27e9e1f83ffe9856afd4e73839e89a5afbe445809"),
+    "basis --r 5 --n 4 --seed 0":
+        (0, "583450c300535a44c1f4349ad687739cc980fbd4e179f001746bb8e11fa8a9f5"),
+    "basis --r 5 --n 4 --seed 7":
+        (0, "583450c300535a44c1f4349ad687739cc980fbd4e179f001746bb8e11fa8a9f5"),
 }
 
 

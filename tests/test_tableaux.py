@@ -29,6 +29,7 @@ from cycbmw.tableaux import (
     rpartitions,
     shapes_with_f,
     sk_action,
+    std_count,
     std_tableaux,
     superstandard,
     tableau_permutation,
@@ -162,6 +163,27 @@ class TestEnumerateUpdown:
                 total += len(found)
             assert total == len(walks)
 
+    @pytest.mark.parametrize("r", [1, 3, 5])
+    def test_sorted_by_construction_with_their_shapes(self, r):
+        # the walks come out strictly increasing with no sort, and the shapes
+        # each walk carries are the ones its steps rebuild
+        for n in range(1, 6):
+            for f, lam in shapes_with_f(n, r):
+                walks = enumerate_updown(n, lam)
+                assert all(a < b for a, b in zip(walks, walks[1:]))
+                for t in walks:
+                    assert t.partitions() == UpDownTableau(r, t.steps).partitions()
+
+    def test_no_state_between_calls(self):
+        lam = ((1,), (1,), ())
+        first = enumerate_updown(4, lam)
+        expected = [(t.steps, list(t.partitions())) for t in first]
+        for t in first:
+            t.partitions()[1:] = []
+        first.clear()
+        second = enumerate_updown(4, lam)
+        assert [(t.steps, t.partitions()) for t in second] == expected
+
     def test_branching_recursion_explicit(self):
         r, n = 3, 4
         prev = count_updown(n - 1, r)
@@ -198,6 +220,13 @@ class TestNeighbors:
                 )
                 assert neighbors_k(t, k) == expected
 
+    def test_derived_shapes_match_rebuilt(self):
+        for f, lam in shapes_with_f(3, 3):
+            for t in enumerate_updown(3, lam):
+                for k in (1, 2):
+                    for s in neighbors_k(t, k):
+                        assert s.partitions() == UpDownTableau(3, s.steps).partitions()
+
 
 class TestSkAction:
     def test_same_row_undefined(self):
@@ -223,6 +252,21 @@ class TestSkAction:
                     s = sk_action(t, k)
                     if s is not None:
                         assert sk_action(s, k) == t
+
+    def test_derived_shapes_match_rebuilt(self):
+        # every swap takes its parent's shapes but shape k; those must be the
+        # shapes its own steps rebuild
+        swaps = 0
+        for f, lam in shapes_with_f(3, 3):
+            for t in enumerate_updown(3, lam):
+                for k in (1, 2):
+                    if t.shape(k - 1) == t.shape(k + 1):
+                        continue
+                    s = sk_action(t, k)
+                    if s is not None:
+                        swaps += 1
+                        assert s.partitions() == UpDownTableau(3, s.steps).partitions()
+        assert swaps > 0
 
 
 class TestCosets:
@@ -286,6 +330,12 @@ class TestStdTableaux:
         # spread across components the count is a multinomial sum
         assert len(std_tableaux(((2, 1), (), ()))) == 2
         assert len(std_tableaux(((1,), (1,), (1,)))) == 6
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_hook_count_matches_fillings(self, r):
+        for m in range(7):
+            for lam in rpartitions(m, r):
+                assert std_count(lam) == len(std_tableaux(lam)), lam
 
     def test_superstandard_is_standard(self):
         lam = ((2, 1), (1,), ())
