@@ -9,10 +9,15 @@ over its permutation words), a modular full-rank certificate for the
 evaluated basis, closed Gram values on the top annihilator layer, and the
 irreducible-label census.
 
-The certificate evaluates every left and every right factor once per label
-and block, takes each basis image as one product L·R of integer rows over
-den_L·den_R, and reduces those integer images mod p directly, with one
-inverse of the denominator per block image.
+The certificate works over F_p from the tokens up and forms no exact image.
+For each prime and block it reduces every token's integer rows mod p once
+(a prime that divides a token's reduced denominator is skipped), multiplies
+every left and every right factor out mod p once per label and block,
+stopping a factor at its first zero prefix and leaving out the right
+factors of a block on which every left factor vanishes, and writes each
+image L·R straight into a dense integer row.  The elimination reduces each
+pivot row once and each pivot-column entry when it reads it, and leaves the
+row updates unreduced.
 """
 
 from __future__ import annotations
@@ -22,11 +27,18 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial, gcd
 
-from .matrices import dense, frac_rows, int_rows, mat_mul, mat_scale, sparse_diag
+from .matrices import dense, frac_rows, int_rows, mat_scale, sparse_diag
 # bound only because bench/tracer.py patches them here (ROADMAP item 1)
-from .matrices import mat_add, mat_diag, mat_identity, mat_sub  # noqa: F401
+from .matrices import mat_add, mat_diag, mat_identity, mat_mul, mat_sub  # noqa: F401
 from .params import GroundParams
-from .seminormal import SeminormalModule, build_module, generator_matrix, word_product, word_sum
+from .seminormal import (
+    SeminormalModule,
+    _product,
+    build_module,
+    generator_matrix,
+    word_product,
+    word_sum,
+)
 from .tableaux import (
     CosetRep,
     RPartition,
@@ -286,89 +298,126 @@ def eval_word(w: GenWord, rep: FaithfulRep) -> list:
 RANK_PRIMES = (2**64 - 59, 2**63 - 25, 2**62 - 57)
 
 
-def label_images(f: int, lam: RPartition, rep: FaithfulRep) -> list:
-    """Exact images of the cellular basis elements of label (f, lam), in
-    basis order, each a list of (int rows, den) over the blocks of rep.
+def token_residues(rows: list, den: int, p: int) -> list | None:
+    """Sparse rows mod p of the matrix rows/den, or None when p divides its
+    reduced denominator.
 
-    Each element is left_word(left)·right_word(right), so every left and
-    right factor is evaluated once per block, and an image is one product of
-    a left factor by a right factor over the product of their denominators.
+    When p divides den, den and every numerator are first divided by their
+    gcd g, and p must not divide den/g.
     """
-    idx = delta_index(f, lam, rep.n, rep.r)
-    lefts = [left_word(f, x, rep.n, rep.r) for x in idx]
-    rights = [right_word(f, x, rep.n) for x in idx]
-    factors = [
-        ([_module_word(w, m) for w in lefts], [_module_word(w, m) for w in rights])
-        for _, _, m in rep.blocks
-    ]
-    # a left factor that vanishes on a block gives a zero image there, which
-    # shares the factor's empty rows
-    return [
-        [(mat_mul(ls[i][0], rs[j][0]) if any(ls[i][0]) else ls[i][0], ls[i][1] * rs[j][1])
-         for ls, rs in factors]
-        for i in range(len(idx))
-        for j in range(len(idx))
-    ]
+    g = 1
+    if den % p == 0:
+        g = gcd(den, *(x for row in rows for x in row.values()))
+        if den // g % p == 0:
+            return None
+    inv = pow(den // g, -1, p)
+    return _reduce([{j: x // g * inv for j, x in row.items()} for row in rows], p)
 
 
-def residue_rows(images: list, p: int) -> list | None:
-    """Dense rows mod p of the images (see full_rank_mod_p), or None when p
-    divides the reduced denominator of some entry.
+def _reduce(rows: list, p: int) -> list:
+    return [{j: v for j, x in row.items() if (v := x % p)} for row in rows]
 
-    An image (rows, den) stands for the entries x/den; when p divides den,
-    both are first divided by g = gcd(den, every numerator of the image), and
-    p must not divide den/g.
+
+def _word_residues(word: GenWord, tokens: dict, p: int, dim: int) -> list:
+    """Sparse rows mod p of a word's product, given its tokens' residues; the
+    product stops at its first zero prefix, since the rest stays zero.
     """
-    width = sum(len(rows) ** 2 for rows, _ in images[0]) if images else 0
+    out = None
+    for tok in word:
+        out = tokens[tok] if out is None else _reduce(_product([out, tokens[tok]]), p)
+        if not any(out):
+            break
+    return [{i: 1} for i in range(dim)] if out is None else out
+
+
+def residue_matrix(rep: FaithfulRep, p: int) -> list | None:
+    """Dense integer rows congruent mod p to the images of the cellular basis
+    elements, in basis order, or None when p divides the reduced denominator
+    of some token (see token_residues).
+
+    A row holds the blocks' entries in rep's block order, each block read row
+    by row.  Each element is left_word(left)·right_word(right).  Every token
+    of every word is reduced mod p on every block before any product is
+    formed, so every token is p-integral and reduction mod p is a ring map:
+    a factor multiplied out mod p that stops at a zero prefix stands for a
+    zero residue, and so does every image L·R whose left factor vanishes.
+    Each left and right factor is multiplied out once per label and block; a
+    block on which every left factor vanishes evaluates no right factor.  An
+    image entry is the unreduced sum of its products of residues.
+    """
+    words = []
+    for f, lam in shapes_with_f(rep.n, rep.r):
+        idx = delta_index(f, lam, rep.n, rep.r)
+        words.append(([left_word(f, x, rep.n, rep.r) for x in idx],
+                      [right_word(f, x, rep.n) for x in idx]))
+    if sum(len(lefts) * len(rights) for lefts, rights in words) != rep.total_dim:
+        raise ArithmeticError("index census does not match the dimension")
+    used = dict.fromkeys(tok for pair in words for side in pair for w in side for tok in w)
+    blocks = []
+    for _, _, m in rep.blocks:
+        tokens = {}
+        for tok in used:
+            tokens[tok] = token_residues(*token_matrix(tok, m), p)
+            if tokens[tok] is None:
+                return None
+        blocks.append((m.dim, tokens))
     out = []
-    for blocks in images:
-        flat = [0] * width
+    for lefts, rights in words:
+        rows = [[0] * rep.total_dim for _ in range(len(lefts) * len(rights))]
         offset = 0
-        for rows, den in blocks:
-            dim = len(rows)
-            g = 1
-            if den % p == 0:
-                g = gcd(den, *(x for row in rows for x in row.values()))
-                if den // g % p == 0:
-                    return None
-            inv = pow(den // g, -1, p)
-            for i, row in enumerate(rows):
-                base = offset + i * dim
-                for j, x in row.items():
-                    flat[base + j] = x // g * inv % p
+        for dim, tokens in blocks:
+            ls = [_word_residues(w, tokens, p, dim) for w in lefts]
+            if any(map(any, ls)):
+                rs = [_word_residues(w, tokens, p, dim) for w in rights]
+                for i, left in enumerate(ls):
+                    for flat, right in zip(rows[i * len(rights):(i + 1) * len(rights)], rs):
+                        for a, row in enumerate(left):
+                            base = offset + a * dim
+                            for k, x in row.items():
+                                for b, y in right[k].items():
+                                    flat[base + b] += x * y
             offset += dim * dim
-        out.append(flat)
+        out += rows
     return out
 
 
-def full_rank_mod_p(images: list) -> bool:
-    """True when the square matrix whose rows are the images has full rank
-    modulo one of RANK_PRIMES, which implies full rank over Q.
+def full_rank_mod_p(a: list, p: int) -> bool:
+    """True when the square matrix a of integers has full rank modulo p.
 
-    An image is a list of square block images (int rows, den) in one block
-    order for every image; its row is the blocks' entries, each block read
-    row by row.  A prime that divides an entry's reduced denominator is
+    Elimination is lazily reduced: each pivot row is reduced mod p once, a
+    pivot-column entry when it is read, and the row update x - c·y is left
+    unreduced and touches only the pivot row's nonzero columns.  The rows
+    are rewritten.
+    """
+    d = len(a)
+    for col in range(d):
+        pivot = next((i for i in range(col, d) if a[i][col] % p), None)
+        if pivot is None:
+            return False
+        a[col], a[pivot] = a[pivot], a[col]
+        # columns before col are zero mod p in every row from here on
+        top = [(j, y) for j, x in enumerate(a[col][col:], col) if (y := x % p)]
+        scale = pow(top[0][1], -1, p)
+        for i in range(col + 1, d):
+            c = a[i][col] % p
+            if c:
+                c = c * scale % p
+                row = a[i]
+                for j, y in top:
+                    row[j] -= c * y
+    return True
+
+
+def certify_full_rank(rep: FaithfulRep) -> bool:
+    """True when the images of the cellular basis elements (see
+    residue_matrix) have full rank modulo one of RANK_PRIMES, which implies
+    full rank over Q.  A prime that divides a token's reduced denominator is
     skipped; a prime at which a pivot column vanishes is followed by the
     next one.
     """
-    d = len(images)
     for p in RANK_PRIMES:
-        a = residue_rows(images, p)
-        if a is None:
-            continue
-        for col in range(d):
-            pivot = next((i for i in range(col, d) if a[i][col]), None)
-            if pivot is None:
-                break
-            a[col], a[pivot] = a[pivot], a[col]
-            top = a[col]
-            scale = pow(top[col], -1, p)
-            for i in range(col + 1, d):
-                if a[i][col]:
-                    c = a[i][col] * scale % p
-                    # columns before col are zero in both rows
-                    a[i][col:] = [(x - c * y) % p for x, y in zip(a[i][col:], top[col:])]
-        else:
+        a = residue_matrix(rep, p)
+        if a is not None and full_rank_mod_p(a, p):
             return True
     return False
 
@@ -382,12 +431,9 @@ def rank_certify(n: int, r: int, params: GroundParams) -> dict:
     rep = build_rep(n, r, params)
     if rep.total_dim != d_target:
         raise ArithmeticError("block dimensions do not add up")
-    images = [im for f, lam in shapes_with_f(n, r) for im in label_images(f, lam, rep)]
-    if len(images) != d_target:
-        raise ArithmeticError("index census does not match the dimension")
     return {
         "D": d_target,
-        "certified": full_rank_mod_p(images),
+        "certified": certify_full_rank(rep),
         "elapsed": time.perf_counter() - t0,
     }
 

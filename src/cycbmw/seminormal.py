@@ -622,12 +622,26 @@ def word_sum(terms, matrix_of, dim: int) -> tuple:
     return acc, total
 
 
+class _Generators(dict):
+    """generator_matrix of each token, converted the first time it is asked
+    for.
+    """
+
+    def __init__(self, matX: list, matT: list, matE: list, delta):
+        super().__init__()
+        self.mats = (matX, matT, matE, delta)
+
+    def __missing__(self, tok: tuple) -> tuple:
+        self[tok] = out = generator_matrix(tok, *self.mats)
+        return out
+
+
 def _check_relations(relations: list, matX: list, matT: list, matE: list, delta) -> dict:
     """Evaluate every relation on the given dense generator matrices.
 
-    Every generator the table names is converted to int rows over one
-    denominator once per call, and each relation's terms c·word are summed
-    by word_sum into one
+    Each generator is converted to int rows over one denominator the first
+    time a word uses it, once per call, and each relation's terms c·word are
+    summed by word_sum into one
     integer residual over the lcm of their denominators, so a relation holds
     exactly when no residual entry is left.  Returns name -> None when every
     instance vanishes, else the first failing instance as {"instance": its
@@ -636,9 +650,7 @@ def _check_relations(relations: list, matX: list, matT: list, matE: list, delta)
     residual entry in row-major order, "residual": its value as a Fraction}.
     """
     dim = len(matX[0])
-    tokens = {tok for _, _, terms in relations for _, word in terms for tok in word
-              if tok[0] != "X" or tok[2]}
-    gens = {tok: generator_matrix(tok, matX, matT, matE, delta) for tok in tokens}
+    gens = _Generators(matX, matT, matE, delta)
 
     merged: dict = {}
     instances: dict = {}

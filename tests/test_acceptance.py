@@ -168,6 +168,15 @@ def test_criterion_09_extended_rank_405():
     assert rep["certified"] and rep["D"] == 405
 
 
+@pytest.mark.skipif(not os.environ.get("BMW_EXTENDED"),
+                    reason="extended D=945 and D=1875 runs; set BMW_EXTENDED=1 to enable")
+@pytest.mark.parametrize("r,n,d", [(1, 5, 945), (5, 3, 1875)])
+def test_criterion_09_extended_rank_large(r, n, d):
+    p = generic_specialization(r, n)
+    rep = rank_certify(n, r, p)
+    assert rep["certified"] and rep["D"] == d
+
+
 def test_criterion_10_gram_values():
     t0 = time.perf_counter()
     p = generic_specialization(3, 2)

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from cycbmw import cellular
 from cycbmw.cellular import (
     RANK_PRIMES,
     FaithfulRep,
@@ -11,6 +12,7 @@ from cycbmw.cellular import (
     build_rep,
     cell_datum,
     cell_word,
+    certify_full_rank,
     classify,
     delta_index,
     e_arcs_word,
@@ -18,14 +20,14 @@ from cycbmw.cellular import (
     eval_word_blocks,
     full_rank_mod_p,
     gram_half,
-    label_images,
     left_word,
     m_word,
     rank_certify,
-    residue_rows,
+    residue_matrix,
     right_word,
     target_dimension,
     token_matrix,
+    token_residues,
     word_star,
 )
 from cycbmw.matrices import dense, frac_rows, mat_identity, mat_mul, mat_sub, sparse
@@ -228,78 +230,143 @@ class TestEvalWord:
 
 class TestRankCertify:
     @staticmethod
-    def mixed_component_images():
+    def mixed_component_rep(monkeypatch):
+        """The images of one label on its own block alone: a square matrix."""
         p = generic_specialization(3, 3)
         lam = ((), (1,), (1, 1))
-        rep = FaithfulRep(3, 3, p, [(0, lam, build_module(lam, 0, p))])
-        return label_images(0, lam, rep)
+        monkeypatch.setattr(cellular, "shapes_with_f", lambda n, r: [(0, lam)])
+        return FaithfulRep(3, 3, p, [(0, lam, build_module(lam, 0, p))])
 
     @staticmethod
-    def scalar_images(entries):
-        """Images of a square matrix given by rows of (numerator, den)
-        entries, one 1x1 block per entry.
+    def arc_rep(arc_token):
+        """The n = 2, r = 1 representation with the arc idempotent's token on
+        its one-arc block replaced by arc_token.  The images there are the
+        words rowsum, () and E_1, and E_1 vanishes on the other two blocks, so
+        the images have full rank modulo p exactly when E_1 does not vanish
+        there modulo p.
         """
-        return [[([{0: x} if x else {}], den) for x, den in row] for row in entries]
+        rep = build_rep(2, 1, generic_specialization(1, 2))
+        (m,) = [m for f, _, m in rep.blocks if f == 1]
+        m._word_cache[("E", 1, 1)] = arc_token
+        return rep
 
-    def test_mixed_component_block_independent(self):
+    def test_mixed_component_block_independent(self, monkeypatch):
         # a shape with a two-box component next to a one-box component once
         # produced dependent images under a wrong permutation convention
-        images = self.mixed_component_images()
-        assert len(images) == 9
-        assert full_rank_mod_p(images)
+        rep = self.mixed_component_rep(monkeypatch)
+        a = residue_matrix(rep, RANK_PRIMES[0])
+        assert len(a) == 9 and {len(row) for row in a} == {9}
+        assert certify_full_rank(rep)
 
-    def test_duplicated_row_not_certified(self):
-        images = self.mixed_component_images()
-        images[4] = images[7]
-        assert not full_rank_mod_p(images)
+    def test_duplicated_row_not_certified(self, monkeypatch):
+        rep = self.mixed_component_rep(monkeypatch)
+        for p in RANK_PRIMES:
+            a = residue_matrix(rep, p)
+            assert full_rank_mod_p([row[:] for row in a], p)
+            # row 4 becomes row 7, and row 7 the same row shifted by
+            # multiples of p
+            a[4], a[7] = a[7], [x + j * p for j, x in enumerate(a[7])]
+            assert not full_rank_mod_p(a, p)
 
     def test_unlucky_and_dividing_primes_skipped(self):
         p1, p2, p3 = RANK_PRIMES
-        one = self.scalar_images
-        # the determinant p1 vanishes modulo p1 only
-        assert full_rank_mod_p(one([[(p1, 1), (0, 1)], [(0, 1), (1, 1)]]))
-        # a denominator divisible by p1 rules p1 out
-        assert full_rank_mod_p(one([[(1, p1), (0, 1)], [(0, 1), (1, 1)]]))
-        assert not full_rank_mod_p(one([[(1, p1), (1, 1)], [(1, p1), (1, 1)]]))
-        # p1 divides den but no reduced denominator, so p1 is still used; it
-        # is the only prime at which p2·p3 is a unit
-        assert full_rank_mod_p(one([[(p1 * p2 * p3, p1)]]))
-        # the reduced denominator is p1, so p1 is skipped
-        assert not full_rank_mod_p(one([[(p2 * p3, p1)]]))
+        # the arc image p1 vanishes modulo p1 only
+        rep = self.arc_rep(([{0: p1}], 1))
+        assert not full_rank_mod_p(residue_matrix(rep, p1), p1)
+        assert certify_full_rank(rep)
+        # a token denominator divisible by p1 rules p1 out
+        rep = self.arc_rep(([{0: 1}], p1))
+        assert residue_matrix(rep, p1) is None
+        assert certify_full_rank(rep)
+        assert not certify_full_rank(self.arc_rep(([{0: p2 * p3}], p1)))
+        # p1 divides the token's den but not its reduced denominator, so p1
+        # is still used; it is the only prime at which p2·p3 is a unit
+        assert certify_full_rank(self.arc_rep(([{0: p1 * p2 * p3}], p1)))
+
+    def test_token_after_a_vanishing_prefix_still_rules_out_a_prime(self, monkeypatch):
+        # every left factor E_1·T_1 vanishes on the blocks without an arc, so
+        # T_1 is never multiplied there; its denominator p1 must still rule
+        # p1 out, since a prefix that vanishes mod p1 times T_1 need not
+        p1 = RANK_PRIMES[0]
+        rep = build_rep(2, 1, generic_specialization(1, 2))
+        for f, _, m in rep.blocks:
+            if f == 0:
+                m._word_cache[("T", 1, 1)] = ([{0: 1}], p1)
+        monkeypatch.setattr(cellular, "left_word", lambda *args: (("E", 1, 1), ("T", 1, 1)))
+        assert residue_matrix(rep, p1) is None
+        assert residue_matrix(rep, RANK_PRIMES[1]) is not None
 
     def test_reduced_denominator_over_a_whole_block(self):
-        # one 2x2 block per row: the unit rows of the 4x4 identity below a
-        # first row (p2·p3, x/p1), which is invertible modulo p1 only
+        # the token (p1·p2·p3, x)/p1 over a 2x2 block: its content gcd with the
+        # denominator is taken over every entry of the block
         p1, p2, p3 = RANK_PRIMES
 
-        def images(x):
-            first = [([{0: p1 * p2 * p3, 1: x}, {}], p1)]
-            units = [[([{k % 2: 1} if i == k // 2 else {} for i in range(2)], 1)]
-                     for k in range(1, 4)]
-            return [first] + units
+        def rows(x):
+            return [{0: p1 * p2 * p3, 1: x}, {}]
 
-        assert full_rank_mod_p(images(p1))
+        assert token_residues(rows(p1), p1, p1) == [{0: p2 * p3 % p1, 1: 1}, {}]
         # x = 1 leaves the entry 1/p1, whose reduced denominator is p1
-        assert residue_rows(images(1), p1) is None
-        assert not full_rank_mod_p(images(1))
+        assert token_residues(rows(1), p1, p1) is None
+        inv = pow(p1, -1, p2)
+        assert token_residues(rows(1), p1, p2) == [{1: inv}, {}]
+
+    def test_residues_match_oracle_where_some_left_factors_vanish(self, monkeypatch):
+        # a label's left factors vanish on a block all together or not at all
+        # at every size up to D = 405; here only the first left factor E_1 of
+        # the one-arc label vanishes on the blocks without an arc
+        n, r = 3, 1
+        rep = build_rep(n, r, generic_specialization(r, n))
+        lam = ((1,),)
+        idx = delta_index(1, lam, n, r)
+
+        def left(f, x, n, r):
+            if f == 0:
+                return left_word(f, x, n, r)
+            return (("E", 1, 1),) if x == idx[0] else ()
+
+        monkeypatch.setattr(cellular, "left_word", left)
+        prime = RANK_PRIMES[0]
+        # the one-arc label comes last
+        rows = residue_matrix(rep, prime)[-len(idx) ** 2:]
+        expected = [[x.numerator * pow(x.denominator, -1, prime) % prime
+                     for x in eval_word(left(1, a, n, r) + right_word(1, b, n), rep)]
+                    for a in idx for b in idx]
+        assert [[x % prime for x in row] for row in rows] == expected
+        # the blocks without an arc come first and take 1 + 4 + 1 entries
+        assert not any(expected[0][:6]) and any(expected[-1][:6])
+
+    def test_elimination_reduces_each_pivot_row(self):
+        # each update subtracts c·y with c and the pivot row's y reduced, so
+        # an entry grows by less than p^2 per update
+        p = RANK_PRIMES[0]
+        rep = build_rep(3, 1, generic_specialization(1, 3))
+        a = residue_matrix(rep, p)
+        bound = max(abs(x) for row in a for x in row) + len(a) * p * p
+        assert full_rank_mod_p(a, p)
+        assert max(abs(x) for row in a for x in row) < bound
 
     @pytest.mark.parametrize("r,n", [(1, 3), (3, 2)])
     def test_residues_match_word_by_word_oracle(self, r, n):
-        # the factorized images reduce to the residues of the cell words
-        # evaluated token by token
+        # the residue rows are the residues of the cell words evaluated token
+        # by token, also on the blocks where every left factor vanishes
         p = generic_specialization(r, n)
         rep = build_rep(n, r, p)
         prime = RANK_PRIMES[0]
-        images, expected = [], []
+        expected = []
+        vanishing = 0
         for f, lam in shapes_with_f(n, r):
-            images.extend(label_images(f, lam, rep))
             idx = delta_index(f, lam, n, r)
+            for b in range(len(rep.blocks)):
+                lefts = [eval_word_blocks(left_word(f, x, n, r), rep)[b] for x in idx]
+                vanishing += not any(x for mat in lefts for row in mat for x in row)
             for left in idx:
                 for right in idx:
                     row = eval_word(cell_word(f, lam, left, right, n, r), rep)
                     expected.append(
                         [x.numerator * pow(x.denominator, -1, prime) % prime for x in row])
-        assert residue_rows(images, prime) == expected
+        assert vanishing == {(1, 3): 3, (3, 2): 44}[r, n]
+        rows = residue_matrix(rep, prime)
+        assert [[x % prime for x in row] for row in rows] == expected
 
     @pytest.mark.parametrize("r,n,d", [(1, 2, 3), (1, 3, 15), (3, 2, 27)])
     def test_full_rank(self, r, n, d):

@@ -9,12 +9,13 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycbmw import cli
+from cycbmw.cellular import RANK_PRIMES, build_rep, residue_matrix
 from cycbmw.cli import run
-from cycbmw.params import certify_generic, generic_specialization
+from cycbmw.params import GroundParams, certify_generic, generic_specialization
 from cycbmw.seminormal import build_module
 
 
@@ -525,3 +526,44 @@ class TestSignedPresets:
         else:
             assert code == 1
             assert report == {"r": r, "n": n, "error": report["error"]}
+
+    @settings(max_examples=40, deadline=None)
+    @given(r=st.sampled_from([1, 3]), n=st.integers(1, 2), alpha=st.sampled_from([1, -1]),
+           q=st.sampled_from(["-3", "-2", "1/3", "3", "7/2"]),
+           k=st.lists(st.integers(-12, 12), min_size=3, max_size=3))
+    @example(r=3, n=2, alpha=1, q="-2", k=[13, -8, 3])
+    def test_rank_certifies_or_exits_one(self, r, n, alpha, q, k):
+        # a generic preset is certified, or its module build fails a check
+        # (a negative seminormal radicand, ROADMAP item 11)
+        k = k[:r]
+        code, report = self.run_rank(r, n, q, k, alpha)
+        if not certify_generic(F(q), [F(q) ** (2 * x) for x in k], n)["ok"]:
+            assert code == 1
+            assert report == {"r": r, "n": n, "error": report["error"]}
+        elif code == 0:
+            assert report["certified"] is True and set(report) == {"D", "certified", "elapsed"}
+        else:
+            assert code == 1
+            assert report == {"D": report["D"], "certified": False, "error": report["error"]}
+            assert report["error"].startswith("be-real violated")
+
+    def test_rank_with_the_first_rank_prime_in_q(self):
+        # every token denominator carries a power of p1 = RANK_PRIMES[0], so
+        # the certificate skips p1 and certifies with the next prime
+        p1 = RANK_PRIMES[0]
+        params = GroundParams(1, F(3, p1), [F(3, p1) ** 4])
+        assert certify_generic(params.q, params.u, 2)["ok"]
+        assert residue_matrix(build_rep(2, 1, params), p1) is None
+        code, report = self.run_rank(1, 2, f"3/{p1}", [2], 1)
+        assert code == 0 and report["certified"] is True
+
+    @staticmethod
+    def run_rank(r, n, q, k, alpha):
+        with tempfile.TemporaryDirectory() as tmp:
+            preset = Path(tmp) / "preset.txt"
+            preset.write_text(f"r = {r}\nq = {q}\nk = {', '.join(map(str, k))}\n"
+                              f"alpha = {alpha}\n")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = run(["rank", "--r", str(r), "--n", str(n), "--preset", str(preset)])
+        return code, json.loads(out.getvalue())
