@@ -2,12 +2,16 @@
 
 Provides the index sets for the cellular basis, generator words for its
 elements (each a left factor word followed by a right factor word),
-evaluation of words over Q in the faithful direct sum of seminormal modules
-(token matrices are cached per module, words multiplied as integer sparse
-rows over one denominator, and the row-stabilizer sum formed by word_sum
-over its permutation words), a modular full-rank certificate for the
-evaluated basis, closed Gram values on the top annihilator layer, and the
-irreducible-label census.
+evaluation of words over Q in the faithful direct sum of seminormal modules,
+a modular full-rank certificate for the evaluated basis, closed Gram values
+on the top annihilator layer, and the irreducible-label census.
+
+Words are evaluated through each module's one token table
+(SeminormalModule._word_cache): token_matrix reads the generators from it
+as the relation check does (seminormal.token_rows) and adds the shift
+tokens X_i - u_s, from the diagonal of X_i, and the row-stabilizer sums,
+each formed by word_sum over its permutation words.  A word's image is the
+one-term word_sum, integer sparse rows over one denominator.
 
 The certificate works over F_p from the tokens up and forms no exact image.
 For each prime and block it reduces every token's integer rows mod p once
@@ -31,14 +35,7 @@ from .matrices import dense, frac_rows, int_rows, mat_scale, sparse_diag
 # bound only because bench/tracer.py patches them here (ROADMAP item 1)
 from .matrices import mat_add, mat_diag, mat_identity, mat_mul, mat_sub  # noqa: F401
 from .params import GroundParams
-from .seminormal import (
-    SeminormalModule,
-    _product,
-    build_module,
-    generator_matrix,
-    word_product,
-    word_sum,
-)
+from .seminormal import SeminormalModule, _product, build_module, token_rows, word_sum
 from .tableaux import (
     CosetRep,
     RPartition,
@@ -228,10 +225,6 @@ def build_rep(n: int, r: int, params: GroundParams) -> FaithfulRep:
     return FaithfulRep(n, r, params, blocks)
 
 
-def _module_word(w: GenWord, m: SeminormalModule):
-    return word_product(w, lambda tok: token_matrix(tok, m), m.dim)
-
-
 def _rowsum_matrix(m: SeminormalModule, lam: RPartition) -> tuple:
     """(int rows, den) of the row-stabilizer sum of lam: the sum of T_w over
     the permutations w that fix every row of lam setwise.
@@ -250,24 +243,24 @@ def _rowsum_matrix(m: SeminormalModule, lam: RPartition) -> tuple:
 
 
 def token_matrix(tok: Token, m: SeminormalModule) -> tuple:
-    """(int rows, den) of one token on a single seminormal module, cached
-    per module: a relation-table generator, ("Xshift", i, comp) for
-    X_i - u_comp, or ("rowsum", lam) for the row-stabilizer sum of lam.
+    """(int rows, den) of one token on a single seminormal module, kept in
+    the module's token table: a relation-table generator (token_rows),
+    ("Xshift", i, comp) for X_i - u_comp, or ("rowsum", lam) for the
+    row-stabilizer sum of lam.
     """
+    if tok[0] not in ("Xshift", "rowsum"):
+        return token_rows(tok, m)
     cache = m._word_cache
     if tok in cache:
         return cache[tok]
-    p = m.params
     if tok[0] == "Xshift":
         _, i, comp = tok
-        if not (1 <= i <= m.n and 1 <= comp <= p.r):
+        if not (1 <= i <= m.n and 1 <= comp <= m.params.r):
             raise ValueError("shift token out of range")
-        us = p.u[comp - 1]
-        out = int_rows(sparse_diag([s.content(i, p) - us for s in m.basis]))
-    elif tok[0] == "rowsum":
-        out = _rowsum_matrix(m, tok[1])
+        us = m.params.u[comp - 1]
+        out = int_rows(sparse_diag([x - us for x in m.matX[i - 1]]))
     else:
-        out = generator_matrix(tok, m.matX, m.matT, m.matE, p.delta)
+        out = _rowsum_matrix(m, tok[1])
     cache[tok] = out
     return out
 
@@ -276,7 +269,9 @@ def eval_word_blocks(w: GenWord, rep: FaithfulRep) -> list:
     """Per-block dense Fraction matrices of a token word, in the fixed block
     order.
     """
-    return [dense(frac_rows(*_module_word(w, m)), m.dim) for _, _, m in rep.blocks]
+    return [dense(frac_rows(*word_sum([(1, w)], lambda tok: token_matrix(tok, m), m.dim)),
+                  m.dim)
+            for _, _, m in rep.blocks]
 
 
 def eval_word(w: GenWord, rep: FaithfulRep) -> list:

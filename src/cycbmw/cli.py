@@ -168,7 +168,6 @@ def _cmd_rep(args, parser) -> tuple[dict, bool]:
             "dim": m.dim,
             "ok": rel["ok"],
             "failing": [x["name"] for x in failing],
-            "max_width": max((x["max_width"] for x in rel["relations"]), default=0.0),
         }
         if failing:
             block["residuals"] = [

@@ -1,19 +1,19 @@
-"""Matrix helpers over exact scalars: dense rows for assembly and output,
-integer sparse rows over one denominator for products.
+"""Matrix helpers over exact scalars.
 
-A dense matrix is a list of rows of Fractions (or ints).  A sparse-row
-matrix is a list with one ``{column: entry}`` dict per row that never stores
-an exact zero.  The seminormal generators are mostly zeros (X_i is diagonal,
-T_k and E_k have a few entries per row), so words are multiplied in sparse
-rows, touching nonzero entries only; ``sparse`` and ``dense`` convert
-between the two forms.
+A module's generators are sparse rows: a list with one ``{column: entry}``
+dict per row that never stores an exact zero.  The seminormal generators are
+mostly zeros (X_i is diagonal, T_k and E_k have a few entries per row), so
+they are assembled in this form and words are multiplied in it, touching
+nonzero entries only.  ``sparse_diag`` writes a diagonal matrix in it, and
+``dense`` expands it to rows of Fractions for output.
 
 Products run fraction-free: a matrix is a pair ``(rows, den)`` of sparse
 rows of ints and one positive int denominator, standing for rows/den.
 ``mat_mul`` uses only ``*``, ``+`` and truthiness, so it multiplies int rows
 with no gcd per entry, and the denominators of a product multiply.  Sums of
 words are formed by ``seminormal.word_sum``.  ``int_rows`` and
-``frac_rows`` convert at the boundary.
+``frac_rows`` convert at the boundary.  The dense ``mat_*`` helpers serve
+the Gram check and the benchmark tracer.
 """
 
 from __future__ import annotations
@@ -53,11 +53,6 @@ def mat_scale(c, a: Matrix) -> Matrix:
 
 
 # -- sparse rows --------------------------------------------------------------
-
-
-def sparse(a: Matrix) -> list:
-    """Sparse rows of a dense matrix."""
-    return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
 def sparse_diag(entries) -> list:

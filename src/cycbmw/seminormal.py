@@ -4,19 +4,21 @@ Builds the step generating functions W_k(y,s), the diagonal residues E_ss(k)
 and off-step coefficients a/b, assembles the generator matrices of the
 irreducible module attached to each (f, lambda) over Q in a rational gauge,
 which the module keeps, and verifies the defining relations and rational
-identities exactly.  The module keeps dense Fraction matrices;
-generator_matrix converts each generator once to integer sparse rows over
-one denominator (X_i^a from integer powers of each content's numerator and
-denominator).  word_product multiplies a word's rows left to right and its
-denominators together; a diagonal factor scales the columns of the product
-so far.  word_sum is the one kernel for a sum of c·word terms: it fixes the
-lcm L of the terms' denominators before any product is formed, multiplies
-each word's prefix, and multiplies the last factor straight into integer
-accumulator rows scaled by c's numerator times L over the term's
-denominator.  A relation's residual is one such sum, so the check touches
-nonzero entries only and normalises no Fraction per entry; a Fraction is
-made again only for a failing relation's residual.  Cellular word
-evaluation uses word_product, and its row-stabilizer sums word_sum.
+identities exactly.  A module stores each X_i as its diagonal and each T_k
+and E_k as sparse Fraction rows that store no zero, written entry by entry
+at assembly.  Each module owns one token table, _word_cache, that holds
+every token's (int rows, den): token_rows fills it with the relation-table
+generators (generator_matrix converts each one once, X_i^a from integer
+powers of each content's numerator and denominator), and the cellular
+words add their own tokens to it.  word_sum is the one word kernel, for a
+sum of c·word terms: it fixes the lcm L of the terms' denominators before
+any product is formed, multiplies each word's prefix (a diagonal factor
+scales the columns of the product so far), and multiplies the last factor
+straight into integer accumulator rows scaled by c's numerator times L over
+the term's denominator.  A relation's residual is one such sum, so the
+check touches nonzero entries only and normalises no Fraction per entry; a
+Fraction is made again only for a failing relation's residual.  A single
+word is the one-term sum.
 
 The identity suite keys each check by the window of the walk it reads (a
 shape, a shape and the step out of it, or shape(k-1) and steps k..k+2, or
@@ -48,11 +50,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
-from .matrices import int_rows, mat_diag, mat_mul, mat_zero, sparse
+from .matrices import int_rows, mat_mul
 from .params import GroundParams, wtilde_rational
 from .scalars import LaurentPoly, RatFunc, expand_series
 # bound only because bench/tracer.py patches them here (ROADMAP item 1)
-from .matrices import mat_add, mat_identity, mat_scale, mat_sub  # noqa: F401
+from .matrices import mat_add, mat_diag, mat_identity, mat_scale, mat_sub  # noqa: F401
 from .scalars import ball_sqrt  # noqa: F401
 from .tableaux import (
     RPartition,
@@ -256,10 +258,12 @@ class SeminormalModule:
     table: ResidueTable
     # g_s > 0 with every T_k, E_k equal to D A D^{-1}, D = diag(sqrt(g_s)), A symmetric
     gauge: list
+    # X_i as its diagonal; T_k and E_k as sparse Fraction rows with no zero
     matX: list
     matT: list
     matE: list
-    # (int rows, den) token matrices of cellular.token_matrix
+    # token -> (int rows, den): the generators (token_rows) and the tokens
+    # of cellular.token_matrix
     _word_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -355,28 +359,27 @@ def build_module(lam: RPartition, f: int, params: GroundParams) -> SeminormalMod
                 swaps[(j, k)] = None if u is None else index[u]
     table = ResidueTable(e_diag, a_coef, b_sq)
 
-    matX = [
-        mat_diag([s.content(i, params) for s in basis]) for i in range(1, n + 1)
-    ]
-    matE = [mat_zero(d) for _ in range(1, n)]
-    matT = [mat_zero(d) for _ in range(1, n)]
+    matX = [[s.content(i, params) for s in basis] for i in range(1, n + 1)]
+    matE = [[{} for _ in range(d)] for _ in range(1, n)]
+    matT = [[{} for _ in range(d)] for _ in range(1, n)]
     # off-diagonal entries (k, i, j, weight, T_ij / E_ij), the ratio None for
     # a swap entry, which T has and E has not
     edges: list = []
     delta = params.delta
     for k in range(1, n):
-        E, T = matE[k - 1], matT[k - 1]
+        E, T, X = matE[k - 1], matT[k - 1], matX[k - 1]
         for j, s in enumerate(basis):
             if s.shape(k - 1) == s.shape(k + 1):
-                cs = s.content(k, params)
                 es = e_diag[(j, k)]
                 for t in neighbors_k(s, k):
                     i = index[t]
                     if i == j:
                         E[j][j] = es
-                        T[j][j] = delta * (es - 1) / (cs * cs - 1)
+                        x = delta * (es - 1) / (X[j] * X[j] - 1)
+                        if x:  # es = 1 leaves no diagonal entry
+                            T[j][j] = x
                     else:
-                        ratio = delta / (cs * t.content(k, params) - 1)
+                        ratio = delta / (X[j] * X[i] - 1)
                         edges.append((k, i, j, _weight(es, e_diag[(i, k)]), ratio))
             else:
                 T[j][j] = a_coef[(j, k)]
@@ -501,33 +504,44 @@ def x_shift_relations(n: int, params: GroundParams, rho) -> list:
     return rel
 
 
-def generator_matrix(tok: tuple, matX: list, matT: list, matE: list, delta) -> tuple:
-    """(int rows, den) of one relation-table token, given the dense matrices
-    of X_i, T_k and E_k; T_k^{-1} = T_k - delta + delta E_k.
+def generator_matrix(tok: tuple, m) -> tuple:
+    """(int rows, den) of one relation-table token on the module m (a
+    SeminormalModule or a Br2Module), read from its X_i diagonals and its
+    sparse T_k and E_k rows; T_k^{-1} = T_k - delta + delta E_k.
     """
-    mats = {"X": matX, "T": matT, "E": matE}.get(tok[0])
+    mats = {"X": m.matX, "T": m.matT, "E": m.matE}.get(tok[0])
     if mats is None:
         raise ValueError(f"unknown token {tok!r}")
     kind, i, e = tok
     if not 1 <= i <= len(mats):
-        raise ValueError(f"token index {i} out of range for {len(matX)} strands")
-    m = mats[i - 1]
+        raise ValueError(f"token index {i} out of range for {len(m.matX)} strands")
     if kind == "X":
         # (p/q)^e = p^e/q^e and (p/q)^-e = q^e/p^e, both in lowest terms; a
         # negative q^e leaves den = lcm(...) positive, and den // q^e carries
         # its sign to the numerator
-        pairs = [(m[j][j].numerator, m[j][j].denominator) for j in range(len(m))]
+        pairs = [(x.numerator, x.denominator) for x in mats[i - 1]]
         if e < 0:
             e = -e
             pairs = [(q, p) for p, q in pairs]
         pairs = [(p ** e, q ** e) for p, q in pairs]
         den = lcm(*(q for _, q in pairs))
         return [{j: p * (den // q)} if p else {} for j, (p, q) in enumerate(pairs)], den
-    out = int_rows(sparse(m))
     if kind == "T" and e != 1:
-        tokens = {tok: out, ("E", i, 1): int_rows(sparse(matE[i - 1]))}
-        out = word_sum([(1, (tok,)), (-delta, ()), (delta, (("E", i, 1),))],
-                       tokens.__getitem__, len(m))
+        delta = m.params.delta
+        return word_sum([(1, (("T", i, 1),)), (-delta, ()), (delta, (("E", i, 1),))],
+                        lambda t: token_rows(t, m), m.dim)
+    return int_rows(mats[i - 1])
+
+
+def token_rows(tok: tuple, m) -> tuple:
+    """(int rows, den) of one relation-table token on the module m, kept in
+    its token table m._word_cache; generator_matrix converts it the first
+    time it is asked for.  Callers must not mutate the result.
+    """
+    cache = m._word_cache
+    out = cache.get(tok)
+    if out is None:
+        out = cache[tok] = generator_matrix(tok, m)
     return out
 
 
@@ -560,24 +574,11 @@ def _product(factors: list) -> list:
     return out
 
 
-def word_product(word, matrix_of, dim: int) -> tuple:
-    """Left-to-right product (int rows, den) of matrix_of(token) over a token
-    word, the identity of size dim when no factor is left; X_i^0 is 1 and is
-    skipped.
-
-    A one-factor word shares matrix_of's rows, so callers must not mutate
-    the result.
-    """
-    mats = [matrix_of(tok) for tok in word if tok[0] != "X" or tok[2]]
-    if not mats:
-        return [{i: 1} for i in range(dim)], 1
-    return _product([rows for rows, _ in mats]), prod(den for _, den in mats)
-
-
 def word_sum(terms, matrix_of, dim: int) -> tuple:
     """(int rows, L) of the sum of c·word over the terms (c, word), each word
-    a product of matrix_of(token) pairs as in word_product; terms with c == 0
-    are skipped.
+    the left-to-right product of the (int rows, den) pairs matrix_of(token),
+    the identity of size dim when no factor is left; X_i^0 is 1 and is
+    skipped, and so are the terms with c == 0.
 
     L is the lcm over the terms of c.denominator times the product of the
     word's token denominators, fixed before any product is formed.  Each
@@ -622,42 +623,24 @@ def word_sum(terms, matrix_of, dim: int) -> tuple:
     return acc, total
 
 
-class _Generators(dict):
-    """generator_matrix of each token, converted the first time it is asked
-    for.
-    """
+def _check_relations(relations: list, m) -> dict:
+    """Evaluate every relation on the module m (a SeminormalModule or a
+    Br2Module) through its token table (token_rows).
 
-    def __init__(self, matX: list, matT: list, matE: list, delta):
-        super().__init__()
-        self.mats = (matX, matT, matE, delta)
-
-    def __missing__(self, tok: tuple) -> tuple:
-        self[tok] = out = generator_matrix(tok, *self.mats)
-        return out
-
-
-def _check_relations(relations: list, matX: list, matT: list, matE: list, delta) -> dict:
-    """Evaluate every relation on the given dense generator matrices.
-
-    Each generator is converted to int rows over one denominator the first
-    time a word uses it, once per call, and each relation's terms c·word are
-    summed by word_sum into one
-    integer residual over the lcm of their denominators, so a relation holds
+    Each relation's terms c·word are summed by word_sum into one integer
+    residual over the lcm of their denominators, so a relation holds
     exactly when no residual entry is left.  Returns name -> None when every
     instance vanishes, else the first failing instance as {"instance": its
     position among the name's instances in table order, "k": its step (None
     for a relation that has none), "entry": (i, j) the first nonzero
     residual entry in row-major order, "residual": its value as a Fraction}.
     """
-    dim = len(matX[0])
-    gens = _Generators(matX, matT, matE, delta)
-
     merged: dict = {}
     instances: dict = {}
     for name, k, terms in relations:
         instance = instances.get(name, 0)
         instances[name] = instance + 1
-        residual, den = word_sum(terms, gens.__getitem__, dim)
+        residual, den = word_sum(terms, lambda tok: token_rows(tok, m), m.dim)
         if merged.get(name) is None:
             i = next((i for i, row in enumerate(residual) if row), None)
             if i is None:
@@ -679,20 +662,19 @@ def relation_table(n: int, params: GroundParams) -> list:
 
 def verify_relations(module: SeminormalModule, relations: list | None = None) -> dict:
     """Check the defining relations and the X-shift identities on the
-    module's matrices; relations is relation_table(module.n, module.params),
-    built here when not given.
+    module's generators; relations is relation_table(module.n,
+    module.params), built here when not given.
 
-    Every residual entry must vanish identically, so every width is 0.  A
-    failing relation also reports its first failing instance, entry and
-    residual value (see _check_relations).
+    A relation passes when every residual entry vanishes exactly.  A failing
+    relation also reports its first failing instance, entry and residual
+    value (see _check_relations).
     """
-    p = module.params
     if relations is None:
-        relations = relation_table(module.n, p)
-    merged = _check_relations(relations, module.matX, module.matT, module.matE, p.delta)
+        relations = relation_table(module.n, module.params)
+    merged = _check_relations(relations, module)
     report = []
     for name, failure in sorted(merged.items()):
-        result = {"name": name, "pass": failure is None, "max_width": 0.0}
+        result = {"name": name, "pass": failure is None}
         if failure is not None:
             result.update(failure)
         report.append(result)
@@ -1123,14 +1105,18 @@ def identity_suite(lam: RPartition, f: int, params: GroundParams) -> dict:
 class Br2Module:
     kind: tuple
     dim: int
+    params: GroundParams
     rho: object
     rho_inv: object
     v: tuple | None
     gamma: list | None
+    # X_1 and X_2 as their diagonals; T_1 and E_1 as sparse Fraction rows
+    # with no zero, as on a SeminormalModule
+    matX: list
     matT: list
     matE: list
-    matX1: list
-    matX2: list
+    # token -> (int rows, den) of the generators (token_rows)
+    _word_cache: dict = field(default_factory=dict, repr=False)
 
     def omega_local(self, a: int):
         """Weighted power sum over the eigenvalue set (big kind only)."""
@@ -1152,8 +1138,8 @@ def br2_build(kind: tuple, params: GroundParams) -> Br2Module:
         _, sign, i = kind
         eps = q if sign == 1 else -params.q_inv
         ui = params.u[i - 1]
-        return Br2Module(kind, 1, params.rho, params.rho_inv, None, None,
-                         [[eps]], [[Fraction(0)]], [[ui]], [[eps * eps * ui]])
+        return Br2Module(kind, 1, params, params.rho, params.rho_inv, None, None,
+                         [[ui], [eps * eps * ui]], [[{0: eps}]], [[{}]])
     if kind[0] == "twodim":
         _, i, j = kind
         if i == j:
@@ -1162,14 +1148,12 @@ def br2_build(kind: tuple, params: GroundParams) -> Br2Module:
         if ui == uj:
             raise ArithmeticError(f"u_{i} = u_{j}; parameters not generic")
         pref = uj / (uj - ui)
-        matT = [
-            [pref * delta, pref * (q - ui * params.q_inv / uj)],
-            [pref * (params.q_inv - q * ui / uj), pref * (-delta * ui / uj)],
-        ]
-        zero = Fraction(0)
-        return Br2Module(kind, 2, params.rho, params.rho_inv, None, None,
-                         matT, [[zero, zero], [zero, zero]],
-                         mat_diag([ui, uj]), mat_diag([uj, ui]))
+        rows = ((pref * delta, pref * (q - ui * params.q_inv / uj)),
+                (pref * (params.q_inv - q * ui / uj), pref * (-delta * ui / uj)))
+        return Br2Module(kind, 2, params, params.rho, params.rho_inv, None, None,
+                         [[ui, uj], [uj, ui]],
+                         [[{c: x for c, x in enumerate(row) if x} for row in rows]],
+                         [[{}, {}]])
     if kind[0] == "big":
         indices = kind[1] if kind[1] is not None else tuple(range(1, params.r + 1))
         v = tuple(params.u[i - 1] for i in indices)
@@ -1188,15 +1172,14 @@ def br2_build(kind: tuple, params: GroundParams) -> Br2Module:
                 if j != i:
                     g = g * (v[i] * v[j] - 1) / (v[i] - v[j])
             gamma.append(g)
-        matE = [[gamma[i] for i in range(d)] for _ in range(d)]
+        matE = [{i: g for i, g in enumerate(gamma) if g} for _ in range(d)]
         matT = [
-            [delta * (gamma[i] - (1 if i == j else 0)) / (v[i] * v[j] - 1)
-             for i in range(d)]
+            {i: x for i in range(d)
+             if (x := delta * (gamma[i] - (1 if i == j else 0)) / (v[i] * v[j] - 1))}
             for j in range(d)
         ]
-        return Br2Module(kind, d, rho, rho_inv, v, gamma, matT, matE,
-                         mat_diag(list(v)),
-                         mat_diag([1 / x for x in v]))
+        return Br2Module(kind, d, params, rho, rho_inv, v, gamma,
+                         [list(v), [1 / x for x in v]], [matT], [matE])
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -1205,9 +1188,7 @@ def br2_verify(mod: Br2Module, params: GroundParams) -> dict:
     identities of the big kind on one two-strand module.
     """
     omega = mod.omega_local if mod.v is not None else params.omega
-    merged = _check_relations(defining_relations(2, params, mod.rho, omega),
-                              [mod.matX1, mod.matX2], [mod.matT], [mod.matE],
-                              params.delta)
+    merged = _check_relations(defining_relations(2, params, mod.rho, omega), mod)
     results = [{"name": name, "pass": failure is None} for name, failure in merged.items()]
     if mod.v is not None:
         dr = params.delta_inv * mod.rho

@@ -108,7 +108,6 @@ def test_criterion_05_generating_series():
 def test_criterion_06_seminormal_relations():
     t0 = time.perf_counter()
     ok = True
-    tol = F(1, 2 ** 256)
     for r, n_max in [(1, 4), (3, 3)]:
         for n in range(2, n_max + 1):
             p = generic_specialization(r, n)
@@ -116,8 +115,7 @@ def test_criterion_06_seminormal_relations():
                 m = build_module(lam, f, p)
                 rel = verify_relations(m)
                 ok = ok and rel["ok"]
-                ok = ok and all(F(x["max_width"]) < tol for x in rel["relations"])
-    report(6, "all defining relations enclose 0 with width < 2^-256 at 512 bits",
+    report(6, "all defining relations vanish exactly over Q on every module",
            ok, time.perf_counter() - t0, 300)
 
 

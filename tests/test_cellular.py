@@ -30,7 +30,7 @@ from cycbmw.cellular import (
     token_residues,
     word_star,
 )
-from cycbmw.matrices import dense, frac_rows, mat_identity, mat_mul, mat_sub, sparse
+from cycbmw.matrices import dense, frac_rows, mat_identity, mat_mul, mat_sub
 from cycbmw.params import generic_specialization
 from cycbmw.seminormal import build_module
 from cycbmw.tableaux import (
@@ -40,6 +40,11 @@ from cycbmw.tableaux import (
     shapes_with_f,
     std_tableaux,
 )
+
+
+def sparse(a):
+    """Sparse rows of a dense matrix."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
 def double_factorial(m: int) -> int:

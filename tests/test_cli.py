@@ -33,7 +33,7 @@ class TestCommands:
     def test_rep_passes(self, capsys):
         code, report = run_json(capsys, "rep", "--r", "1", "--n", "3")
         assert code == 0 and report["ok"] is True
-        assert all(b["ok"] and b["max_width"] == 0 for b in report["blocks"])
+        assert all(b["ok"] and "max_width" not in b for b in report["blocks"])
         assert "precision" not in report
 
     def test_basis_total(self, capsys):

@@ -98,21 +98,21 @@ GOLDEN = {
     "tabs --r 3 --n 3 --seed 7":
         (0, "2dfd6b394440ecbca538aa46241da66e7b072ce62cce169f353e9ffe37370220"),
     "rep --r 1 --n 2 --seed 0":
-        (0, "0cf70362124479afe2b690cf39d6985830e24613e0891b9b99e7853729daaf86"),
+        (0, "fd22fda7ff4a09fe22de0ba139f1465e2ed651a82ecec6e41a2d5ff194c6ea02"),
     "rep --r 1 --n 2 --seed 7":
-        (0, "0cf70362124479afe2b690cf39d6985830e24613e0891b9b99e7853729daaf86"),
+        (0, "fd22fda7ff4a09fe22de0ba139f1465e2ed651a82ecec6e41a2d5ff194c6ea02"),
     "rep --r 1 --n 3 --seed 0":
-        (0, "3480199ca3811b506668117a65b9c48340f76570c6c5b1bd6f98625e62925a0f"),
+        (0, "22b89af34fd9136f19e5d3ad0f6739c6feb75b5f7c165cbbeee97020799750f8"),
     "rep --r 1 --n 3 --seed 7":
-        (0, "3480199ca3811b506668117a65b9c48340f76570c6c5b1bd6f98625e62925a0f"),
+        (0, "22b89af34fd9136f19e5d3ad0f6739c6feb75b5f7c165cbbeee97020799750f8"),
     "rep --r 3 --n 2 --seed 0":
-        (0, "cf80c8aab5c2300db10cdcfca0ad7f285d6a0c808f43b4aeef587291624f2561"),
+        (0, "a90c2c7abafb67af99ef387b105452a5d1ce93edfc013287bea8e79b75834ad0"),
     "rep --r 3 --n 2 --seed 7":
-        (0, "cf80c8aab5c2300db10cdcfca0ad7f285d6a0c808f43b4aeef587291624f2561"),
+        (0, "a90c2c7abafb67af99ef387b105452a5d1ce93edfc013287bea8e79b75834ad0"),
     "rep --r 3 --n 3 --seed 0":
-        (0, "ec56c2b6f2ffd035d40a70fb25a612b2d364a24b4aebf475852b0f6b0d7893bf"),
+        (0, "ff767aa435e9e8fef673d2caf1675ca4b3269e731967eb0fcfedb7335b1ea5c0"),
     "rep --r 3 --n 3 --seed 7":
-        (0, "ec56c2b6f2ffd035d40a70fb25a612b2d364a24b4aebf475852b0f6b0d7893bf"),
+        (0, "ff767aa435e9e8fef673d2caf1675ca4b3269e731967eb0fcfedb7335b1ea5c0"),
     "identities --r 1 --n 2 --seed 0":
         (0, "d24d4bebe54d2c170b1bfb7a318b43013131be98fe31d734f31d134d3f503080"),
     "identities --r 1 --n 2 --seed 7":
@@ -242,13 +242,13 @@ GOLDEN = {
     "br2 --r 5 --n 2 --seed 7":
         (0, "e17eba4ed1e974de0a8c8900bb8254d3ef5afc5140fa408875080f5393eae956"),
     "rep --r 1 --n 4 --seed 0":
-        (0, "073bd23cb766332d7c6dc4e9c9cc5d78474784784bcc717969e0cf520d12ee68"),
+        (0, "faa117ff1e3cea20494150041c9e8bfeba2f000d6c6bd4bba41cc942d92139e6"),
     "rep --r 1 --n 4 --seed 7":
-        (0, "073bd23cb766332d7c6dc4e9c9cc5d78474784784bcc717969e0cf520d12ee68"),
+        (0, "faa117ff1e3cea20494150041c9e8bfeba2f000d6c6bd4bba41cc942d92139e6"),
     "rep --r 3 --n 1 --seed 0":
-        (0, "2524b8301ad8665ba746a46e202455ca2adb1721a421132d425e5a50b28418f9"),
+        (0, "5e66ee8435cdc9bf5e42eb0f8a315ec101c28dbaf6662d03ba4f9905736b9975"),
     "rep --r 3 --n 1 --seed 7":
-        (0, "2524b8301ad8665ba746a46e202455ca2adb1721a421132d425e5a50b28418f9"),
+        (0, "5e66ee8435cdc9bf5e42eb0f8a315ec101c28dbaf6662d03ba4f9905736b9975"),
     "identities --r 5 --n 4 --seed 0":
         (0, "7e06a82822d23f862b61f2cd6ce1094f77baa573f3e2c71ac1081a782f283385"),
     "identities --r 5 --n 4 --seed 7":

@@ -1,20 +1,30 @@
 import copy
+from collections import Counter
 from fractions import Fraction as F
 from math import lcm, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycbmw import cellular
-from cycbmw.cellular import build_rep, cell_word, delta_index, eval_word_blocks, rank_certify
-from cycbmw.matrices import dense, frac_rows, int_rows, mat_diag, mat_mul, sparse, sparse_diag
+from cycbmw import cellular, seminormal
+from cycbmw.cellular import (
+    FaithfulRep,
+    build_rep,
+    cell_word,
+    delta_index,
+    eval_word_blocks,
+    rank_certify,
+    token_matrix,
+)
+from cycbmw.matrices import dense, frac_rows, int_rows, mat_mul, sparse_diag
 from cycbmw.params import generic_specialization
 from cycbmw.seminormal import (
     build_module,
     generator_matrix,
+    relation_table,
     verify_relations,
-    word_product,
     word_sum,
 )
 from cycbmw.tableaux import rp_empty, shapes_with_f
@@ -58,6 +68,11 @@ def sum_pair(draw):
 def chain(draw):
     dims = draw(st.lists(DIMS, min_size=2, max_size=6))
     return [draw(matrix(rows, cols)) for rows, cols in zip(dims, dims[1:])]
+
+
+def sparse(a):
+    """Sparse rows of a dense matrix, the form the generators are built in."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
 def no_zero_stored(a):
@@ -167,10 +182,10 @@ class TestIntRows:
     @given(chain())
     @settings(max_examples=100, deadline=None)
     def test_chain_product_matches_dense_reference(self, mats):
-        # the word product multiplies int rows and their denominators
+        # a one-term word_sum multiplies int rows and their denominators
         pairs = [int_rows(sparse(a)) for a in mats]
         word = tuple(("M", i, 1) for i in range(len(mats)))
-        rows, den = word_product(word, lambda tok: pairs[tok[1]], len(mats[0]))
+        rows, den = word_sum([(1, word)], lambda tok: pairs[tok[1]], len(mats[0]))
         assert integer_pair((rows, den)) and no_zero_stored(rows)
         assert den == prod(den for _, den in pairs)
         expected = mats[0]
@@ -322,7 +337,7 @@ class TestWordSum:
                 square.insert(i, n)
         pairs = [int_rows(sparse(a)) for a in mats]
         word = tuple(("M", i, 1) for i in range(len(mats)))
-        rows, den = word_product(word, lambda tok: pairs[tok[1]], len(mats[0]))
+        rows, den = word_sum([(1, word)], lambda tok: pairs[tok[1]], len(mats[0]))
         assert integer_pair((rows, den)) and no_zero_stored(rows)
         expected = mats[0]
         for b in mats[1:]:
@@ -336,10 +351,41 @@ class TestGeneratorMatrix:
         # contents of either sign, with the sign of a negative power moved to
         # the numerator so that the denominator stays positive
         entries = [F(-2, 3), F(5, 7), F(-1), F(4), F(1, -6)]
-        rows, den = generator_matrix(("X", 1, e), [mat_diag(entries)], [], [], F(1))
+        module = SimpleNamespace(matX=[entries], matT=[], matE=[])
+        rows, den = generator_matrix(("X", 1, e), module)
         assert integer_pair((rows, den)) and no_zero_stored(rows)
         assert den == lcm(*((x ** e).denominator for x in entries))
         assert frac_rows(rows, den) == [{i: x ** e} for i, x in enumerate(entries)]
+
+
+class TestTokenTable:
+    def test_each_generator_converted_once(self, monkeypatch):
+        # the relation check and then the cell words read one table per
+        # module: every generator token is converted exactly once
+        n, r = 3, 3
+        p = generic_specialization(r, n)
+        m = build_module(((1,), (), ()), 1, p)
+        calls = Counter()
+        convert = seminormal.generator_matrix
+
+        def counted(tok, module):
+            calls[tok] += 1
+            return convert(tok, module)
+
+        monkeypatch.setattr(seminormal, "generator_matrix", counted)
+        assert verify_relations(m)["ok"]
+        generators = {tok for _, _, terms in relation_table(n, p) for _, w in terms
+                      for tok in w if tok[0] != "X" or tok[2]}
+        assert set(calls) == generators and set(calls.values()) == {1}
+        rep = FaithfulRep(n, r, p, [(1, m.lam, m)])
+        for f, lam in shapes_with_f(n, r):
+            idx = delta_index(f, lam, n, r)
+            for left in idx[:2]:
+                eval_word_blocks(cell_word(f, lam, left, idx[-1], n, r), rep)
+        for tok in generators:
+            assert token_matrix(tok, m) is m._word_cache[tok]
+        assert set(calls.values()) == {1}
+        assert set(calls) == {tok for tok in m._word_cache if tok[0] in ("X", "T", "E")}
 
 
 class TestCachesNotMutated:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycbmw import seminormal
-from cycbmw.matrices import dense, mat_diag, mat_mul, sparse
+from cycbmw.matrices import dense, mat_mul, sparse_diag
 from cycbmw.params import GroundParams, generic_specialization, wtilde_rational
 from cycbmw.scalars import RatFunc
 from cycbmw.seminormal import (
@@ -72,7 +72,8 @@ def gauge_defects(m):
     g = m.gauge
     out = []
     for kind, mats in (("T", m.matT), ("E", m.matE)):
-        for k, M in enumerate(mats, 1):
+        for k, rows in enumerate(mats, 1):
+            M = dense(rows, m.dim)
             for i in range(m.dim):
                 for j in range(i + 1, m.dim):
                     if (g[i] * M[j][i] != M[i][j] * g[j]
@@ -81,11 +82,25 @@ def gauge_defects(m):
     return out
 
 
+def stored_zeros(m):
+    """Exact zeros stored in a module's generators: an X_i diagonal entry or
+    a sparse T_k or E_k entry, each of which must be nonzero.
+    """
+    assert all(len(diag) == m.dim for diag in m.matX)
+    assert all(len(rows) == m.dim and all(type(row) is dict for row in rows)
+               for rows in m.matT + m.matE)
+    return ([("X", i, j) for i, diag in enumerate(m.matX, 1) for j, x in enumerate(diag) if not x]
+            + [(kind, k, i, j) for kind, mats in (("T", m.matT), ("E", m.matE))
+               for k, rows in enumerate(mats, 1) for i, row in enumerate(rows)
+               for j, x in row.items() if not x])
+
+
 def assert_gauged_modules(r, n, p):
     for f, lam in shapes_with_f(n, r):
         m = build_module(lam, f, p)
         assert all(g > 0 for g in m.gauge), (f, lam)
         assert gauge_defects(m) == [], (f, lam)
+        assert stored_zeros(m) == [], (f, lam)
 
 
 def y_coeffs(poly):
@@ -247,16 +262,15 @@ class TestBuildModule:
         m = build_module(rp_empty(1), 1, p)
         u, w0 = p.u[0], p.omega(0)
         assert m.dim == 1
-        assert m.matX[0] == [[u]] and m.matX[1] == [[1 / u]]
-        assert m.matE[0] == [[w0]]
-        assert m.matT[0] == [[p.delta * (w0 - 1) / (u * u - 1)]]
+        assert m.matX[0] == [u] and m.matX[1] == [1 / u]
+        assert m.matE[0] == [{0: w0}]
+        assert m.matT[0] == [{0: p.delta * (w0 - 1) / (u * u - 1)}]
 
     def test_x_diagonal_contents(self):
         p = generic_specialization(3, 2)
         m = build_module(rp_empty(3), 1, p)
         for i in (1, 2):
-            expected = mat_diag([s.content(i, p) for s in m.basis])
-            assert m.matX[i - 1] == expected
+            assert m.matX[i - 1] == [s.content(i, p) for s in m.basis]
 
     def test_e_column_zero_when_flanks_differ(self):
         p = generic_specialization(1, 4)
@@ -264,21 +278,22 @@ class TestBuildModule:
         for k in range(1, 4):
             for j, s in enumerate(m.basis):
                 if k < 4 and s.shape(k - 1) != s.shape(k + 1):
-                    assert all(m.matE[k - 1][i][j] == 0 for i in range(m.dim))
+                    assert all(j not in row for row in m.matE[k - 1])
 
     def test_exact_backend_is_rational(self):
         p = generic_specialization(3, 2)
         m = build_module(rp_empty(3), 1, p)
         assert all(isinstance(g, F) and g > 0 for g in m.gauge)
-        mats = m.matX + m.matT + m.matE
-        assert all(isinstance(x, F) for mat in mats for row in mat for x in row)
+        assert all(isinstance(x, F) for diag in m.matX for x in diag)
+        assert all(isinstance(x, F) for rows in m.matT + m.matE
+                   for row in rows for x in row.values())
         assert all(isinstance(v, F) for v in m.table.e_diag.values())
 
     @pytest.mark.parametrize("r,n", [(1, 2), (1, 3), (1, 4), (3, 2), (3, 3), (5, 2), (5, 3)])
     def test_gauge_symmetric_with_table_weights(self, r, n):
         # the criterion-06 grid plus r = 5: every T_k and E_k is D A D^{-1}
         # with D = diag(sqrt(g_s)), g_s > 0, and A symmetric with the
-        # orthonormal form's squared entries
+        # orthonormal form's squared entries; no generator stores a zero
         assert_gauged_modules(r, n, generic_specialization(r, n))
 
     @given(st.sampled_from([(1, 3), (3, 2), (3, 3)]), st.integers(1, 2 ** 31 - 1))
@@ -292,7 +307,7 @@ class TestBuildModule:
         p = generic_specialization(3, 2)
         m = build_module(rp_empty(3), 1, p)
         mat = (m.matT if kind == "T" else m.matE)[0]
-        assert mat[0][1] != 0 and gauge_defects(m) == []
+        assert mat[0].get(1) and gauge_defects(m) == []
         mat[0][1] += 1
         assert gauge_defects(m) == [(kind, 1, 0, 1)]
 
@@ -320,13 +335,13 @@ class TestRelations:
             m = build_module(lam, f, p)
             rep = verify_relations(m)
             assert rep["ok"], (f, lam, [x for x in rep["relations"] if not x["pass"]])
-            assert all(x["max_width"] == 0 for x in rep["relations"])
+            assert all(set(x) == {"name", "pass"} for x in rep["relations"])
 
     def test_broken_generator_fails(self):
         # one perturbed off-diagonal entry of T_1 breaks the Kauffman relation
         p = generic_specialization(3, 2)
         m = build_module(rp_empty(3), 1, p)
-        assert m.matT[0][0][1] != 0
+        assert m.matT[0][0].get(1)
         m.matT[0][0][1] += 1
         rep = verify_relations(m)
         assert not rep["ok"]
@@ -336,8 +351,7 @@ class TestRelations:
         i, j = kauffman["entry"]
         assert 0 <= i < m.dim and 0 <= j < m.dim
         assert kauffman["residual"] != 0
-        assert all(set(x) == {"name", "pass", "max_width"}
-                   for x in rep["relations"] if x["pass"])
+        assert all(set(x) == {"name", "pass"} for x in rep["relations"] if x["pass"])
 
     def test_failing_residual_is_exact(self):
         # a non-integer perturbation of T_1 makes the Kauffman residual
@@ -346,7 +360,8 @@ class TestRelations:
         p = generic_specialization(3, 2)
         m = build_module(rp_empty(3), 1, p)
         m.matT[0][0][1] += F(1, 7)
-        T, E, d = m.matT[0], m.matE[0], m.dim
+        d = m.dim
+        T, E = dense(m.matT[0], d), dense(m.matE[0], d)
         expected = [[sum((T[i][l] * T[l][j] for l in range(d)), F(0))
                      - p.delta * T[i][j] + p.delta * p.rho * E[i][j] - (i == j)
                      for j in range(d)] for i in range(d)]
@@ -374,8 +389,8 @@ class TestRelations:
 
 def dense_residual(terms, m, delta):
     """Sum of c·word over the terms, every word multiplied out densely in
-    Fractions from the module's dense matrices: X_i^a from the diagonal of
-    X_i, T_k^{-1} as T_k - delta + delta E_k.
+    Fractions from the module's generators expanded to dense matrices: X_i^a
+    from the diagonal of X_i, T_k^{-1} as T_k - delta + delta E_k.
     """
     d = m.dim
     identity = [[F(int(i == j)) for j in range(d)] for i in range(d)]
@@ -383,12 +398,12 @@ def dense_residual(terms, m, delta):
     def token(tok):
         kind, i, e = tok
         if kind == "X":
-            return [[m.matX[i - 1][j][j] ** e if j == l else F(0) for l in range(d)]
+            return [[m.matX[i - 1][j] ** e if j == l else F(0) for l in range(d)]
                     for j in range(d)]
-        mat = (m.matT if kind == "T" else m.matE)[i - 1]
+        mat = dense((m.matT if kind == "T" else m.matE)[i - 1], d)
         if e == 1:
             return mat
-        E = m.matE[i - 1]
+        E = dense(m.matE[i - 1], d)
         return [[x - delta * one + delta * y for x, one, y in zip(rt, ri, re)]
                 for rt, ri, re in zip(mat, identity, E)]
 
@@ -435,9 +450,9 @@ class TestFailureReports:
         p = generic_specialization(3, 3)
         m = build_module(((1,), (), ()), 1, p)
         T2, E1 = m.matT[1], m.matE[0]
-        i, j = next((i, j) for i in range(m.dim) for j in range(m.dim) if i != j and T2[i][j])
+        i, j = next((i, j) for i in range(m.dim) for j in sorted(T2[i]) if i != j)
         T2[i][j] += F(1, 7)
-        i, j = next((i, j) for i in range(m.dim) for j in range(m.dim) if E1[i][j])
+        i, j = next((i, j) for i in range(m.dim) for j in sorted(E1[i]))
         E1[i][j] -= F(2, 3)
         failing = oracle_failures(m, p)
         # the x-shift words with X^{-a}, T^{-1}, E_1 X_1^a E_1 and the braid
@@ -449,7 +464,7 @@ class TestFailureReports:
         # X_2 X_2^{-1} = 1 still holds while the x-shift words fail
         p = generic_specialization(3, 3)
         m = build_module(((1,), (), ()), 1, p)
-        m.matX[1][0][0] *= 3
+        m.matX[1][0] *= 3
         failing = oracle_failures(m, p)
         assert {"x-shift-4", "x-shift-5"} <= failing
         assert "x-inverse" not in failing
@@ -486,11 +501,12 @@ class TestOmegaTable:
         m = build_module(lam, f, p)
         for k in range(1, 4):
             E = m.matE[k - 1]
+            dense_e = dense(E, m.dim)
             for a in range(4):
-                xa = mat_diag([s.content(k, p) ** a for s in m.basis])
-                lhs = dense(mat_mul(mat_mul(sparse(E), sparse(xa)), sparse(E)), m.dim)
+                xa = sparse_diag([s.content(k, p) ** a for s in m.basis])
+                lhs = dense(mat_mul(mat_mul(E, xa), E), m.dim)
                 scaled = [
-                    [E[i][j] * t.values[(k, s.shape(k - 1))][a]
+                    [dense_e[i][j] * t.values[(k, s.shape(k - 1))][a]
                      for j, s in enumerate(m.basis)]
                     for i in range(m.dim)
                 ]
@@ -768,16 +784,15 @@ class TestBr2:
     def test_onedim_example(self):
         p = generic_specialization(3, 2)
         m = br2_build(("onedim", 1, 2), p)
-        assert m.matT == [[p.q]]
-        assert m.matE == [[0]]
-        assert m.matX1 == [[p.u[1]]]
-        assert m.matX2 == [[p.q ** 2 * p.u[1]]]
+        assert m.matT == [[{0: p.q}]]
+        assert m.matE == [[{}]]
+        assert m.matX == [[p.u[1]], [p.q ** 2 * p.u[1]]]
         assert br2_verify(m, p)["ok"]
 
     def test_onedim_minus(self):
         p = generic_specialization(3, 2)
         m = br2_build(("onedim", -1, 1), p)
-        assert m.matT == [[-p.q_inv]]
+        assert m.matT == [[{0: -p.q_inv}]]
         assert br2_verify(m, p)["ok"]
 
     def test_twodim_matrices(self):
@@ -786,18 +801,18 @@ class TestBr2:
         m = br2_build(("twodim", i, j), p)
         ui, uj = p.u[i - 1], p.u[j - 1]
         pref = uj / (uj - ui)
-        assert m.matT == [
-            [pref * p.delta, pref * (p.q - ui * p.q_inv / uj)],
-            [pref * (p.q_inv - p.q * ui / uj), pref * (-p.delta * ui / uj)],
-        ]
-        assert m.matX1 == mat_diag([ui, uj])
-        assert m.matX2 == mat_diag([uj, ui])
+        assert m.matT == [[
+            {0: pref * p.delta, 1: pref * (p.q - ui * p.q_inv / uj)},
+            {0: pref * (p.q_inv - p.q * ui / uj), 1: pref * (-p.delta * ui / uj)},
+        ]]
+        assert m.matE == [[{}, {}]]
+        assert m.matX == [[ui, uj], [uj, ui]]
         assert br2_verify(m, p)["ok"]
 
     def test_broken_generator_fails(self):
         p = generic_specialization(3, 2)
         m = br2_build(("twodim", 1, 2), p)
-        m.matT[0][1] += 1
+        m.matT[0][0][1] += 1
         rep = br2_verify(m, p)
         assert not rep["ok"]
         assert "kauffman" in [x["name"] for x in rep["relations"] if not x["pass"]]
@@ -809,8 +824,8 @@ class TestBr2:
         rho = 1 / v if p.alpha == 1 else -1 / v
         gamma1 = 1 + (rho / p.delta) * (v * v - 1)
         assert m.gamma == [gamma1]
-        assert m.matE == [[gamma1]]
-        assert m.matT == [[rho]]
+        assert m.matE == [[{0: gamma1}]]
+        assert m.matT == [[{0: rho}]]
         assert br2_verify(m, p)["ok"]
 
     def test_big_full_matches_ground_omega(self):
@@ -818,6 +833,19 @@ class TestBr2:
         m = br2_build(("big", None), p)
         for a in range(-4, 5):
             assert m.omega_local(a) == p.omega(a)
+
+    @given(st.sampled_from([1, 3, 5]), st.sampled_from([1, -1]), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_generators_store_no_zero(self, r, alpha, seed):
+        # every kind, as br2_all builds them
+        base = generic_specialization(r, 2, seed=seed)
+        p = GroundParams(r, base.q, base.u, alpha=alpha)
+        kinds = [("onedim", sign, i) for sign in (1, -1) for i in range(1, r + 1)]
+        kinds += [("twodim", i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
+        for kind in kinds + [("big", None)]:
+            m = br2_build(kind, p)
+            assert stored_zeros(m) == [], kind
+            assert br2_verify(m, p)["ok"], kind
 
     @pytest.mark.parametrize("r", [1, 3])
     @pytest.mark.parametrize("alpha", [1, -1])
