@@ -10,8 +10,9 @@ Words are evaluated through each module's one token table
 (SeminormalModule._word_cache): token_matrix reads the generators from it
 as the relation check does (seminormal.token_rows) and adds the shift
 tokens X_i - u_s, from the diagonal of X_i, and the row-stabilizer sums,
-each formed by word_sum over its permutation words.  A word's image is the
-one-term word_sum, integer sparse rows over one denominator.
+each formed by seminormal.module_sum (word_sum on one module) over its
+permutation words.  A word's image is the one-term module_sum, integer
+sparse rows over one denominator.
 
 The certificate works over F_p from the tokens up and forms no exact image.
 For each prime and block it reduces every token's integer rows mod p once
@@ -26,6 +27,7 @@ row updates unreduced.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from itertools import permutations, product
@@ -35,7 +37,7 @@ from .matrices import dense, frac_rows, int_rows, mat_scale, sparse_diag
 # bound only because bench/tracer.py patches them here (ROADMAP item 1)
 from .matrices import mat_add, mat_diag, mat_identity, mat_mul, mat_sub  # noqa: F401
 from .params import GroundParams
-from .seminormal import SeminormalModule, _product, build_module, token_rows, word_sum
+from .seminormal import SeminormalModule, _product, build_module, module_sum, token_rows
 from .tableaux import (
     CosetRep,
     RPartition,
@@ -225,21 +227,28 @@ def build_rep(n: int, r: int, params: GroundParams) -> FaithfulRep:
     return FaithfulRep(n, r, params, blocks)
 
 
-def _rowsum_matrix(m: SeminormalModule, lam: RPartition) -> tuple:
-    """(int rows, den) of the row-stabilizer sum of lam: the sum of T_w over
-    the permutations w that fix every row of lam setwise.
+@functools.cache
+def _rowsum_terms(lam: RPartition, n: int) -> tuple:
+    """The terms (1, T_w) over the permutations w of n strands that fix every
+    row of lam setwise; every module on n strands sums the same terms.
     """
     rows = row_stabilizer_entries(lam)
-    n = m.n
-    words = []
+    terms = []
     pools = [list(permutations(row)) for row in rows]
     for choice in product(*pools) if pools else [()]:
         p = list(range(1, n + 1))
         for row, img in zip(rows, choice):
             for pos, val in zip(row, img):
                 p[pos - 1] = val
-        words.append((1, _t_word(tuple(p))))
-    return word_sum(words, lambda tok: token_matrix(tok, m), m.dim)
+        terms.append((1, _t_word(tuple(p))))
+    return tuple(terms)
+
+
+def _rowsum_matrix(m: SeminormalModule, lam: RPartition) -> tuple:
+    """(int rows, den) of the row-stabilizer sum of lam: the sum of T_w over
+    the permutations w that fix every row of lam setwise.
+    """
+    return module_sum(_rowsum_terms(lam, m.n), m, token_matrix)
 
 
 def token_matrix(tok: Token, m: SeminormalModule) -> tuple:
@@ -269,8 +278,7 @@ def eval_word_blocks(w: GenWord, rep: FaithfulRep) -> list:
     """Per-block dense Fraction matrices of a token word, in the fixed block
     order.
     """
-    return [dense(frac_rows(*word_sum([(1, w)], lambda tok: token_matrix(tok, m), m.dim)),
-                  m.dim)
+    return [dense(frac_rows(*module_sum([(1, w)], m, token_matrix)), m.dim)
             for _, _, m in rep.blocks]
 
 

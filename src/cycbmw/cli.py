@@ -151,6 +151,14 @@ def _per_label(args, check) -> tuple[list, bool]:
     return blocks, all(b["ok"] for b in blocks)
 
 
+# rep checks the labels' modules as direct sums of at most this many rows (a
+# larger module is checked alone), which bounds the memory that the modules
+# and their token tables hold at once; 81 rows, the largest relations grid
+# of the benchmark (r = 3, n = 3), still goes in one direct sum.  See
+# BENCH_direct_sum_relations.json for the measurements behind the value.
+REP_GROUP_ROWS = 81
+
+
 def _cmd_rep(args, parser) -> tuple[dict, bool]:
     p = _load_params(args, parser)
     # the seminormal modules exist only at generic parameters
@@ -159,24 +167,42 @@ def _cmd_rep(args, parser) -> tuple[dict, bool]:
         return error, False
     # every module on n strands checks the same table
     relations = relation_table(args.n, p)
+    blocks = []
+    group = []  # (block, module) of the labels built since the last check
 
-    def check(f, lam):
-        m = build_module(lam, f, p)
-        rel = verify_relations(m, relations)
-        failing = [x for x in rel["relations"] if not x["pass"]]
-        block = {
-            "dim": m.dim,
-            "ok": rel["ok"],
-            "failing": [x["name"] for x in failing],
-        }
-        if failing:
-            block["residuals"] = [
-                {key: x[key] for key in ("name", "instance", "k", "entry", "residual")}
-                for x in failing
-            ]
-        return block
+    def check():
+        # one pass of the relation table over the group's direct sum
+        try:
+            reports = verify_relations([m for _, m in group], relations)
+        except (ValueError, ArithmeticError) as exc:
+            # a check that raises fails every label of the group
+            for block, _ in group:
+                block.update(ok=False, error=str(exc))
+            reports = []
+        for (block, m), rel in zip(group, reports):
+            failing = [x for x in rel["relations"] if not x["pass"]]
+            block.update(dim=m.dim, ok=rel["ok"], failing=[x["name"] for x in failing])
+            if failing:
+                block["residuals"] = [
+                    {key: x[key] for key in ("name", "instance", "k", "entry", "residual")}
+                    for x in failing
+                ]
+        group.clear()
 
-    blocks, ok = _per_label(args, check)
+    for f, lam in shapes_with_f(args.n, args.r):
+        block = {"f": f, "shape": _shape_str(lam)}
+        blocks.append(block)
+        try:
+            m = build_module(lam, f, p)
+        except (ValueError, ArithmeticError) as exc:
+            block.update(ok=False, error=str(exc))
+            continue
+        if group and sum(g.dim for _, g in group) + m.dim > REP_GROUP_ROWS:
+            check()
+        group.append((block, m))
+    if group:
+        check()
+    ok = all(b["ok"] for b in blocks)
     return {"r": args.r, "n": args.n, "blocks": blocks, "ok": ok}, ok
 
 

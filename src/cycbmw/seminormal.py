@@ -11,14 +11,18 @@ every token's (int rows, den): token_rows fills it with the relation-table
 generators (generator_matrix converts each one once, X_i^a from integer
 powers of each content's numerator and denominator), and the cellular
 words add their own tokens to it.  word_sum is the one word kernel, for a
-sum of c·word terms: it fixes the lcm L of the terms' denominators before
-any product is formed, multiplies each word's prefix (a diagonal factor
-scales the columns of the product so far), and multiplies the last factor
-straight into integer accumulator rows scaled by c's numerator times L over
-the term's denominator.  A relation's residual is one such sum, so the
-check touches nonzero entries only and normalises no Fraction per entry; a
-Fraction is made again only for a failing relation's residual.  A single
-word is the one-term sum.
+sum of c·word terms on a block-diagonal direct sum of modules: it fixes
+each block's own lcm L of the terms' denominators before any product is
+formed, multiplies each word's prefix (a diagonal factor scales the columns
+of the product so far), and multiplies the last factor straight into
+integer accumulator rows, each scaled by c's numerator times its block's L
+over the term's denominator there.  verify_relations stacks a group of
+modules into one direct sum from their token tables and sums each relation
+once over it, multiplying each word prefix of the table once; a module
+alone is the one-block case (module_sum).  So the check touches nonzero
+entries only and normalises no Fraction per entry; a Fraction is made
+again only for a failing relation's residual.  A single word is the
+one-term sum.
 
 The identity suite keys each check by the window of the walk it reads (a
 shape, a shape and the step out of it, or shape(k-1) and steps k..k+2, or
@@ -48,7 +52,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, isqrt, lcm, prod
+from operator import floordiv
 
 from .matrices import int_rows, mat_mul
 from .params import GroundParams, wtilde_rational
@@ -528,8 +534,7 @@ def generator_matrix(tok: tuple, m) -> tuple:
         return [{j: p * (den // q)} if p else {} for j, (p, q) in enumerate(pairs)], den
     if kind == "T" and e != 1:
         delta = m.params.delta
-        return word_sum([(1, (("T", i, 1),)), (-delta, ()), (delta, (("E", i, 1),))],
-                        lambda t: token_rows(t, m), m.dim)
+        return module_sum([(1, (("T", i, 1),)), (-delta, ()), (delta, (("E", i, 1),))], m)
     return int_rows(mats[i - 1])
 
 
@@ -574,41 +579,68 @@ def _product(factors: list) -> list:
     return out
 
 
-def word_sum(terms, matrix_of, dim: int) -> tuple:
-    """(int rows, L) of the sum of c·word over the terms (c, word), each word
-    the left-to-right product of the (int rows, den) pairs matrix_of(token),
-    the identity of size dim when no factor is left; X_i^0 is 1 and is
-    skipped, and so are the terms with c == 0.
+def _factors(word: tuple) -> tuple:
+    """The tokens of a word that are multiplied out: X_i^0 is 1 and is
+    skipped.
+    """
+    return tuple(tok for tok in word if tok[0] != "X" or tok[2])
 
-    L is the lcm over the terms of c.denominator times the product of the
-    word's token denominators, fixed before any product is formed.  Each
-    word's prefix (every factor but the last) is multiplied left to right,
-    a diagonal factor applied as a column scaling, and the last factor is
-    multiplied straight into the accumulator rows, scaled by
-    c.numerator·L/d for the term's denominator d; entries that cancel are
-    dropped.
+
+def word_sum(terms, matrix_of, dims: list, products: dict | None = None) -> tuple:
+    """(int rows, dens) of the sum of c·word over the terms (c, word) on a
+    direct sum of blocks of the sizes dims, each word the left-to-right
+    product of the (int rows, dens) pairs matrix_of(token) of its factors
+    (_factors), the identity when it has none; the terms with c == 0 are
+    skipped.
+
+    A pair holds the sparse rows of the block-diagonal direct sum, its
+    columns numbered across the blocks, and one denominator per block.  The
+    result's dens[b] is block b's own lcm over the terms of c.denominator
+    times the product of the word's token denominators on b, fixed before
+    any product is formed, so each block's integers are those of the block
+    summed alone.  Each word's prefix (every factor but the last) is
+    multiplied left to right, a diagonal factor applied as a column scaling,
+    and kept in products under its factors when a products dict is given,
+    so that a caller summing many terms over the same matrix_of multiplies
+    each prefix once.  The last factor is multiplied straight into the
+    accumulator rows, each row of block b scaled by c.numerator·dens[b]/d_b
+    for the term's denominator d_b there; entries that cancel are dropped.
     """
     plan = []
-    total = 1
+    totals = [1] * len(dims)
     for c, word in terms:
         if not c:
             continue
-        d = c.denominator
         factors = []
+        dens = []
         for tok in word:
             if tok[0] != "X" or tok[2]:
                 rows, den = matrix_of(tok)
                 factors.append(rows)
-                d *= den
-        total = lcm(total, d)
-        plan.append((c.numerator, d, factors))
-    identity = [{i: 1} for i in range(dim)]
-    acc: list = [{} for _ in range(dim)]
-    for num, d, factors in plan:
-        s = num * (total // d)
+                dens.append(den)
+        ds = list(map(prod, zip([c.denominator] * len(dims), *dens)))
+        totals = list(map(lcm, totals, ds))
+        plan.append((c.numerator, ds, word, factors))
+    block = [b for b, dim in enumerate(dims) for _ in range(dim)]
+    identity = [{i: 1} for i in range(len(block))]
+    acc: list = [{} for _ in block]
+    for num, ds, word, factors in plan:
+        ratios = list(map(floordiv, totals, ds))
+        if ratios.count(ratios[0]) == len(ratios):
+            row_scales = repeat(num * ratios[0])
+        else:
+            row_scales = map([num * x for x in ratios].__getitem__, block)
         last = factors[-1] if factors else identity
-        prefix = _product(factors[:-1]) if len(factors) > 1 else identity
-        for acc_row, row in zip(acc, prefix):
+        if len(factors) < 2:
+            prefix = identity
+        elif products is None or len(factors) == 2:
+            prefix = _product(factors[:-1])
+        else:
+            key = _factors(word)[:-1]
+            prefix = products.get(key)
+            if prefix is None:
+                prefix = products[key] = _product(factors[:-1])
+        for acc_row, row, s in zip(acc, prefix, row_scales):
             for k, x in row.items():
                 x *= s
                 for j, y in last[k].items():
@@ -620,35 +652,94 @@ def word_sum(terms, matrix_of, dim: int) -> tuple:
                             del acc_row[j]
                     else:
                         acc_row[j] = x * y
-    return acc, total
+    return acc, totals
 
 
-def _check_relations(relations: list, m) -> dict:
-    """Evaluate every relation on the module m (a SeminormalModule or a
-    Br2Module) through its token table (token_rows).
+def module_sum(terms, m, matrix_of=token_rows) -> tuple:
+    """(int rows, den) of the sum of c·word over the terms (c, word) on the
+    one module m, each token's (int rows, den) read by matrix_of(token, m):
+    word_sum's one-block case.
+    """
+    def one_block(tok):
+        rows, den = matrix_of(tok, m)
+        return rows, (den,)
+
+    rows, (den,) = word_sum(terms, one_block, [m.dim])
+    return rows, den
+
+
+def _direct_sum(modules: list, offsets: list):
+    """matrix_of for word_sum on the direct sum of the modules: a token's
+    (int rows, dens) stacked from each module's token table (token_rows),
+    the columns of each block moved by its row offset.  The returned
+    function stacks each token once and keeps it.
+    """
+    stacked: dict = {}
+
+    def matrix_of(tok):
+        out = stacked.get(tok)
+        if out is None:
+            rows: list = []
+            dens = []
+            for m, off in zip(modules, offsets):
+                block, den = token_rows(tok, m)
+                rows += [{j + off: x for j, x in row.items()} for row in block] if off else block
+                dens.append(den)
+            out = stacked[tok] = rows, dens
+        return out
+
+    return matrix_of
+
+
+def _check_relations(relations: list, modules: list) -> list:
+    """Evaluate every relation once on the direct sum of the modules (each a
+    SeminormalModule or a Br2Module, all on as many strands) through their
+    token tables (token_rows).
 
     Each relation's terms c·word are summed by word_sum into one integer
-    residual over the lcm of their denominators, so a relation holds
-    exactly when no residual entry is left.  Returns name -> None when every
-    instance vanishes, else the first failing instance as {"instance": its
-    position among the name's instances in table order, "k": its step (None
-    for a relation that has none), "entry": (i, j) the first nonzero
-    residual entry in row-major order, "residual": its value as a Fraction}.
+    residual with one lcm denominator per module, so a relation holds on a
+    module exactly when no residual entry is left in its rows.  Returns, per
+    module, name -> None when every instance vanishes there, else the first
+    failing instance as {"instance": its position among the name's
+    instances in table order, "k": its step (None for a relation that has
+    none), "entry": (i, j) the first nonzero residual entry of the module's
+    block in row-major order, in the module's own coordinates, "residual":
+    its value as a Fraction}.
     """
-    merged: dict = {}
+    dims = [m.dim for m in modules]
+    offsets = [sum(dims[:b]) for b in range(len(dims))]
+    matrix_of = _direct_sum(modules, offsets)
+    # each word prefix of two or more factors is multiplied once and
+    # dropped after the last relation that reads it
+    last_use = {}
+    for index, (_, _, terms) in enumerate(relations):
+        for c, word in terms:
+            if c and len(word) > 2 and len(key := _factors(word)[:-1]) > 1:
+                last_use[key] = index
+    expiring: list = [[] for _ in relations]
+    for key, index in last_use.items():
+        expiring[index].append(key)
+    products: dict = {}
+    merged: list = [{} for _ in modules]
     instances: dict = {}
-    for name, k, terms in relations:
+    for (name, k, terms), done in zip(relations, expiring):
         instance = instances.get(name, 0)
         instances[name] = instance + 1
-        residual, den = word_sum(terms, lambda tok: token_rows(tok, m), m.dim)
-        if merged.get(name) is None:
-            i = next((i for i, row in enumerate(residual) if row), None)
+        residual, dens = word_sum(terms, matrix_of, dims, products)
+        for key in done:
+            del products[key]
+        vanishes = not any(residual)
+        for found, off, dim, den in zip(merged, offsets, dims, dens):
+            if found.get(name) is not None:
+                continue
+            i = None if vanishes else next(
+                (i for i in range(off, off + dim) if residual[i]), None)
             if i is None:
-                merged[name] = None
+                found[name] = None
             else:
                 j = min(residual[i])
-                merged[name] = {"instance": instance, "k": k, "entry": (i, j),
-                                "residual": Fraction(residual[i][j], den)}
+                found[name] = {"instance": instance, "k": k, "entry": (i - off, j - off),
+                               "residual": Fraction(residual[i][j], den)}
     return merged
 
 
@@ -660,29 +751,36 @@ def relation_table(n: int, params: GroundParams) -> list:
             + x_shift_relations(n, params, params.rho))
 
 
-def verify_relations(module: SeminormalModule, relations: list | None = None) -> dict:
+def verify_relations(modules, relations: list | None = None):
     """Check the defining relations and the X-shift identities on the
-    module's generators; relations is relation_table(module.n,
-    module.params), built here when not given.
+    generators of a list of modules on n strands over one GroundParams, or
+    of one module; relations is relation_table(n, params), built here when
+    not given.
 
-    A relation passes when every residual entry vanishes exactly.  A failing
+    The modules are checked as one direct sum: each relation is summed once
+    over all of them (see _check_relations).  A relation passes on a module
+    when every residual entry in its block vanishes exactly.  A failing
     relation also reports its first failing instance, entry and residual
-    value (see _check_relations).
+    value.  Returns the list of the modules' reports {"ok", "dim",
+    "relations"} in order, or the one module's report.
     """
+    group = modules if isinstance(modules, list) else [modules]
     if relations is None:
-        relations = relation_table(module.n, module.params)
-    merged = _check_relations(relations, module)
-    report = []
-    for name, failure in sorted(merged.items()):
-        result = {"name": name, "pass": failure is None}
-        if failure is not None:
-            result.update(failure)
-        report.append(result)
-    return {
-        "ok": all(r["pass"] for r in report),
-        "dim": module.dim,
-        "relations": report,
-    }
+        relations = relation_table(group[0].n, group[0].params)
+    reports = []
+    for module, merged in zip(group, _check_relations(relations, group)):
+        report = []
+        for name, failure in sorted(merged.items()):
+            result = {"name": name, "pass": failure is None}
+            if failure is not None:
+                result.update(failure)
+            report.append(result)
+        reports.append({
+            "ok": all(r["pass"] for r in report),
+            "dim": module.dim,
+            "relations": report,
+        })
+    return reports if isinstance(modules, list) else reports[0]
 
 
 # -- omega tables -----------------------------------------------------------------
@@ -1183,21 +1281,32 @@ def br2_build(kind: tuple, params: GroundParams) -> Br2Module:
     raise ValueError(f"unknown kind {kind!r}")
 
 
+def _br2_reports(mods: list, params: GroundParams) -> list:
+    """br2_verify's reports on two-strand modules that share their rho and
+    moments, whose relations are checked as one direct sum.
+    """
+    head = mods[0]
+    omega = head.omega_local if head.v is not None else params.omega
+    table = defining_relations(2, params, head.rho, omega)
+    reports = []
+    for mod, merged in zip(mods, _check_relations(table, mods)):
+        results = [{"name": name, "pass": failure is None} for name, failure in merged.items()]
+        if mod.v is not None:
+            dr = params.delta_inv * mod.rho
+            for j, vj in enumerate(mod.v):
+                lhs = sum(g / (vj * vk - 1) for vk, g in zip(mod.v, mod.gamma))
+                ok = lhs == dr + Fraction(1) / (vj * vj - 1)
+                results.append({"name": f"row-sum({j + 1})", "pass": ok})
+        reports.append({"ok": all(r["pass"] for r in results),
+                        "kind": mod.kind, "dim": mod.dim, "relations": results})
+    return reports
+
+
 def br2_verify(mod: Br2Module, params: GroundParams) -> dict:
     """Exact check of the defining relations at n = 2 and of the row-sum
     identities of the big kind on one two-strand module.
     """
-    omega = mod.omega_local if mod.v is not None else params.omega
-    merged = _check_relations(defining_relations(2, params, mod.rho, omega), mod)
-    results = [{"name": name, "pass": failure is None} for name, failure in merged.items()]
-    if mod.v is not None:
-        dr = params.delta_inv * mod.rho
-        for j, vj in enumerate(mod.v):
-            lhs = sum(g / (vj * vk - 1) for vk, g in zip(mod.v, mod.gamma))
-            ok = lhs == dr + Fraction(1) / (vj * vj - 1)
-            results.append({"name": f"row-sum({j + 1})", "pass": ok})
-    return {"ok": all(r["pass"] for r in results),
-            "kind": mod.kind, "dim": mod.dim, "relations": results}
+    return _br2_reports([mod], params)[0]
 
 
 def br2_all(params: GroundParams) -> dict:
@@ -1207,15 +1316,14 @@ def br2_all(params: GroundParams) -> dict:
     r = params.r
     kinds = [("onedim", sign, i) for sign in (1, -1) for i in range(1, r + 1)]
     kinds += [("twodim", i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
-    kinds.append(("big", None))
-    modules = []
-    total = 0
-    for kind in kinds:
-        mod = br2_build(kind, params)
-        rep = br2_verify(mod, params)
-        total += mod.dim ** 2
-        modules.append({"kind": kind, "dim": mod.dim, "ok": rep["ok"],
-                        "report": rep})
+    mods = [br2_build(kind, params) for kind in kinds]
+    big = br2_build(("big", None), params)
+    # the one- and two-dimensional kinds share the ground rho and moments, so
+    # their relations are checked on one direct sum; the big kind has its own
+    reports = _br2_reports(mods, params) + [br2_verify(big, params)]
+    modules = [{"kind": rep["kind"], "dim": rep["dim"], "ok": rep["ok"], "report": rep}
+               for rep in reports]
+    total = sum(m["dim"] ** 2 for m in modules)
     expected = 3 * r * r
     return {
         "ok": total == expected and all(m["ok"] for m in modules),

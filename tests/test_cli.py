@@ -16,7 +16,8 @@ from cycbmw import cli
 from cycbmw.cellular import RANK_PRIMES, build_rep, residue_matrix
 from cycbmw.cli import run
 from cycbmw.params import GroundParams, certify_generic, generic_specialization
-from cycbmw.seminormal import build_module
+from cycbmw.seminormal import build_module, relation_table, verify_relations
+from cycbmw.tableaux import shapes_with_f
 
 
 def run_cli(capsys, *argv):
@@ -500,6 +501,120 @@ class TestErrors:
             assert len(kauffman["entry"]) == 2
             assert F(kauffman["residual"]) != 0
 
+    def test_rep_failing_relation_in_the_middle_of_a_group(self, capsys, monkeypatch):
+        # rep checks the ten (3, 2) labels as one direct sum; a perturbed
+        # T_1 on the two-row f = 0 label at position 5 shows in its own block
+        # only, in its own coordinates and over its own denominator
+        labels = list(shapes_with_f(2, 3))
+        f, lam = labels[5]
+        assert f == 0 and len(labels) == 10
+        params = generic_specialization(3, 2)
+        alone = build_module(lam, f, params)
+        assert alone.dim == 2
+        perturb_t1(alone)
+        expected = report_block(verify_relations(alone, relation_table(2, params)), alone)
+        assert expected["failing"]
+
+        def perturbed(lam_, f_, p):
+            m = build_module(lam_, f_, p)
+            if (f_, lam_) == (f, lam):
+                perturb_t1(m)
+            return m
+
+        groups = []
+
+        def spied(modules, relations):
+            groups.append(len(modules))
+            return verify_relations(modules, relations)
+
+        monkeypatch.setattr(cli, "build_module", perturbed)
+        monkeypatch.setattr(cli, "verify_relations", spied)
+        code, report = run_json(capsys, "rep", "--r", "3", "--n", "2")
+        assert code == 1 and report["ok"] is False
+        assert groups == [10]
+        for i, block in enumerate(report["blocks"]):
+            if i == 5:
+                assert block == {"f": f, "shape": cli._shape_str(lam), **expected}
+            else:
+                assert block["ok"] and block["failing"] == [] and "residuals" not in block
+
+
+def perturb_t1(m):
+    """Add 1 to the first stored entry of T_1 on the module m."""
+    row = next(row for row in m.matT[0] if row)
+    j = min(row)
+    row[j] += 1
+
+
+def report_block(rel: dict, m) -> dict:
+    """rep's block fields for one module's verify_relations report, with
+    the residual values as rep prints them.
+    """
+    failing = [x for x in rel["relations"] if not x["pass"]]
+    block = {"dim": m.dim, "ok": rel["ok"], "failing": [x["name"] for x in failing]}
+    if failing:
+        block["residuals"] = [
+            {"name": x["name"], "instance": x["instance"], "k": x["k"],
+             "entry": list(x["entry"]), "residual": str(x["residual"])}
+            for x in failing
+        ]
+    return block
+
+
+class TestRepDirectSum:
+    # rep checks the labels' modules as direct sums; every label's block
+    # must equal verify_relations on that module alone.  Every module has
+    # T_1 perturbed, so that each block reports its own residuals.
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("r, n", [(1, 2), (1, 3), (3, 2), (1, 4), (3, 3), (5, 2)])
+    def test_blocks_equal_modules_checked_alone(self, capsys, monkeypatch, r, n, seed):
+        groups = self.run_perturbed(capsys, monkeypatch, r, n, seed)
+        assert len(groups) == 1
+
+    def test_blocks_equal_modules_checked_alone_across_groups(self, capsys, monkeypatch):
+        # a small row budget splits the 25 labels of (3, 3) into direct
+        # sums of at most 7 rows, each closed by the label that would pass
+        # the budget; a 9-row module is checked alone
+        monkeypatch.setattr(cli, "REP_GROUP_ROWS", 7)
+        groups = self.run_perturbed(capsys, monkeypatch, 3, 3, 0)
+        assert len(groups) >= 2 and [9] in groups
+        assert all(sum(g) <= 7 or g == [9] for g in groups)
+        assert all(sum(g) + following[0] > 7 for g, following in zip(groups, groups[1:]))
+
+    @staticmethod
+    def run_perturbed(capsys, monkeypatch, r, n, seed):
+        """Run rep with T_1 perturbed on every module, compare each block
+        with the module checked alone, and return the dims of the modules
+        of each direct sum rep checked.
+        """
+        params = generic_specialization(r, max(n, 2), seed=seed)
+        table = relation_table(n, params)
+        expected = []
+        for f, lam in shapes_with_f(n, r):
+            m = build_module(lam, f, params)
+            perturb_t1(m)
+            expected.append({"f": f, "shape": cli._shape_str(lam),
+                             **report_block(verify_relations(m, table), m)})
+
+        def perturbed(lam, f, p):
+            m = build_module(lam, f, p)
+            perturb_t1(m)
+            return m
+
+        groups = []
+
+        def spied(modules, relations):
+            groups.append([m.dim for m in modules])
+            return verify_relations(modules, relations)
+
+        monkeypatch.setattr(cli, "build_module", perturbed)
+        monkeypatch.setattr(cli, "verify_relations", spied)
+        code, report = run_json(capsys, "rep", "--r", str(r), "--n", str(n), "--seed", str(seed))
+        assert code == 1 and report["ok"] is False
+        assert report["blocks"] == expected
+        assert all(b["failing"] for b in expected)
+        return groups
+
 
 class TestSignedPresets:
     # the residue layer runs on integer pairs, which carry the signs that a
@@ -536,7 +651,7 @@ class TestSignedPresets:
         # a generic preset is certified, or its module build fails a check
         # (a negative seminormal radicand, ROADMAP item 11)
         k = k[:r]
-        code, report = self.run_rank(r, n, q, k, alpha)
+        code, report = self.run_preset("rank", r, n, q, k, alpha)
         if not certify_generic(F(q), [F(q) ** (2 * x) for x in k], n)["ok"]:
             assert code == 1
             assert report == {"r": r, "n": n, "error": report["error"]}
@@ -547,6 +662,31 @@ class TestSignedPresets:
             assert report == {"D": report["D"], "certified": False, "error": report["error"]}
             assert report["error"].startswith("be-real violated")
 
+    @settings(max_examples=40, deadline=None)
+    @given(r=st.sampled_from([1, 3]), n=st.integers(1, 3), alpha=st.sampled_from([1, -1]),
+           q=st.sampled_from(["-3", "-2", "1/3", "3", "7/2"]),
+           k=st.lists(st.integers(-12, 12), min_size=3, max_size=3))
+    @example(r=3, n=3, alpha=-1, q="2", k=[21, -13, 5])
+    def test_rep_passes_or_exits_one(self, r, n, alpha, q, k):
+        # a generic preset passes every relation on every module, or a
+        # module build fails a check and that label reports its error
+        k = k[:r]
+        code, report = self.run_preset("rep", r, n, q, k, alpha)
+        if not certify_generic(F(q), [F(q) ** (2 * x) for x in k], n)["ok"]:
+            assert code == 1
+            assert report == {"r": r, "n": n, "error": report["error"]}
+            return
+        assert set(report) == {"r", "n", "blocks", "ok"}
+        assert len(report["blocks"]) == len(list(shapes_with_f(n, r)))
+        errors = [b for b in report["blocks"] if "error" in b]
+        assert code == (1 if errors else 0) and report["ok"] is not errors
+        for block in report["blocks"]:
+            if "error" in block:
+                assert set(block) == {"f", "shape", "ok", "error"} and block["ok"] is False
+            else:
+                assert block["ok"] is True and block["failing"] == []
+                assert set(block) == {"f", "shape", "dim", "ok", "failing"}
+
     def test_rank_with_the_first_rank_prime_in_q(self):
         # every token denominator carries a power of p1 = RANK_PRIMES[0], so
         # the certificate skips p1 and certifies with the next prime
@@ -554,16 +694,16 @@ class TestSignedPresets:
         params = GroundParams(1, F(3, p1), [F(3, p1) ** 4])
         assert certify_generic(params.q, params.u, 2)["ok"]
         assert residue_matrix(build_rep(2, 1, params), p1) is None
-        code, report = self.run_rank(1, 2, f"3/{p1}", [2], 1)
+        code, report = self.run_preset("rank", 1, 2, f"3/{p1}", [2], 1)
         assert code == 0 and report["certified"] is True
 
     @staticmethod
-    def run_rank(r, n, q, k, alpha):
+    def run_preset(command, r, n, q, k, alpha):
         with tempfile.TemporaryDirectory() as tmp:
             preset = Path(tmp) / "preset.txt"
             preset.write_text(f"r = {r}\nq = {q}\nk = {', '.join(map(str, k))}\n"
                               f"alpha = {alpha}\n")
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
-                code = run(["rank", "--r", str(r), "--n", str(n), "--preset", str(preset)])
+                code = run([command, "--r", str(r), "--n", str(n), "--preset", str(preset)])
         return code, json.loads(out.getvalue())

@@ -139,34 +139,26 @@ class TestMatMul:
         assert (a, b) == (a0, b0)
 
 
+def one_block(pairs):
+    """matrix_of for word_sum's one-block case over {token: (rows, den)}."""
+    def matrix_of(tok):
+        rows, den = pairs[tok]
+        return rows, (den,)
+    return matrix_of
+
+
+def block_sum(terms, pairs, dim):
+    """(rows, den) of word_sum on one block of size dim."""
+    rows, (den,) = word_sum(terms, one_block(pairs), [dim])
+    return rows, den
+
+
 def pair_terms(*terms):
-    """(terms, matrix_of) for word_sum over one-token words: each (c, pair)
-    becomes (c, (token,)) with matrix_of(token) == pair.
+    """(terms, pairs) for word_sum over one-token words: each (c, pair)
+    becomes (c, (token,)) with pairs[token] == pair.
     """
-    pairs = [pair for _, pair in terms]
-    return [(c, (("M", i, 1),)) for i, (c, _) in enumerate(terms)], lambda tok: pairs[tok[1]]
-
-
-class TestMatAcc:
-    """Accumulating c·a into a sum, as word_sum does for every term."""
-
-    @given(sum_pair(), SPARSE)
-    @settings(max_examples=200, deadline=None)
-    def test_matches_dense_reference(self, pair, c):
-        a, b = pair
-        pa, pb = int_rows(sparse(a)), int_rows(sparse(b))
-        before = copy.deepcopy(pb)
-        rows, total = word_sum(*pair_terms((1, pa), (c, pb)), len(a))
-        assert no_zero_stored(rows)
-        assert pb == before
-        expected = [[x + c * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-        assert dense(frac_rows(rows, total), len(a[0])) == expected
-
-    def test_cancelling_sum_stores_no_zero(self):
-        a, b = int_rows(sparse([[1, F(2)], [0, 5]])), int_rows(sparse([[1, F(2)], [0, 0]]))
-        assert word_sum(*pair_terms((1, a), (-1, b)), 2) == ([{}, {1: 5}], 1)
-        c = int_rows(sparse([[0, 0], [0, -25]]))
-        assert word_sum(*pair_terms((1, a), (-1, b), (F(1, 5), c)), 2) == ([{}, {}], 5)
+    return ([(c, (("M", i, 1),)) for i, (c, _) in enumerate(terms)],
+            {("M", i, 1): pair for i, (_, pair) in enumerate(terms)})
 
 
 class TestIntRows:
@@ -183,53 +175,14 @@ class TestIntRows:
     @settings(max_examples=100, deadline=None)
     def test_chain_product_matches_dense_reference(self, mats):
         # a one-term word_sum multiplies int rows and their denominators
-        pairs = [int_rows(sparse(a)) for a in mats]
-        word = tuple(("M", i, 1) for i in range(len(mats)))
-        rows, den = word_sum([(1, word)], lambda tok: pairs[tok[1]], len(mats[0]))
+        pairs = {("M", i, 1): int_rows(sparse(a)) for i, a in enumerate(mats)}
+        rows, den = block_sum([(1, tuple(pairs))], pairs, len(mats[0]))
         assert integer_pair((rows, den)) and no_zero_stored(rows)
-        assert den == prod(den for _, den in pairs)
+        assert den == prod(den for _, den in pairs.values())
         expected = mats[0]
         for b in mats[1:]:
             expected = dense_mul(expected, b)
         assert dense(frac_rows(rows, den), len(mats[-1][0])) == expected
-
-    @given(sum_pair(), NONZERO, NONZERO)
-    @settings(max_examples=100, deadline=None)
-    def test_combine_matches_dense_reference(self, pair, c, d):
-        # word_sum reads its terms from a generator and fixes the lcm of
-        # their denominators before it sums them
-        a, b = pair
-        pa, pb = int_rows(sparse(a)), int_rows(sparse(b))
-        terms, matrix_of = pair_terms((c, pa), (d, pb), (F(1, 13), pa))
-        rows, total = word_sum((t for t in terms), matrix_of, len(a))
-        assert integer_pair((rows, total)) and no_zero_stored(rows)
-        assert total == lcm(F(c).denominator * pa[1], F(d).denominator * pb[1], 13 * pa[1])
-        expected = [[(c + F(1, 13)) * x + d * y for x, y in zip(ra, rb)]
-                    for ra, rb in zip(a, b)]
-        assert dense(frac_rows(rows, total), len(a[0])) == expected
-
-    @given(sum_pair(), NONZERO)
-    @settings(max_examples=100, deadline=None)
-    def test_combine_cancelling_terms_leave_empty_rows(self, pair, c):
-        a, b = pair
-        pa, pb = int_rows(sparse(a)), int_rows(sparse(b))
-        rows, _ = word_sum(*pair_terms((c, pa), (1, pb), (-1, pb), (-c, pa)), len(a))
-        assert rows == [{} for _ in a]
-
-    @given(sum_pair(), NONZERO)
-    @settings(max_examples=100, deadline=None)
-    def test_combine_skips_zero_coefficients(self, pair, c):
-        # a zero term adds neither entries nor its denominator 11 to the lcm
-        a, b = pair
-        pa, pb = int_rows(sparse(a)), int_rows(sparse(b))
-        odd = ([{0: 1}] + [{} for _ in a[1:]], 11)
-        rows, total = word_sum(*pair_terms((0, odd), (c, pa), (F(0), pb)), len(a))
-        assert total == F(c).denominator * pa[1]
-        assert dense(frac_rows(rows, total), len(a[0])) == [[c * x for x in row] for row in a]
-
-    def test_combine_of_no_terms_is_zero(self):
-        assert word_sum(*pair_terms((0, ([{0: 3}], 2))), 1) == ([{}], 1)
-        assert word_sum([], None, 2) == ([{}, {}], 1)
 
     def test_token_matrices_are_integer_pairs(self):
         # relation generators and cell-word tokens carry no Fraction entries
@@ -284,10 +237,12 @@ class TestWordSum:
     @given(word_terms())
     @settings(max_examples=300, deadline=None)
     def test_matches_dense_reference(self, drawn):
+        # word_sum reads its terms from a generator and fixes the lcm of
+        # their denominators before it sums them
         dim, mats, terms = drawn
         pairs = {tok: int_rows(sparse(m)) for tok, m in mats.items()}
         before = copy.deepcopy(pairs)
-        rows, total = word_sum(terms, pairs.__getitem__, dim)
+        rows, total = block_sum((t for t in terms), pairs, dim)
         assert integer_pair((rows, total)) and no_zero_stored(rows)
         assert total == lcm(*(F(c).denominator
                               * prod(pairs[tok][1] for tok in word if tok[0] != "X")
@@ -295,32 +250,63 @@ class TestWordSum:
         assert dense(frac_rows(rows, total), dim) == dense_word_sum(dim, mats, terms)
         assert pairs == before
 
+    @given(sum_pair(), SPARSE, NONZERO)
+    @settings(max_examples=150, deadline=None)
+    def test_two_term_sums_match_dense_reference(self, pair, c, d):
+        # c·a + d·b + (1/13)·a on rectangular operands, neither of which is
+        # changed; a zero term adds neither entries nor its denominator 11
+        # to the lcm
+        a, b = pair
+        pa, pb = int_rows(sparse(a)), int_rows(sparse(b))
+        before = copy.deepcopy((pa, pb))
+        odd = ([{0: 1}] + [{} for _ in a[1:]], 11)
+        terms, pairs = pair_terms((c, pa), (0, odd), (d, pb), (F(1, 13), pa), (F(0), odd))
+        rows, total = block_sum(terms, pairs, len(a))
+        assert integer_pair((rows, total)) and no_zero_stored(rows)
+        assert (pa, pb) == before
+        assert total == lcm(*(F(x).denominator * den for x, den in
+                              ((c, pa[1]), (d, pb[1]), (F(1, 13), pa[1])) if x))
+        expected = [[(c + F(1, 13)) * x + d * y for x, y in zip(ra, rb)]
+                    for ra, rb in zip(a, b)]
+        assert dense(frac_rows(rows, total), len(a[0])) == expected
+
     @given(word_terms())
     @settings(max_examples=100, deadline=None)
     def test_cancelling_terms_leave_empty_rows(self, drawn):
         dim, mats, terms = drawn
         pairs = {tok: int_rows(sparse(m)) for tok, m in mats.items()}
         negated = [(-c, word) for c, word in reversed(terms)]
-        rows, _ = word_sum(terms + negated, pairs.__getitem__, dim)
+        rows, _ = block_sum(terms + negated, pairs, dim)
         assert rows == [{} for _ in range(dim)]
+
+    def test_cancelling_sum_stores_no_zero(self):
+        a, b = int_rows(sparse([[1, F(2)], [0, 5]])), int_rows(sparse([[1, F(2)], [0, 0]]))
+        assert block_sum(*pair_terms((1, a), (-1, b)), 2) == ([{}, {1: 5}], 1)
+        c = int_rows(sparse([[0, 0], [0, -25]]))
+        assert block_sum(*pair_terms((1, a), (-1, b), (F(1, 5), c)), 2) == ([{}, {}], 5)
+
+    def test_no_terms_is_zero(self):
+        assert block_sum(*pair_terms((0, ([{0: 3}], 2))), 1) == ([{}], 1)
+        assert block_sum([], {}, 2) == ([{}, {}], 1)
+        assert word_sum([], None, [2, 1]) == ([{}, {}, {}], [1, 1])
 
     def test_identity_and_skipped_tokens(self):
         # () and (X_1^0,) are both the identity; a zero coefficient is
         # skipped even when its word names no known token
         x2 = ([{0: 3}, {1: -1}], 2)
-        rows, total = word_sum([(F(1, 3), ()), (1, (("X", 1, 0),)), (0, (("?", 0, 1),)),
-                                (-2, (("D", 0, 1), ("X", 2, 0), ("D", 0, 1)))],
-                               {("D", 0, 1): x2}.__getitem__, 2)
+        rows, total = block_sum([(F(1, 3), ()), (1, (("X", 1, 0),)), (0, (("?", 0, 1),)),
+                                 (-2, (("D", 0, 1), ("X", 2, 0), ("D", 0, 1)))],
+                                {("D", 0, 1): x2}, 2)
         # 4/3 - 2·diag(9/4, 1/4) = diag(-19/6, 5/6) over L = lcm(3, 1, 2·2),
         # which is not reduced
         assert (rows, total) == ([{0: -38}, {1: 10}], 12)
 
     def test_dim_one(self):
-        rows, total = word_sum([(F(1, 2), (("M", 0, 1), ("M", 0, 1))), (-1, ())],
-                               {("M", 0, 1): ([{0: 2}], 1)}.__getitem__, 1)
+        rows, total = block_sum([(F(1, 2), (("M", 0, 1), ("M", 0, 1))), (-1, ())],
+                                {("M", 0, 1): ([{0: 2}], 1)}, 1)
         # (1/2)·2·2 - 1 = 2/2
         assert (rows, total) == ([{0: 2}], 2)
-        assert word_sum([(2, ()), (-2, ())], None, 1) == ([{}], 1)
+        assert block_sum([(2, ()), (-2, ())], {}, 1) == ([{}], 1)
 
     @given(chain(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -335,14 +321,43 @@ class TestWordSum:
                 mats.insert(i, [[x if j == k else F(0) for k in range(n)]
                                 for j, x in enumerate(entries)])
                 square.insert(i, n)
-        pairs = [int_rows(sparse(a)) for a in mats]
-        word = tuple(("M", i, 1) for i in range(len(mats)))
-        rows, den = word_sum([(1, word)], lambda tok: pairs[tok[1]], len(mats[0]))
+        pairs = {("M", i, 1): int_rows(sparse(a)) for i, a in enumerate(mats)}
+        rows, den = block_sum([(1, tuple(pairs))], pairs, len(mats[0]))
         assert integer_pair((rows, den)) and no_zero_stored(rows)
         expected = mats[0]
         for b in mats[1:]:
             expected = dense_mul(expected, b)
         assert dense(frac_rows(rows, den), len(mats[-1][0])) == expected
+
+    @given(st.lists(word_terms(), min_size=2, max_size=4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_match_one_block_sums(self, blocks, data):
+        # a direct sum of blocks, each with its own token matrices, sums
+        # every block as word_sum on that block alone would, each over its
+        # own denominator
+        dims = [dim for dim, _, _ in blocks]
+        offsets = [sum(dims[:b]) for b in range(len(dims))]
+        vocab = sorted(set().union(*(mats for _, mats, _ in blocks)))
+        pairs = []
+        for dim, mats, _ in blocks:
+            # a token a block lacks is a random diagonal there
+            for tok in vocab:
+                if tok not in mats:
+                    entries = data.draw(st.lists(SPARSE, min_size=dim, max_size=dim))
+                    mats[tok] = [[x if j == k else F(0) for k in range(dim)]
+                                 for j, x in enumerate(entries)]
+            pairs.append({tok: int_rows(sparse(m)) for tok, m in mats.items()})
+        terms = [t for _, _, block_terms in blocks for t in block_terms]
+        stacked = {tok: ([{j + off: x for j, x in row.items()}
+                          for block, off in zip(pairs, offsets) for row in block[tok][0]],
+                         [block[tok][1] for block in pairs])
+                   for tok in vocab}
+        rows, dens = word_sum(terms, stacked.__getitem__, dims)
+        assert no_zero_stored(rows) and len(rows) == sum(dims)
+        for b, (block, off, dim) in enumerate(zip(pairs, offsets, dims)):
+            alone, den = block_sum(terms, block, dim)
+            assert dens[b] == den
+            assert rows[off:off + dim] == [{j + off: x for j, x in row.items()} for row in alone]
 
 
 class TestGeneratorMatrix:
