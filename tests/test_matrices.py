@@ -161,6 +161,28 @@ def pair_terms(*terms):
             {("M", i, 1): pair for i, (_, pair) in enumerate(terms)})
 
 
+class TestMatAcc:
+    """Accumulating c·a into a sum, as word_sum does for every term."""
+
+    @given(sum_pair(), SPARSE)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_reference(self, pair, c):
+        a, b = pair
+        pa, pb = int_rows(sparse(a)), int_rows(sparse(b))
+        before = copy.deepcopy(pb)
+        rows, total = block_sum(*pair_terms((1, pa), (c, pb)), len(a))
+        assert no_zero_stored(rows)
+        assert pb == before
+        expected = [[x + c * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+        assert dense(frac_rows(rows, total), len(a[0])) == expected
+
+    def test_cancelling_sum_stores_no_zero(self):
+        a, b = int_rows(sparse([[1, F(2)], [0, 5]])), int_rows(sparse([[1, F(2)], [0, 0]]))
+        assert block_sum(*pair_terms((1, a), (-1, b)), 2) == ([{}, {1: 5}], 1)
+        c = int_rows(sparse([[0, 0], [0, -25]]))
+        assert block_sum(*pair_terms((1, a), (-1, b), (F(1, 5), c)), 2) == ([{}, {}], 5)
+
+
 class TestIntRows:
     @given(product_pair())
     @settings(max_examples=100, deadline=None)
@@ -183,6 +205,44 @@ class TestIntRows:
         for b in mats[1:]:
             expected = dense_mul(expected, b)
         assert dense(frac_rows(rows, den), len(mats[-1][0])) == expected
+
+    @given(sum_pair(), NONZERO, NONZERO)
+    @settings(max_examples=100, deadline=None)
+    def test_combine_matches_dense_reference(self, pair, c, d):
+        # word_sum reads its terms from a generator and fixes the lcm of
+        # their denominators before it sums them
+        a, b = pair
+        pa, pb = int_rows(sparse(a)), int_rows(sparse(b))
+        terms, pairs = pair_terms((c, pa), (d, pb), (F(1, 13), pa))
+        rows, total = block_sum((t for t in terms), pairs, len(a))
+        assert integer_pair((rows, total)) and no_zero_stored(rows)
+        assert total == lcm(F(c).denominator * pa[1], F(d).denominator * pb[1], 13 * pa[1])
+        expected = [[(c + F(1, 13)) * x + d * y for x, y in zip(ra, rb)]
+                    for ra, rb in zip(a, b)]
+        assert dense(frac_rows(rows, total), len(a[0])) == expected
+
+    @given(sum_pair(), NONZERO)
+    @settings(max_examples=100, deadline=None)
+    def test_combine_cancelling_terms_leave_empty_rows(self, pair, c):
+        a, b = pair
+        pa, pb = int_rows(sparse(a)), int_rows(sparse(b))
+        rows, _ = block_sum(*pair_terms((c, pa), (1, pb), (-1, pb), (-c, pa)), len(a))
+        assert rows == [{} for _ in a]
+
+    @given(sum_pair(), NONZERO)
+    @settings(max_examples=100, deadline=None)
+    def test_combine_skips_zero_coefficients(self, pair, c):
+        # a zero term adds neither entries nor its denominator 11 to the lcm
+        a, b = pair
+        pa, pb = int_rows(sparse(a)), int_rows(sparse(b))
+        odd = ([{0: 1}] + [{} for _ in a[1:]], 11)
+        rows, total = block_sum(*pair_terms((0, odd), (c, pa), (F(0), pb)), len(a))
+        assert total == F(c).denominator * pa[1]
+        assert dense(frac_rows(rows, total), len(a[0])) == [[c * x for x in row] for row in a]
+
+    def test_combine_of_no_terms_is_zero(self):
+        assert block_sum(*pair_terms((0, ([{0: 3}], 2))), 1) == ([{}], 1)
+        assert block_sum([], {}, 2) == ([{}, {}], 1)
 
     def test_token_matrices_are_integer_pairs(self):
         # relation generators and cell-word tokens carry no Fraction entries
@@ -250,26 +310,6 @@ class TestWordSum:
         assert dense(frac_rows(rows, total), dim) == dense_word_sum(dim, mats, terms)
         assert pairs == before
 
-    @given(sum_pair(), SPARSE, NONZERO)
-    @settings(max_examples=150, deadline=None)
-    def test_two_term_sums_match_dense_reference(self, pair, c, d):
-        # c·a + d·b + (1/13)·a on rectangular operands, neither of which is
-        # changed; a zero term adds neither entries nor its denominator 11
-        # to the lcm
-        a, b = pair
-        pa, pb = int_rows(sparse(a)), int_rows(sparse(b))
-        before = copy.deepcopy((pa, pb))
-        odd = ([{0: 1}] + [{} for _ in a[1:]], 11)
-        terms, pairs = pair_terms((c, pa), (0, odd), (d, pb), (F(1, 13), pa), (F(0), odd))
-        rows, total = block_sum(terms, pairs, len(a))
-        assert integer_pair((rows, total)) and no_zero_stored(rows)
-        assert (pa, pb) == before
-        assert total == lcm(*(F(x).denominator * den for x, den in
-                              ((c, pa[1]), (d, pb[1]), (F(1, 13), pa[1])) if x))
-        expected = [[(c + F(1, 13)) * x + d * y for x, y in zip(ra, rb)]
-                    for ra, rb in zip(a, b)]
-        assert dense(frac_rows(rows, total), len(a[0])) == expected
-
     @given(word_terms())
     @settings(max_examples=100, deadline=None)
     def test_cancelling_terms_leave_empty_rows(self, drawn):
@@ -279,15 +319,7 @@ class TestWordSum:
         rows, _ = block_sum(terms + negated, pairs, dim)
         assert rows == [{} for _ in range(dim)]
 
-    def test_cancelling_sum_stores_no_zero(self):
-        a, b = int_rows(sparse([[1, F(2)], [0, 5]])), int_rows(sparse([[1, F(2)], [0, 0]]))
-        assert block_sum(*pair_terms((1, a), (-1, b)), 2) == ([{}, {1: 5}], 1)
-        c = int_rows(sparse([[0, 0], [0, -25]]))
-        assert block_sum(*pair_terms((1, a), (-1, b), (F(1, 5), c)), 2) == ([{}, {}], 5)
-
-    def test_no_terms_is_zero(self):
-        assert block_sum(*pair_terms((0, ([{0: 3}], 2))), 1) == ([{}], 1)
-        assert block_sum([], {}, 2) == ([{}, {}], 1)
+    def test_no_terms_over_blocks_is_zero(self):
         assert word_sum([], None, [2, 1]) == ([{}, {}, {}], [1, 1])
 
     def test_identity_and_skipped_tokens(self):
