@@ -1,18 +1,19 @@
 """Cellular basis machinery on top of the seminormal modules.
 
 Provides the index sets for the cellular basis, generator words for its
-elements (each a left factor word followed by a right factor word),
-evaluation of words over Q in the faithful direct sum of seminormal modules,
-a modular full-rank certificate for the evaluated basis, closed Gram values
-on the top annihilator layer, and the irreducible-label census.
+elements (each a left factor word followed by a right factor word), the
+faithful direct sum of seminormal modules, a modular full-rank certificate
+for the evaluated basis, closed Gram values on the top annihilator layer,
+and the irreducible-label census.
 
-Words are evaluated through each module's one token table
-(SeminormalModule._word_cache): token_matrix reads the generators from it
-as the relation check does (seminormal.token_rows) and adds the shift
-tokens X_i - u_s, from the diagonal of X_i, and the row-stabilizer sums,
-each formed by seminormal.module_sum (word_sum on one module) over its
-permutation words.  A word's image is the one-term module_sum, integer
-sparse rows over one denominator.
+The cell words use the relation table's token vocabulary (seminormal's
+token helpers): T_k, E_k, X_i^a, the shifts X_i - u_s and the row-stabilizer
+sums.  Every token is read from the module's one token table
+(seminormal.token_rows, bound here as token_matrix), which
+seminormal.generator_matrix fills; this module keeps no cache of its own.
+The Gram cross-check sums arcs·X^kappa·arcs - value·arcs on the top
+empty-shape module as one residual (seminormal.module_sum) and passes when
+no entry is left.
 
 The certificate works over F_p from the tokens up and forms no exact image.
 For each prime and block it reduces every token's integer rows mod p once
@@ -27,17 +28,17 @@ row updates unreduced.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
-from itertools import permutations, product
 from math import factorial, gcd
 
-from .matrices import dense, frac_rows, int_rows, mat_scale, sparse_diag
-# bound only because bench/tracer.py patches them here (ROADMAP item 1)
-from .matrices import mat_add, mat_diag, mat_identity, mat_mul, mat_sub  # noqa: F401
+from .matrices import dense, frac_rows
 from .params import GroundParams
-from .seminormal import SeminormalModule, _product, build_module, module_sum, token_rows
+from .seminormal import _product, _t_word, build_module, module_sum
+# bound only because bench/tracer.py patches them here (ROADMAP item 1);
+# residue_matrix reads its tokens through token_matrix, so the tracer counts them
+from .matrices import mat_add, mat_diag, mat_identity, mat_mul, mat_scale, mat_sub  # noqa: F401
+from .seminormal import token_rows as token_matrix
 from .tableaux import (
     CosetRep,
     RPartition,
@@ -45,7 +46,6 @@ from .tableaux import (
     enumerate_cosets,
     enumerate_kappa,
     perm_inverse,
-    reduced_word,
     row_stabilizer_entries,
     rp_empty,
     rp_size,
@@ -109,10 +109,6 @@ def cell_datum(n: int, r: int) -> CellDatum:
 def word_star(w: GenWord) -> GenWord:
     """Anti-involution fixing every generator token and reversing products."""
     return tuple(reversed(w))
-
-
-def _t_word(perm: tuple[int, ...]) -> GenWord:
-    return tuple(("T", i, 1) for i in reduced_word(perm))
 
 
 def _shape(s: StdTableau) -> RPartition:
@@ -227,70 +223,11 @@ def build_rep(n: int, r: int, params: GroundParams) -> FaithfulRep:
     return FaithfulRep(n, r, params, blocks)
 
 
-@functools.cache
-def _rowsum_terms(lam: RPartition, n: int) -> tuple:
-    """The terms (1, T_w) over the permutations w of n strands that fix every
-    row of lam setwise; every module on n strands sums the same terms.
-    """
-    rows = row_stabilizer_entries(lam)
-    terms = []
-    pools = [list(permutations(row)) for row in rows]
-    for choice in product(*pools) if pools else [()]:
-        p = list(range(1, n + 1))
-        for row, img in zip(rows, choice):
-            for pos, val in zip(row, img):
-                p[pos - 1] = val
-        terms.append((1, _t_word(tuple(p))))
-    return tuple(terms)
-
-
-def _rowsum_matrix(m: SeminormalModule, lam: RPartition) -> tuple:
-    """(int rows, den) of the row-stabilizer sum of lam: the sum of T_w over
-    the permutations w that fix every row of lam setwise.
-    """
-    return module_sum(_rowsum_terms(lam, m.n), m, token_matrix)
-
-
-def token_matrix(tok: Token, m: SeminormalModule) -> tuple:
-    """(int rows, den) of one token on a single seminormal module, kept in
-    the module's token table: a relation-table generator (token_rows),
-    ("Xshift", i, comp) for X_i - u_comp, or ("rowsum", lam) for the
-    row-stabilizer sum of lam.
-    """
-    if tok[0] not in ("Xshift", "rowsum"):
-        return token_rows(tok, m)
-    cache = m._word_cache
-    if tok in cache:
-        return cache[tok]
-    if tok[0] == "Xshift":
-        _, i, comp = tok
-        if not (1 <= i <= m.n and 1 <= comp <= m.params.r):
-            raise ValueError("shift token out of range")
-        us = m.params.u[comp - 1]
-        out = int_rows(sparse_diag([x - us for x in m.matX[i - 1]]))
-    else:
-        out = _rowsum_matrix(m, tok[1])
-    cache[tok] = out
-    return out
-
-
 def eval_word_blocks(w: GenWord, rep: FaithfulRep) -> list:
     """Per-block dense Fraction matrices of a token word, in the fixed block
-    order.
+    order: the one-term module_sum on each block.  Word by word, for tests.
     """
-    return [dense(frac_rows(*module_sum([(1, w)], m, token_matrix)), m.dim)
-            for _, _, m in rep.blocks]
-
-
-def eval_word(w: GenWord, rep: FaithfulRep) -> list:
-    """Flattened block-diagonal image; length is the sum of squared block
-    dimensions.
-    """
-    flat = []
-    for mat in eval_word_blocks(w, rep):
-        for row in mat:
-            flat.extend(row)
-    return flat
+    return [dense(frac_rows(*module_sum([(1, w)], m)), m.dim) for _, _, m in rep.blocks]
 
 
 # -- certified rank -------------------------------------------------------------
@@ -462,15 +399,15 @@ def gram_half(n: int, ell: int, params: GroundParams, omega=None) -> dict:
 
 
 def _gram_matrix_check(n, ell, params, value):
+    """Raise unless arcs·X^kappa·arcs - value·arcs vanishes on the empty-shape
+    module of the top layer, summed as one residual over its token table.
+    """
     f = n // 2
     m = build_module(rp_empty(params.r), f, params)
-    rep = FaithfulRep(n, params.r, params, [(f, rp_empty(params.r), m)])
     arcs = e_arcs_word(f, n)
     kappa = tuple(ell if (n - i) % 2 == 1 else 0 for i in range(1, n + 1))
-    sandwich = arcs + _x_power_word(kappa, f, n) + arcs
-    lhs = eval_word_blocks(sandwich, rep)[0]
-    rhs = mat_scale(value, eval_word_blocks(arcs, rep)[0])
-    if lhs != rhs:
+    residual, _ = module_sum([(1, arcs + _x_power_word(kappa, f, n) + arcs), (-value, arcs)], m)
+    if any(residual):
         raise ArithmeticError("gram value mismatch in the block image")
 
 

@@ -36,16 +36,11 @@ def _shape_str(lam) -> str:
     return "|".join(".".join(str(p) for p in comp) if comp else "-" for comp in lam)
 
 
-def _jsonable(x):
+def _fraction_str(x) -> str:
+    """json.dumps' default: a Fraction as its string."""
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, float):
-        return round(x, 6)
-    return x
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _emit(report: dict, args, parser, csv_table=None) -> None:
@@ -57,7 +52,7 @@ def _emit(report: dict, args, parser, csv_table=None) -> None:
         writer.writerows(rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+        text = json.dumps(report, default=_fraction_str, sort_keys=True, indent=2) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -302,7 +297,7 @@ def _cmd_rank(args, parser) -> tuple[dict, bool]:
     except (ValueError, ArithmeticError) as exc:
         return {"D": target_dimension(args.n, args.r), "certified": False,
                 "error": str(exc)}, False
-    return rep, bool(rep["certified"])
+    return {**rep, "elapsed": round(rep["elapsed"], 6)}, bool(rep["certified"])
 
 
 def _cmd_gram(args, parser) -> tuple[dict, bool]:

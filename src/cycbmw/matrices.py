@@ -13,7 +13,7 @@ rows of ints and one positive int denominator, standing for rows/den.
 with no gcd per entry, and the denominators of a product multiply.  Sums of
 words are formed by ``seminormal.word_sum``.  ``int_rows`` and
 ``frac_rows`` convert at the boundary.  The dense ``mat_*`` helpers serve
-the Gram check and the benchmark tracer.
+the tests and the benchmark tracer.
 """
 
 from __future__ import annotations
@@ -24,17 +24,13 @@ from math import lcm
 Matrix = list
 
 
-def mat_zero(n: int) -> Matrix:
-    return [[Fraction(0)] * n for _ in range(n)]
-
-
 def mat_identity(n: int) -> Matrix:
     return mat_diag([Fraction(1)] * n)
 
 
 def mat_diag(entries) -> Matrix:
     n = len(entries)
-    out = mat_zero(n)
+    out = [[Fraction(0)] * n for _ in range(n)]
     for i, x in enumerate(entries):
         out[i][i] = x
     return out

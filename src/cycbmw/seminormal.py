@@ -1,27 +1,29 @@
 """Seminormal modules and identity verification.
 
-Builds the step generating functions W_k(y,s), the diagonal residues E_ss(k)
-and off-step coefficients a/b, assembles the generator matrices of the
-irreducible module attached to each (f, lambda) over Q in a rational gauge,
-which the module keeps, and verifies the defining relations and rational
-identities exactly.  A module stores each X_i as its diagonal and each T_k
-and E_k as sparse Fraction rows that store no zero, written entry by entry
-at assembly.  Each module owns one token table, _word_cache, that holds
-every token's (int rows, den): token_rows fills it with the relation-table
-generators (generator_matrix converts each one once, X_i^a from integer
-powers of each content's numerator and denominator), and the cellular
-words add their own tokens to it.  word_sum is the one word kernel, for a
-sum of c·word terms on a block-diagonal direct sum of modules: it fixes
-each block's own lcm L of the terms' denominators before any product is
-formed, multiplies each word's prefix (a diagonal factor scales the columns
-of the product so far), and multiplies the last factor straight into
-integer accumulator rows, each scaled by c's numerator times its block's L
-over the term's denominator there.  verify_relations stacks a group of
-modules into one direct sum from their token tables and sums each relation
-once over it, multiplying each word prefix of the table once; a module
-alone is the one-block case (module_sum).  So the check touches nonzero
-entries only and normalises no Fraction per entry; a Fraction is made
-again only for a failing relation's residual.  A single word is the
+Builds the step generating functions W_k(y,s), the diagonal residues
+E_ss(k) and off-step coefficients a/b, assembles the generator matrices of
+the irreducible module attached to each (f, lambda) over Q in a rational
+gauge, which the module keeps, and verifies the defining relations and
+rational identities exactly.  A module stores each X_i as its diagonal and
+each T_k and E_k as sparse Fraction rows that store no zero, written entry
+by entry at assembly.  The relation table and the cell words share one
+token vocabulary: T_k, T_k^{-1}, E_k, X_i^a, the shifts X_i - u_s and the
+row-stabilizer sums.  Each module owns one token table, _word_cache, the
+only token cache, that holds every token's (int rows, den): token_rows
+fills it, and generator_matrix converts each token once (X_i^a from integer
+powers of each content's numerator and denominator, a row-stabilizer sum by
+module_sum over its permutation words).  word_sum is the one word kernel,
+for a sum of c·word terms on a block-diagonal direct sum of modules: it
+fixes each block's own lcm L of the terms' denominators before any product
+is formed, multiplies each word's prefix (a diagonal factor scales the
+columns of the product so far), and multiplies the last factor straight
+into integer accumulator rows, each scaled by c's numerator times its
+block's L over the term's denominator there.  verify_relations stacks a
+group of modules into one direct sum from their token tables and sums each
+relation once over it, multiplying each word prefix of the table once; a
+module alone is the one-block case (module_sum).  So the check touches
+nonzero entries only and normalises no Fraction per entry; a Fraction is
+made again only for a failing relation's residual.  A single word is the
 one-term sum.
 
 The identity suite keys each check by the window of the walk it reads (a
@@ -50,13 +52,14 @@ content factor's series.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import permutations, product, repeat
 from math import gcd, isqrt, lcm, prod
 from operator import floordiv
 
-from .matrices import int_rows, mat_mul
+from .matrices import int_rows, mat_mul, sparse_diag
 from .params import GroundParams, wtilde_rational
 from .scalars import LaurentPoly, RatFunc, expand_series
 # bound only because bench/tracer.py patches them here (ROADMAP item 1)
@@ -70,6 +73,8 @@ from .tableaux import (
     content_product_identity,
     enumerate_updown,
     neighbors_k,
+    reduced_word,
+    row_stabilizer_entries,
     rp_size,
     sk_action,
 )
@@ -268,8 +273,7 @@ class SeminormalModule:
     matX: list
     matT: list
     matE: list
-    # token -> (int rows, den): the generators (token_rows) and the tokens
-    # of cellular.token_matrix
+    # token -> (int rows, den) of every token read so far (token_rows)
     _word_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -412,9 +416,10 @@ A_MAX = 3
 
 # A relation is a name, its step k (None for the relations that have no
 # step) and a list of (coefficient, word) terms whose sum must vanish.  A word
-# is a tuple of generator tokens read left to right, and () is the identity:
+# is a tuple of tokens read left to right, and () is the identity:
 # ("T", k, 1) is T_k, ("T", k, -1) is T_k^{-1}, ("E", k, 1) is E_k and
-# ("X", i, a) is X_i^a.
+# ("X", i, a) is X_i^a.  The cell words add ("Xshift", i, s), X_i - u_s, and
+# ("rowsum", lam), the row-stabilizer sum of lam (_rowsum_terms).
 
 
 def _T(k: int, e: int = 1) -> tuple:
@@ -427,6 +432,28 @@ def _E(k: int) -> tuple:
 
 def _X(i: int, a: int = 1) -> tuple:
     return ("X", i, a)
+
+
+def _t_word(perm: tuple[int, ...]) -> tuple:
+    """The word of T tokens of a reduced expression for perm."""
+    return tuple(_T(i) for i in reduced_word(perm))
+
+
+@functools.cache
+def _rowsum_terms(lam: RPartition, n: int) -> tuple:
+    """The terms (1, T_w) over the permutations w of n strands that fix every
+    row of lam setwise; every module on n strands sums the same terms.
+    """
+    rows = row_stabilizer_entries(lam)
+    terms = []
+    pools = [list(permutations(row)) for row in rows]
+    for choice in product(*pools) if pools else [()]:
+        p = list(range(1, n + 1))
+        for row, img in zip(rows, choice):
+            for pos, val in zip(row, img):
+                p[pos - 1] = val
+        terms.append((1, _t_word(tuple(p))))
+    return tuple(terms)
 
 
 def defining_relations(n: int, params: GroundParams, rho, omega) -> list:
@@ -511,16 +538,26 @@ def x_shift_relations(n: int, params: GroundParams, rho) -> list:
 
 
 def generator_matrix(tok: tuple, m) -> tuple:
-    """(int rows, den) of one relation-table token on the module m (a
-    SeminormalModule or a Br2Module), read from its X_i diagonals and its
-    sparse T_k and E_k rows; T_k^{-1} = T_k - delta + delta E_k.
+    """(int rows, den) of one token on the module m (a SeminormalModule or a
+    Br2Module), read from its X_i diagonals and its sparse T_k and E_k rows:
+    X_i^a, T_k, E_k, T_k^{-1} = T_k - delta + delta E_k, X_i - u_s from the
+    X_i diagonal, and the row-stabilizer sum of lam, summed over its words
+    (_rowsum_terms) from the module's token table.
     """
-    mats = {"X": m.matX, "T": m.matT, "E": m.matE}.get(tok[0])
+    kind = tok[0]
+    if kind == "rowsum":
+        return module_sum(_rowsum_terms(tok[1], len(m.matX)), m)
+    mats = {"X": m.matX, "Xshift": m.matX, "T": m.matT, "E": m.matE}.get(kind)
     if mats is None:
         raise ValueError(f"unknown token {tok!r}")
-    kind, i, e = tok
+    _, i, e = tok
     if not 1 <= i <= len(mats):
         raise ValueError(f"token index {i} out of range for {len(m.matX)} strands")
+    if kind == "Xshift":
+        if not 1 <= e <= m.params.r:
+            raise ValueError("shift token out of range")
+        us = m.params.u[e - 1]
+        return int_rows(sparse_diag([x - us for x in mats[i - 1]]))
     if kind == "X":
         # (p/q)^e = p^e/q^e and (p/q)^-e = q^e/p^e, both in lowest terms; a
         # negative q^e leaves den = lcm(...) positive, and den // q^e carries
@@ -534,14 +571,14 @@ def generator_matrix(tok: tuple, m) -> tuple:
         return [{j: p * (den // q)} if p else {} for j, (p, q) in enumerate(pairs)], den
     if kind == "T" and e != 1:
         delta = m.params.delta
-        return module_sum([(1, (("T", i, 1),)), (-delta, ()), (delta, (("E", i, 1),))], m)
+        return module_sum([(1, (_T(i),)), (-delta, ()), (delta, (_E(i),))], m)
     return int_rows(mats[i - 1])
 
 
 def token_rows(tok: tuple, m) -> tuple:
-    """(int rows, den) of one relation-table token on the module m, kept in
-    its token table m._word_cache; generator_matrix converts it the first
-    time it is asked for.  Callers must not mutate the result.
+    """(int rows, den) of one token on the module m, kept in its token table
+    m._word_cache, the one token cache; generator_matrix converts it the
+    first time it is asked for.  Callers must not mutate the result.
     """
     cache = m._word_cache
     out = cache.get(tok)
@@ -655,13 +692,13 @@ def word_sum(terms, matrix_of, dims: list, products: dict | None = None) -> tupl
     return acc, totals
 
 
-def module_sum(terms, m, matrix_of=token_rows) -> tuple:
+def module_sum(terms, m) -> tuple:
     """(int rows, den) of the sum of c·word over the terms (c, word) on the
-    one module m, each token's (int rows, den) read by matrix_of(token, m):
+    one module m, each token read from its token table (token_rows):
     word_sum's one-block case.
     """
     def one_block(tok):
-        rows, den = matrix_of(tok, m)
+        rows, den = token_rows(tok, m)
         return rows, (den,)
 
     rows, (den,) = word_sum(terms, one_block, [m.dim])
@@ -1213,7 +1250,7 @@ class Br2Module:
     matX: list
     matT: list
     matE: list
-    # token -> (int rows, den) of the generators (token_rows)
+    # token -> (int rows, den) of every token read so far (token_rows)
     _word_cache: dict = field(default_factory=dict, repr=False)
 
     def omega_local(self, a: int):
@@ -1288,23 +1325,24 @@ def _br2_reports(mods: list, params: GroundParams) -> list:
     head = mods[0]
     omega = head.omega_local if head.v is not None else params.omega
     table = defining_relations(2, params, head.rho, omega)
-    reports = []
-    for mod, merged in zip(mods, _check_relations(table, mods)):
-        results = [{"name": name, "pass": failure is None} for name, failure in merged.items()]
+    reports = verify_relations(mods, table)
+    for mod, report in zip(mods, reports):
+        results = report["relations"]
         if mod.v is not None:
             dr = params.delta_inv * mod.rho
             for j, vj in enumerate(mod.v):
                 lhs = sum(g / (vj * vk - 1) for vk, g in zip(mod.v, mod.gamma))
                 ok = lhs == dr + Fraction(1) / (vj * vj - 1)
                 results.append({"name": f"row-sum({j + 1})", "pass": ok})
-        reports.append({"ok": all(r["pass"] for r in results),
-                        "kind": mod.kind, "dim": mod.dim, "relations": results})
+        report.update(ok=all(r["pass"] for r in results), kind=mod.kind)
     return reports
 
 
 def br2_verify(mod: Br2Module, params: GroundParams) -> dict:
     """Exact check of the defining relations at n = 2 and of the row-sum
-    identities of the big kind on one two-strand module.
+    identities of the big kind on one two-strand module: verify_relations'
+    report (relations sorted by name, a failing one with its details), the
+    row-sum entries after them, and the module's kind.
     """
     return _br2_reports([mod], params)[0]
 

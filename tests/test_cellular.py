@@ -7,6 +7,7 @@ from cycbmw import cellular
 from cycbmw.cellular import (
     RANK_PRIMES,
     FaithfulRep,
+    _gram_matrix_check,
     _t_word_of_coset,
     _x_power_word,
     build_rep,
@@ -16,7 +17,6 @@ from cycbmw.cellular import (
     classify,
     delta_index,
     e_arcs_word,
-    eval_word,
     eval_word_blocks,
     full_rank_mod_p,
     gram_half,
@@ -45,6 +45,13 @@ from cycbmw.tableaux import (
 def sparse(a):
     """Sparse rows of a dense matrix."""
     return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def eval_word(w, rep):
+    """Flattened block-diagonal image of a word: each block of
+    eval_word_blocks read row by row, in block order.
+    """
+    return [x for mat in eval_word_blocks(w, rep) for row in mat for x in row]
 
 
 def double_factorial(m: int) -> int:
@@ -394,6 +401,16 @@ class TestGramHalf:
         p = generic_specialization(3, 4)
         g = gram_half(4, 1, p)
         assert g["value"] == p.omega(1) ** 2
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_matrix_check_rejects_a_wrong_value(self, n):
+        # the residual arcs·X^kappa·arcs - value·arcs vanishes at the true
+        # value only
+        p = generic_specialization(3, n)
+        value = p.omega(1) ** (n // 2)
+        _gram_matrix_check(n, 1, p, value)
+        with pytest.raises(ArithmeticError, match="gram value mismatch in the block image"):
+            _gram_matrix_check(n, 1, p, value + 1)
 
     def test_odd_n_error(self):
         p = generic_specialization(1, 3)

@@ -11,7 +11,10 @@ which the benchmark's relation workload runs and the grid does not reach,
 and at (3, 1), where no relation has a step; and ``identities`` at (5, 4)
 and ``omega`` at (3, 4), which have the widest flank sets and the largest
 integers of the residue layer; ``tabs --list`` at (3, 4), which pins the
-order of the walks, and ``basis`` at (5, 4), the benchmark's size.
+order of the walks, and ``basis`` at (5, 4), the benchmark's size.  Last,
+``gram`` at n=4, the largest n whose value is cross-checked on the module:
+``--ell 1`` at r=3 and ``--ell 0`` at r=1, plus ``--ell 1`` at r=1, which
+lies outside the moment window and is a usage error.
 
 Print the table for the current tree with
 ``PYTHONPATH=src python3 tests/test_cli_golden.py``.
@@ -30,7 +33,8 @@ COMMANDS = ("params", "tabs", "rep", "identities", "omega", "br2", "basis",
             "rank", "gram", "classify")
 LARGE = (("identities", 3, 4), ("identities", 5, 3), ("omega", 1, 4),
          ("params", 5, 2), ("br2", 5, 2), ("rep", 1, 4), ("rep", 3, 1),
-         ("identities", 5, 4), ("omega", 3, 4), ("tabs --list", 3, 4), ("basis", 5, 4))
+         ("identities", 5, 4), ("omega", 3, 4), ("tabs --list", 3, 4), ("basis", 5, 4),
+         ("gram --ell 1", 1, 4), ("gram --ell 1", 3, 4), ("gram --ell 0", 1, 4))
 
 
 def _grid():
@@ -265,6 +269,18 @@ GOLDEN = {
         (0, "583450c300535a44c1f4349ad687739cc980fbd4e179f001746bb8e11fa8a9f5"),
     "basis --r 5 --n 4 --seed 7":
         (0, "583450c300535a44c1f4349ad687739cc980fbd4e179f001746bb8e11fa8a9f5"),
+    "gram --ell 1 --r 1 --n 4 --seed 0":
+        (2, None),
+    "gram --ell 1 --r 1 --n 4 --seed 7":
+        (2, None),
+    "gram --ell 1 --r 3 --n 4 --seed 0":
+        (0, "b9ce43112859924414c9934cced4fb40ae3e556d4b227298f0b687a94543593d"),
+    "gram --ell 1 --r 3 --n 4 --seed 7":
+        (0, "ca838cc77c63eda0e3d8c99411eba74c74f28ba15f54b835088590278691102f"),
+    "gram --ell 0 --r 1 --n 4 --seed 0":
+        (0, "fd5e7e3bab6e235a7d40e98e65f2450eb887c73745b673f49a0dfc1cb2ef5c3c"),
+    "gram --ell 0 --r 1 --n 4 --seed 7":
+        (0, "949282a1d480684c0337b699262b8ea8b963d8761d4081ec7fa0417a67b3a182"),
 }
 
 

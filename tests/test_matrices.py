@@ -408,7 +408,8 @@ class TestGeneratorMatrix:
 class TestTokenTable:
     def test_each_generator_converted_once(self, monkeypatch):
         # the relation check and then the cell words read one table per
-        # module: every generator token is converted exactly once
+        # module: every token, shifts and row sums included, is converted
+        # exactly once
         n, r = 3, 3
         p = generic_specialization(r, n)
         m = build_module(((1,), (), ()), 1, p)
@@ -429,10 +430,11 @@ class TestTokenTable:
             idx = delta_index(f, lam, n, r)
             for left in idx[:2]:
                 eval_word_blocks(cell_word(f, lam, left, idx[-1], n, r), rep)
-        for tok in generators:
+        assert {tok[0] for tok in m._word_cache} == {"X", "T", "E", "Xshift", "rowsum"}
+        for tok in m._word_cache:
             assert token_matrix(tok, m) is m._word_cache[tok]
         assert set(calls.values()) == {1}
-        assert set(calls) == {tok for tok in m._word_cache if tok[0] in ("X", "T", "E")}
+        assert set(calls) == set(m._word_cache)
 
 
 class TestCachesNotMutated:
