@@ -27,7 +27,7 @@ from .seminormal import (
     relation_table,
     verify_relations,
 )
-from .tableaux import count_updown, enumerate_updown, rp_size, shapes_with_f
+from .tableaux import count_updown, enumerate_updown, shapes_with_f
 
 DEFAULT_MAX_N = 6
 
@@ -211,13 +211,14 @@ def _cmd_identities(args, parser) -> tuple[dict, bool]:
     return {"r": args.r, "n": args.n, "blocks": blocks, "ok": ok}, ok
 
 
-def _not_generic(args, p: GroundParams) -> dict | None:
-    """The {r, n, error} report of a preset that fails certify_generic, else
-    None; generic_specialization certifies its own parameters.
+def _not_generic(args, p: GroundParams, strands: int | None = None) -> dict | None:
+    """The {r, n, error} report of a preset that fails certify_generic at
+    the given number of strands (--n by default), else None;
+    generic_specialization certifies its own parameters.
     """
     if not args.preset:
         return None
-    cert = certify_generic(p.q, p.u, args.n)
+    cert = certify_generic(p.q, p.u, args.n if strands is None else strands)
     if cert["ok"]:
         return None
     named = "; ".join(kind if where is None else f"{kind} at {where}"
@@ -247,6 +248,11 @@ def _cmd_omega(args, parser) -> tuple[dict, bool]:
 
 def _cmd_br2(args, parser) -> tuple[dict, bool]:
     p = _load_params(args, parser)
+    # the two-strand modules exist only at parameters generic on two strands,
+    # whatever --n says
+    error = _not_generic(args, p, strands=2)
+    if error:
+        return error, False
     try:
         rep = br2_all(p)
     except (ValueError, ArithmeticError) as exc:

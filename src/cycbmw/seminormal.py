@@ -48,6 +48,11 @@ The eigenvalue table runs on truncated integer series at infinity: every
 series it expands is expanded once per parameter family, and route one's
 series of each distinct step prefix is its parent prefix's series times one
 content factor's series.
+
+The two-strand irreducibles that br2 checks are SeminormalModules too: the
+f = 0 labels at n = 2 are build_module's, and the (1, empty) label is
+br2_build's square-root-free module of its own family over a subset of u.
+Every relation table reads only its family's parameters.
 """
 
 from __future__ import annotations
@@ -75,7 +80,9 @@ from .tableaux import (
     neighbors_k,
     reduced_word,
     row_stabilizer_entries,
+    rp_empty,
     rp_size,
+    shapes_with_f,
     sk_action,
 )
 
@@ -251,23 +258,14 @@ def ab_coeffs(s: UpDownTableau, k: int, params: GroundParams):
 
 
 @dataclass
-class ResidueTable:
-    """Exact per-tableau coefficient tables keyed by (basis index, k)."""
-
-    e_diag: dict
-    a: dict
-    bsq: dict
-
-
-@dataclass
 class SeminormalModule:
     lam: RPartition
     f: int
     n: int
     params: GroundParams
     basis: list
-    table: ResidueTable
-    # g_s > 0 with every T_k, E_k equal to D A D^{-1}, D = diag(sqrt(g_s)), A symmetric
+    # g_s != 0 with G M^T = M G for every T_k and E_k, G = diag(g); for
+    # g_s > 0 that is M = D A D^{-1} with D = diag(sqrt(g_s)) and A symmetric
     gauge: list
     # X_i as its diagonal; T_k and E_k as sparse Fraction rows with no zero
     matX: list
@@ -367,7 +365,6 @@ def build_module(lam: RPartition, f: int, params: GroundParams) -> SeminormalMod
                         f"expected zero off-diagonal weight at k={k}, s={s!r}"
                     )
                 swaps[(j, k)] = None if u is None else index[u]
-    table = ResidueTable(e_diag, a_coef, b_sq)
 
     matX = [[s.content(i, params) for s in basis] for i in range(1, n + 1)]
     matE = [[{} for _ in range(d)] for _ in range(1, n)]
@@ -404,7 +401,7 @@ def build_module(lam: RPartition, f: int, params: GroundParams) -> SeminormalMod
         else:
             matE[k - 1][i][j] = x
             matT[k - 1][i][j] = ratio * x
-    return SeminormalModule(lam, f, n, params, basis, table, gauge, matX, matT, matE)
+    return SeminormalModule(lam, f, n, params, basis, gauge, matX, matT, matE)
 
 
 # -- relation verification -------------------------------------------------------
@@ -456,13 +453,11 @@ def _rowsum_terms(lam: RPartition, n: int) -> tuple:
     return tuple(terms)
 
 
-def defining_relations(n: int, params: GroundParams, rho, omega) -> list:
-    """The defining relations of B_{r,n} on n strands.
-
-    rho and omega are the module's own; they differ from the ground data's
-    on the big two-strand modules.
+def defining_relations(n: int, params: GroundParams) -> list:
+    """The defining relations of B_{r,n} on n strands, with the family's rho
+    and moments omega_a.
     """
-    delta, r = params.delta, params.r
+    delta, r, rho, omega = params.delta, params.r, params.rho, params.omega
     rel: list = []
     for i in range(1, n + 1):
         rel.append(("x-inverse", None, [(1, (_X(i), _X(i, -1))), (-1, ())]))
@@ -502,13 +497,13 @@ def defining_relations(n: int, params: GroundParams, rho, omega) -> list:
     return rel
 
 
-def x_shift_relations(n: int, params: GroundParams, rho) -> list:
+def x_shift_relations(n: int, params: GroundParams) -> list:
     """The X-shift identities: T_k, T_k^{-1} and E_k moved past X_k^{+-a}.
 
     The first is T_k X_k^a - X_{k+1}^a T_k
     = delta sum_{i=1}^a X_{k+1}^i (E_k - 1) X_k^{a-i}.
     """
-    delta = params.delta
+    delta, rho = params.delta, params.rho
     rel: list = []
     for k in range(1, n):
         T, Ti, E = _T(k), _T(k, -1), _E(k)
@@ -538,8 +533,8 @@ def x_shift_relations(n: int, params: GroundParams, rho) -> list:
 
 
 def generator_matrix(tok: tuple, m) -> tuple:
-    """(int rows, den) of one token on the module m (a SeminormalModule or a
-    Br2Module), read from its X_i diagonals and its sparse T_k and E_k rows:
+    """(int rows, den) of one token on the module m, read from its X_i
+    diagonals and its sparse T_k and E_k rows:
     X_i^a, T_k, E_k, T_k^{-1} = T_k - delta + delta E_k, X_i - u_s from the
     X_i diagonal, and the row-stabilizer sum of lam, summed over its words
     (_rowsum_terms) from the module's token table.
@@ -729,9 +724,8 @@ def _direct_sum(modules: list, offsets: list):
 
 
 def _check_relations(relations: list, modules: list) -> list:
-    """Evaluate every relation once on the direct sum of the modules (each a
-    SeminormalModule or a Br2Module, all on as many strands) through their
-    token tables (token_rows).
+    """Evaluate every relation once on the direct sum of the modules (all on
+    as many strands) through their token tables (token_rows).
 
     Each relation's terms c·word are summed by word_sum into one integer
     residual with one lcm denominator per module, so a relation holds on a
@@ -781,11 +775,10 @@ def _check_relations(relations: list, modules: list) -> list:
 
 
 def relation_table(n: int, params: GroundParams) -> list:
-    """The defining relations and the X-shift identities on n strands with
-    the ground data's rho and moments, the table verify_relations checks.
+    """The defining relations and the X-shift identities on n strands, the
+    table verify_relations checks.
     """
-    return (defining_relations(n, params, params.rho, params.omega)
-            + x_shift_relations(n, params, params.rho))
+    return defining_relations(n, params) + x_shift_relations(n, params)
 
 
 def verify_relations(modules, relations: list | None = None):
@@ -1236,131 +1229,105 @@ def identity_suite(lam: RPartition, f: int, params: GroundParams) -> dict:
 # -- two-strand modules ----------------------------------------------------------
 
 
-@dataclass
-class Br2Module:
-    kind: tuple
-    dim: int
-    params: GroundParams
-    rho: object
-    rho_inv: object
-    v: tuple | None
-    gamma: list | None
-    # X_1 and X_2 as their diagonals; T_1 and E_1 as sparse Fraction rows
-    # with no zero, as on a SeminormalModule
-    matX: list
-    matT: list
-    matE: list
-    # token -> (int rows, den) of every token read so far (token_rows)
-    _word_cache: dict = field(default_factory=dict, repr=False)
-
-    def omega_local(self, a: int):
-        """Weighted power sum over the eigenvalue set (big kind only)."""
-        if self.v is None:
-            return None
-        return sum(x ** a * g for x, g in zip(self.v, self.gamma))
-
-
-def br2_build(kind: tuple, params: GroundParams) -> Br2Module:
-    """Exact two-strand irreducible module of the given kind.
-
-    kind is ("onedim", sign, i) with sign +1 for eigenvalue q and -1 for
-    -q^{-1}; ("twodim", i, j) with i != j; or ("big", indices) with indices a
+def br2_build(kind: tuple, params: GroundParams) -> SeminormalModule:
+    """The big two-strand irreducible of kind ("big", indices), indices a
     tuple of distinct 1-based positions into u (None selects all of u) whose
-    values v are distinct with no product v_i v_j = 1.
+    values v are distinct, odd in number, with no product v_i v_j = 1.
+
+    It is the (1, empty) module of its own family GroundParams(d, q, v,
+    alpha), which is params itself when v is u, built without square roots:
+    gamma_t = E(v_t) is the diagonal residue of the empty shape at the
+    content of step 1 of walk t, E_1 = 1 gamma^T (every row is gamma), T_1
+    has the entries delta (E_1 - 1)_ji / (v_j v_i - 1), and the gauge is
+    g_t = 1/gamma_t.
     """
-    q, delta = params.q, params.delta
-    if kind[0] == "onedim":
-        _, sign, i = kind
-        eps = q if sign == 1 else -params.q_inv
-        ui = params.u[i - 1]
-        return Br2Module(kind, 1, params, params.rho, params.rho_inv, None, None,
-                         [[ui], [eps * eps * ui]], [[{0: eps}]], [[{}]])
-    if kind[0] == "twodim":
-        _, i, j = kind
-        if i == j:
-            raise ValueError("two-dimensional kind needs distinct eigenvalue indices")
-        ui, uj = params.u[i - 1], params.u[j - 1]
-        if ui == uj:
-            raise ArithmeticError(f"u_{i} = u_{j}; parameters not generic")
-        pref = uj / (uj - ui)
-        rows = ((pref * delta, pref * (q - ui * params.q_inv / uj)),
-                (pref * (params.q_inv - q * ui / uj), pref * (-delta * ui / uj)))
-        return Br2Module(kind, 2, params, params.rho, params.rho_inv, None, None,
-                         [[ui, uj], [uj, ui]],
-                         [[{c: x for c, x in enumerate(row) if x} for row in rows]],
-                         [[{}, {}]])
-    if kind[0] == "big":
-        indices = kind[1] if kind[1] is not None else tuple(range(1, params.r + 1))
-        v = tuple(params.u[i - 1] for i in indices)
-        d = len(v)
-        _check_det_domain(v)
-        if d % 2 == 0:
-            raise ValueError("even eigenvalue counts are out of scope")
-        prod_v = prod(v)
-        rho_inv = prod_v if params.alpha == 1 else -prod_v
-        rho = 1 / rho_inv
-        dr = params.delta_inv * rho
-        gamma = []
-        for i in range(d):
-            g = 1 + dr * (v[i] * v[i] - 1) * prod_v / v[i]
-            for j in range(d):
-                if j != i:
-                    g = g * (v[i] * v[j] - 1) / (v[i] - v[j])
-            gamma.append(g)
-        matE = [{i: g for i, g in enumerate(gamma) if g} for _ in range(d)]
-        matT = [
-            {i: x for i in range(d)
-             if (x := delta * (gamma[i] - (1 if i == j else 0)) / (v[i] * v[j] - 1))}
-            for j in range(d)
-        ]
-        return Br2Module(kind, d, params, rho, rho_inv, v, gamma,
-                         [list(v), [1 / x for x in v]], [matT], [matE])
-    raise ValueError(f"unknown kind {kind!r}")
+    if kind[0] != "big":
+        raise ValueError(f"unknown kind {kind!r}")
+    v = params.u if kind[1] is None else tuple(params.u[i - 1] for i in kind[1])
+    _check_det_domain(v)
+    d = len(v)
+    if d % 2 == 0:
+        raise ValueError("even eigenvalue counts are out of scope")
+    family = params if v == params.u else GroundParams(d, params.q, v, params.alpha)
+    lam = rp_empty(d)
+    basis = enumerate_updown(2, lam)
+    matX = [[s.content(i, family) for s in basis] for i in (1, 2)]
+    gamma = [E_diag(s, 1, family) for s in basis]
+    if 0 in gamma:
+        raise ArithmeticError("vanishing diagonal residue at k=1 of the empty shape")
+    delta = family.delta
+    matT = [{i: x for i, (vi, g) in enumerate(zip(matX[0], gamma))
+             if (x := delta * (g - (i == j)) / (vj * vi - 1))}
+            for j, vj in enumerate(matX[0])]
+    matE = [dict(enumerate(gamma)) for _ in basis]
+    return SeminormalModule(lam, 1, 2, family, basis, [1 / g for g in gamma],
+                            matX, [matT], [matE])
 
 
-def _br2_reports(mods: list, params: GroundParams) -> list:
-    """br2_verify's reports on two-strand modules that share their rho and
-    moments, whose relations are checked as one direct sum.
+def _br2_kind(lam: RPartition) -> tuple:
+    """The br2 kind of an f = 0 label at n = 2: ("onedim", 1, i) for the row
+    (2) in component i, on which T_1 = q; ("onedim", -1, i) for the column
+    (1, 1), on which T_1 = -q^{-1}; ("twodim", i, j) for one node in each of
+    the components i < j.
     """
-    head = mods[0]
-    omega = head.omega_local if head.v is not None else params.omega
-    table = defining_relations(2, params, head.rho, omega)
-    reports = verify_relations(mods, table)
+    (i, comp), *rest = [(c, comp) for c, comp in enumerate(lam, 1) if comp]
+    if rest:
+        return ("twodim", i, rest[0][0])
+    return ("onedim", 1 if comp == (2,) else -1, i)
+
+
+def _br2_reports(mods: list) -> list:
+    """br2_verify's reports on two-strand modules over one family, whose
+    defining relations are checked as one direct sum.
+
+    The (1, empty) module also gets the row-sum identities, one per row j:
+    sum_t gamma_t/(v_j v_t - 1) = dr + 1/(v_j^2 - 1), with gamma its E_1
+    row j, v its X_1 diagonal and dr = delta^{-1} rho of its family.
+    """
+    params = mods[0].params
+    reports = verify_relations(mods, defining_relations(2, params))
+    dr = params.delta_inv * params.rho
     for mod, report in zip(mods, reports):
-        results = report["relations"]
-        if mod.v is not None:
-            dr = params.delta_inv * mod.rho
-            for j, vj in enumerate(mod.v):
-                lhs = sum(g / (vj * vk - 1) for vk, g in zip(mod.v, mod.gamma))
-                ok = lhs == dr + Fraction(1) / (vj * vj - 1)
-                results.append({"name": f"row-sum({j + 1})", "pass": ok})
-        report.update(ok=all(r["pass"] for r in results), kind=mod.kind)
+        if mod.f:
+            results = report["relations"]
+            v = mod.matX[0]
+            for j, vj in enumerate(v):
+                lhs = sum(g / (vj * v[t] - 1) for t, g in mod.matE[0][j].items())
+                results.append({"name": f"row-sum({j + 1})",
+                                "pass": lhs == dr + Fraction(1) / (vj * vj - 1)})
+            report["ok"] = all(r["pass"] for r in results)
     return reports
 
 
-def br2_verify(mod: Br2Module, params: GroundParams) -> dict:
-    """Exact check of the defining relations at n = 2 and of the row-sum
-    identities of the big kind on one two-strand module: verify_relations'
-    report (relations sorted by name, a failing one with its details), the
-    row-sum entries after them, and the module's kind.
+def br2_verify(mod: SeminormalModule) -> dict:
+    """Exact check of its family's defining relations at n = 2 on one
+    two-strand module: verify_relations' report (relations sorted by name, a
+    failing one with its details), followed on the (1, empty) module by the
+    row-sum entries (_br2_reports).
     """
-    return _br2_reports([mod], params)[0]
+    return _br2_reports([mod])[0]
 
 
 def br2_all(params: GroundParams) -> dict:
     """Build and verify every two-strand irreducible; check the dimension
     census sum of squares = 3 r^2.
+
+    The f = 0 labels at n = 2 are build_module's modules, reported under
+    their kinds (_br2_kind) in the order onedim +1 by i, onedim -1 by i,
+    twodim (i, j); the (1, empty) label is br2_build's big kind, last.
     """
     r = params.r
+    labels = {_br2_kind(lam): lam for f, lam in shapes_with_f(2, r) if not f}
     kinds = [("onedim", sign, i) for sign in (1, -1) for i in range(1, r + 1)]
     kinds += [("twodim", i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
-    mods = [br2_build(kind, params) for kind in kinds]
-    big = br2_build(("big", None), params)
-    # the one- and two-dimensional kinds share the ground rho and moments, so
-    # their relations are checked on one direct sum; the big kind has its own
-    reports = _br2_reports(mods, params) + [br2_verify(big, params)]
-    modules = [{"kind": rep["kind"], "dim": rep["dim"], "ok": rep["ok"], "report": rep}
-               for rep in reports]
+    big = ("big", None)
+    mods = [build_module(labels[kind], 0, params) for kind in kinds] + [br2_build(big, params)]
+    kinds.append(big)
+    # every module is over the ground family, so the relations are checked
+    # on one direct sum of them all
+    reports = _br2_reports(mods)
+    modules = [{"kind": kind, "dim": rep["dim"], "ok": rep["ok"], "report": rep}
+               for kind, rep in zip(kinds, reports)]
     total = sum(m["dim"] ** 2 for m in modules)
     expected = 3 * r * r
     return {

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 from .params import GroundParams
@@ -243,7 +242,6 @@ def rpartitions(m: int, r: int) -> list[RPartition]:
     return sorted(_rpartitions(m, r))
 
 
-@lru_cache(maxsize=None)
 def _partitions(m: int) -> tuple[tuple[int, ...], ...]:
     if m == 0:
         return ((),)

@@ -201,6 +201,6 @@ def test_criterion_11_determinant_and_row_sums():
     p = generic_specialization(5, 2)
     for d in (1, 3, 5):
         mod = br2_build(("big", tuple(range(1, d + 1))), p)
-        ok = ok and br2_verify(mod, p)["ok"]
+        ok = ok and br2_verify(mod)["ok"]
     report(11, "eigenvalue determinant closed form and row-sum identity exact, d <= 5",
            ok, time.perf_counter() - t0, 30)

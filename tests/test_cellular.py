@@ -1,4 +1,3 @@
-from fractions import Fraction as F
 from math import factorial
 
 import pytest

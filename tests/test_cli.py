@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction as F
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -138,24 +139,38 @@ class TestCommands:
 
 
 class TestRunsInOneProcess:
-    # run builds its parser once per process; back-to-back runs must print
-    # exactly what fresh interpreters print
-    SEQUENCES = [
-        [["tabs", "--r", "3", "--n", "2", "--list"], ["tabs", "--r", "3", "--n", "2"]],
-        [["basis", "--r", "3", "--n", "2", "--format", "csv"], ["basis", "--r", "3", "--n", "2"]],
-        [["rep", "--r", "2"], ["params", "--r", "3"]],
-    ]
+    # run builds its parser once per process, and process-wide memos such as
+    # _rowsum_terms carry over from one run to the next; back-to-back runs
+    # must print exactly what fresh interpreters print (rank's volatile
+    # elapsed dropped)
+    SEQUENCES = {
+        "tabs": [["tabs", "--r", "3", "--n", "2", "--list"], ["tabs", "--r", "3", "--n", "2"]],
+        "basis": [["basis", "--r", "3", "--n", "2", "--format", "csv"],
+                  ["basis", "--r", "3", "--n", "2"]],
+        "rep": [["rep", "--r", "2"], ["params", "--r", "3"]],
+        "rank": [["rank", "--r", "3", "--n", "2"], ["rank", "--r", "3", "--n", "2"]],
+        "br2": [["br2", "--r", "3"], ["br2", "--r", "5"]],
+        "rep-gram": [["rep", "--r", "1", "--n", "3"], ["gram", "--r", "3", "--n", "2", "--ell", "1"]],
+    }
 
     @staticmethod
-    def fresh(argv):
+    def stable(argv, out):
+        if argv[0] != "rank":
+            return out
+        report = json.loads(out)
+        report.pop("elapsed")
+        return report
+
+    @classmethod
+    def fresh(cls, argv):
         src = Path(__file__).resolve().parent.parent / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
         # bytes, so that the CSV's \r\n line ends are compared as written
         done = subprocess.run([sys.executable, "-m", "cycbmw.cli", *argv], env=env,
                               capture_output=True)
-        return done.returncode, done.stdout.decode(), done.stderr.decode()
+        return done.returncode, cls.stable(argv, done.stdout.decode()), done.stderr.decode()
 
-    @pytest.mark.parametrize("sequence", SEQUENCES, ids=lambda seq: seq[0][0])
+    @pytest.mark.parametrize("sequence", SEQUENCES.values(), ids=SEQUENCES.keys())
     def test_back_to_back_runs_match_fresh_interpreters(self, capsys, sequence):
         for argv in sequence:
             try:
@@ -163,7 +178,7 @@ class TestRunsInOneProcess:
             except SystemExit as exc:
                 code = exc.code
             captured = capsys.readouterr()
-            assert (code, captured.out, captured.err) == self.fresh(argv), argv
+            assert (code, self.stable(argv, captured.out), captured.err) == self.fresh(argv), argv
 
 
 class TestTabsAndBasis:
@@ -444,16 +459,37 @@ class TestErrors:
         assert len(report["blocks"]) == 10
         assert all(b["ok"] and not b["failures"] for b in report["blocks"])
 
-    @pytest.mark.parametrize("r, k, pair", [("3", "2, -2, 5", "v_1 v_2"),
-                                             ("1", "0", "v_1 v_1")])
-    def test_br2_reciprocal_eigenvalues_exit_one(self, capsys, tmp_path, r, k, pair):
-        # u_i u_j = 1 puts a zero denominator into T on the big module: the
-        # error names the pair instead of a bare ZeroDivisionError text
+    @pytest.mark.parametrize("r, k, violations", [
+        pytest.param("3", "2, -2, 5", "; ".join(f"u_i u_j^{{+-1}}=q^{{2d}} at {at}" for at in (
+            "(1, 2, 0)", "(1, 3, -3)", "(2, 1, 0)", "(2, 3, 3)", "(3, 1, 3)", "(3, 2, 3)")),
+            id="3-2, -2, 5-v_1 v_2"),
+        pytest.param("1", "0", "u=+-q^d at (1, 0)", id="1-0-v_1 v_1"),
+    ])
+    def test_br2_reciprocal_eigenvalues_exit_one(self, capsys, tmp_path, r, k, violations):
+        # u_i u_j = 1 would put a zero denominator into T on the big module;
+        # the genericity gate names it before any module is built
         preset = tmp_path / "preset.txt"
         preset.write_text(f"r = {r}\nq = 2\nk = {k}\n")
         code, report = run_json(capsys, "br2", "--r", r, "--preset", str(preset))
         assert code == 1
-        assert report == {"r": int(r), "ok": False, "error": f"singular entry: {pair} = 1"}
+        assert report == {"r": int(r), "n": 2,
+                          "error": f"parameters not generic: {violations}"}
+
+    @pytest.mark.parametrize("n, k, violation", [("0", "1", "u=+-q^d at (1, 2)"),
+                                                  ("1", "1", "u=+-q^d at (1, 2)"),
+                                                  ("3", "-2", None)])
+    def test_br2_certifies_two_strands(self, capsys, tmp_path, n, k, violation):
+        # br2's modules have two strands, whatever --n says: u = q^2 is
+        # generic on one strand but not on two, u = q^-4 on two but not on
+        # three
+        preset = tmp_path / "preset.txt"
+        preset.write_text(f"r = 1\nq = 2\nk = {k}\n")
+        code, report = run_json(capsys, "br2", "--r", "1", "--n", n, "--preset", str(preset))
+        if violation is None:
+            assert code == 0 and report["ok"] is True
+        else:
+            assert code == 1
+            assert report == {"r": 1, "n": int(n), "error": f"parameters not generic: {violation}"}
 
     def test_max_n_not_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("BMW_MAX_N", "abc")
@@ -616,6 +652,17 @@ class TestRepDirectSum:
         return groups
 
 
+@st.composite
+def spread_exponents(draw):
+    """Five exponents k_i with random signs whose magnitudes are the partial
+    sums of steps from 2 to 8.  A preset is generic at n = 2 when every step
+    after the first is at least 4, which happens often enough at r = 5;
+    steps of 2 or 3 leave non-generic presets.
+    """
+    mags = accumulate(draw(st.lists(st.integers(2, 8), min_size=5, max_size=5)))
+    return [draw(st.sampled_from([1, -1])) * m for m in mags]
+
+
 class TestSignedPresets:
     # the residue layer runs on integer pairs, which carry the signs that a
     # Fraction normalises: alpha = -1, q < 0 and q < 1 must keep the exit
@@ -687,6 +734,25 @@ class TestSignedPresets:
                 assert block["ok"] is True and block["failing"] == []
                 assert set(block) == {"f", "shape", "dim", "ok", "failing"}
 
+    @settings(max_examples=40, deadline=None)
+    @given(r=st.sampled_from([1, 3, 5]), alpha=st.sampled_from([1, -1]),
+           q=st.sampled_from(["-3", "-2", "1/3", "3", "7/2"]), k=spread_exponents())
+    @example(r=3, alpha=-1, q="2", k=[21, -13, 5])
+    @example(r=3, alpha=1, q="-2", k=[13, -8, 3])
+    @example(r=5, alpha=-1, q="7/2", k=[30, -22, 14, -6, 2])
+    def test_br2_passes_or_exits_one(self, r, alpha, q, k):
+        # br2 certifies a preset first: a generic one passes every module
+        # and the census, any other exits 1 naming the violations
+        k = k[:r]
+        code, report = self.run_preset("br2", r, 2, q, k, alpha)
+        if certify_generic(F(q), [F(q) ** (2 * x) for x in k], 2)["ok"]:
+            assert code == 0 and report["ok"] is True, report
+            assert all(m["ok"] for m in report["modules"])
+            assert report["total_dim_sq"] == report["expected"] == 3 * r * r
+        else:
+            assert code == 1
+            assert report == {"r": r, "n": 2, "error": report["error"]}
+
     def test_rank_with_the_first_rank_prime_in_q(self):
         # every token denominator carries a power of p1 = RANK_PRIMES[0], so
         # the certificate skips p1 and certifies with the next prime
@@ -697,13 +763,71 @@ class TestSignedPresets:
         code, report = self.run_preset("rank", 1, 2, f"3/{p1}", [2], 1)
         assert code == 0 and report["certified"] is True
 
+    @settings(max_examples=60, deadline=None)
+    @given(r=st.sampled_from([1, 3, 5]), n=st.sampled_from([1, 2, 2, 4]), ell=st.integers(-4, 4),
+           alpha=st.sampled_from([1, -1]), q=st.sampled_from(["-3", "-2", "1/3", "3", "7/2"]),
+           k=st.one_of(spread_exponents(), st.lists(st.integers(-12, 12), min_size=5, max_size=5)))
+    @example(r=3, n=2, ell=1, alpha=-1, q="2", k=[21, -13, 5])
+    @example(r=3, n=2, ell=0, alpha=1, q="-2", k=[13, -8, 3])
+    @example(r=3, n=4, ell=-1, alpha=1, q="7/2", k=[29, -18, 7])
+    @example(r=1, n=4, ell=0, alpha=1, q="1/3", k=[5])
+    def test_gram_passes_or_exits_cleanly(self, r, n, ell, alpha, q, k):
+        # an exact value, a usage error (exit 2, no JSON) or exit 1 with JSON,
+        # never a traceback
+        k = k[:r]
+        code, report = self.run_preset("gram", r, n, q, k, alpha, "--ell", str(ell))
+        if n % 2 or abs(ell) > r - 1:
+            assert code == 2 and report is None
+            return
+        generic = certify_generic(F(q), [F(q) ** (2 * x) for x in k], n)["ok"]
+        if code == 0:
+            assert generic and set(report) == {"r", "n", "ell", "value", "form_zero"}
+            assert report["form_zero"] is (F(report["value"]) == 0)
+        else:
+            assert code == 1
+            assert report == {"r": r, "n": n, "ell": ell, "error": report["error"]}
+            # the gate names a non-generic preset; on a generic one the
+            # module build may fail a check (ROADMAP item 11)
+            assert report["error"].startswith("parameters not generic: ") is not generic
+
+    @settings(max_examples=40, deadline=None)
+    @given(command=st.sampled_from(["classify", "params"]), r=st.sampled_from([1, 3, 5]),
+           n=st.integers(1, 4), alpha=st.sampled_from([1, -1]),
+           q=st.sampled_from(["-3", "-2", "1/3", "3", "7/2"]),
+           k=st.one_of(spread_exponents(), st.lists(st.integers(-12, 12), min_size=5, max_size=5)))
+    @example(command="classify", r=3, n=3, alpha=-1, q="2", k=[21, -13, 5])
+    @example(command="classify", r=3, n=2, alpha=1, q="-2", k=[13, -8, 3])
+    @example(command="params", r=3, n=2, alpha=-1, q="2", k=[21, -13, 5])
+    @example(command="params", r=3, n=2, alpha=1, q="-2", k=[13, -8, 3])
+    def test_classify_and_params_pass_or_exit_one(self, command, r, n, alpha, q, k):
+        # classify passes a generic preset and exits 1 on any other; params
+        # reports any preset and exits 1 when it is not admissible
+        k = k[:r]
+        code, report = self.run_preset(command, r, n, q, k, alpha)
+        if command == "params":
+            assert code == (0 if report["admissible"] else 1)
+            assert report["alpha"] == alpha and report["u"] == [str(F(q) ** (2 * x)) for x in k]
+        elif certify_generic(F(q), [F(q) ** (2 * x) for x in k], n)["ok"]:
+            assert code == 0 and set(report) == {"r", "n", "labels", "excluded"}
+            assert len(report["labels"]) + len(report["excluded"]) == len(shapes_with_f(n, r))
+        else:
+            assert code == 1
+            assert report == {"r": r, "n": n, "error": report["error"]}
+
     @staticmethod
-    def run_preset(command, r, n, q, k, alpha):
+    def run_preset(command, r, n, q, k, alpha, *extra):
+        """(exit code, JSON report) of one run on a preset; the report is None
+        for a usage error, which prints no JSON.
+        """
         with tempfile.TemporaryDirectory() as tmp:
             preset = Path(tmp) / "preset.txt"
             preset.write_text(f"r = {r}\nq = {q}\nk = {', '.join(map(str, k))}\n"
                               f"alpha = {alpha}\n")
             out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = run([command, "--r", str(r), "--n", str(n), "--preset", str(preset)])
-        return code, json.loads(out.getvalue())
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = run([command, "--r", str(r), "--n", str(n), "--preset", str(preset),
+                                *extra])
+                except SystemExit as exc:
+                    code = exc.code
+        return code, json.loads(out.getvalue()) if out.getvalue() else None

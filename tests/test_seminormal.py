@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ from cycbmw.matrices import dense, mat_mul, sparse_diag
 from cycbmw.params import GroundParams, generic_specialization, wtilde_rational
 from cycbmw.scalars import RatFunc
 from cycbmw.seminormal import (
-    Br2Module,
     E_diag,
     W_rational,
     _gauged_roots,
@@ -45,29 +45,29 @@ def updown(r, *signed_nodes):
 
 
 def table_weight(m, kind, k, i, j):
-    """M_ij M_ji of the orthonormal generator, from the residue table:
-    e_s e_t on two k-neighbours with equal flanks, times
-    (delta / (c_s c_t - 1))^2 for T_k; b_s(k)^2 on a swapped pair for T_k;
-    0 elsewhere.
+    """M_ij M_ji of the orthonormal generator, from the residue layer of the
+    module's family: e_s e_t (E_diag) on two k-neighbours with equal flanks,
+    times (delta / (c_s c_t - 1))^2 for T_k; b_s(k)^2 (ab_coeffs) on a
+    swapped pair for T_k; 0 elsewhere.
     """
-    p, tab = m.params, m.table
+    p = m.params
     s, t = m.basis[i], m.basis[j]
     if s.shape(k - 1) == s.shape(k + 1):
         if t not in neighbors_k(s, k):
             return 0
-        w = tab.e_diag[(i, k)] * tab.e_diag[(j, k)]
+        w = E_diag(s, k, p) * E_diag(t, k, p)
         if kind == "E":
             return w
         return w * (p.delta / (s.content(k, p) * t.content(k, p) - 1)) ** 2
     if kind == "E" or sk_action(s, k) != t:
         return 0
-    return tab.bsq[(i, k)]
+    return ab_coeffs(s, k, p)[1]
 
 
 def gauge_defects(m):
     """Entries (kind, k, i, j), i < j, at which T_k or E_k fails to be the
     gauge of a symmetric matrix: g_i M_ji = M_ij g_j, and M_ij M_ji equal to
-    the table weight.
+    the table weight.  The gauge g may have either sign.
     """
     g = m.gauge
     out = []
@@ -287,7 +287,6 @@ class TestBuildModule:
         assert all(isinstance(x, F) for diag in m.matX for x in diag)
         assert all(isinstance(x, F) for rows in m.matT + m.matE
                    for row in rows for x in row.values())
-        assert all(isinstance(v, F) for v in m.table.e_diag.values())
 
     @pytest.mark.parametrize("r,n", [(1, 2), (1, 3), (1, 4), (3, 2), (3, 3), (5, 2), (5, 3)])
     def test_gauge_symmetric_with_table_weights(self, r, n):
@@ -376,7 +375,7 @@ class TestRelations:
     def test_relation_steps(self):
         # per-step relations carry their k, the others None
         p = generic_specialization(3, 3)
-        table = defining_relations(3, p, p.rho, p.omega) + x_shift_relations(3, p, p.rho)
+        table = defining_relations(3, p) + x_shift_relations(3, p)
         steps: dict = {}
         for name, k, _ in table:
             steps.setdefault(name, set()).add(k)
@@ -780,40 +779,69 @@ class TestIdentitySuite:
         assert p.omega(0) / (u * u - 1) == p.delta_inv * p.rho + F(1) / (u * u - 1)
 
 
+def br2_label(kind, r):
+    """The f = 0 label at n = 2 that br2_all reports under kind."""
+    return next(lam for f, lam in shapes_with_f(2, r)
+                if not f and seminormal._br2_kind(lam) == kind)
+
+
+def big_gamma(v, params):
+    """gamma_t of the big two-strand module over the eigenvalues v from its
+    closed product form, kept as the oracle of the empty-shape residues:
+    1 + dr (v_t^2 - 1) prod(v)/v_t times prod_{s != t} (v_t v_s - 1)/(v_t - v_s),
+    with dr = delta^{-1} rho and rho^{-1} = alpha prod(v).
+    """
+    prod_v = prod(v)
+    dr = params.delta_inv / (params.alpha * prod_v)
+    gamma = []
+    for t, vt in enumerate(v):
+        g = 1 + dr * (vt * vt - 1) * prod_v / vt
+        for s, vs in enumerate(v):
+            if s != t:
+                g = g * (vt * vs - 1) / (vt - vs)
+        gamma.append(g)
+    return gamma
+
+
 class TestBr2:
     def test_onedim_example(self):
         p = generic_specialization(3, 2)
-        m = br2_build(("onedim", 1, 2), p)
+        m = build_module(br2_label(("onedim", 1, 2), 3), 0, p)
         assert m.matT == [[{0: p.q}]]
         assert m.matE == [[{}]]
         assert m.matX == [[p.u[1]], [p.q ** 2 * p.u[1]]]
-        assert br2_verify(m, p)["ok"]
+        assert br2_verify(m)["ok"]
 
     def test_onedim_minus(self):
         p = generic_specialization(3, 2)
-        m = br2_build(("onedim", -1, 1), p)
+        m = build_module(br2_label(("onedim", -1, 1), 3), 0, p)
         assert m.matT == [[{0: -p.q_inv}]]
-        assert br2_verify(m, p)["ok"]
+        assert br2_verify(m)["ok"]
 
     def test_twodim_matrices(self):
+        # build_module's two-dimensional module is the closed form below
+        # conjugated by its diagonal gauge: equal diagonals and equal
+        # products of the off-diagonal entries
         p = generic_specialization(3, 2)
         i, j = 1, 3
-        m = br2_build(("twodim", i, j), p)
+        m = build_module(br2_label(("twodim", i, j), 3), 0, p)
         ui, uj = p.u[i - 1], p.u[j - 1]
         pref = uj / (uj - ui)
-        assert m.matT == [[
-            {0: pref * p.delta, 1: pref * (p.q - ui * p.q_inv / uj)},
-            {0: pref * (p.q_inv - p.q * ui / uj), 1: pref * (-p.delta * ui / uj)},
-        ]]
+        closed = [[pref * p.delta, pref * (p.q - ui * p.q_inv / uj)],
+                  [pref * (p.q_inv - p.q * ui / uj), pref * (-p.delta * ui / uj)]]
+        T = dense(m.matT[0], 2)
+        assert T[0][0] == closed[0][0] and T[1][1] == closed[1][1]
+        assert T[0][1] * T[1][0] == closed[0][1] * closed[1][0]
         assert m.matE == [[{}, {}]]
         assert m.matX == [[ui, uj], [uj, ui]]
-        assert br2_verify(m, p)["ok"]
+        assert gauge_defects(m) == []
+        assert br2_verify(m)["ok"]
 
     def test_broken_generator_fails(self):
         p = generic_specialization(3, 2)
-        m = br2_build(("twodim", 1, 2), p)
+        m = build_module(br2_label(("twodim", 1, 2), 3), 0, p)
         m.matT[0][0][1] += 1
-        rep = br2_verify(m, p)
+        rep = br2_verify(m)
         assert not rep["ok"]
         assert "kauffman" in [x["name"] for x in rep["relations"] if not x["pass"]]
 
@@ -823,29 +851,81 @@ class TestBr2:
         v = p.u[1]
         rho = 1 / v if p.alpha == 1 else -1 / v
         gamma1 = 1 + (rho / p.delta) * (v * v - 1)
-        assert m.gamma == [gamma1]
         assert m.matE == [[{0: gamma1}]]
         assert m.matT == [[{0: rho}]]
-        assert br2_verify(m, p)["ok"]
+        assert m.gauge == [1 / gamma1]
+        assert br2_verify(m)["ok"]
 
     def test_big_full_matches_ground_omega(self):
+        # over all of u the family is the ground one, and the weighted power
+        # sums of the eigenvalues by the E row are its moments
         p = generic_specialization(3, 2)
         m = br2_build(("big", None), p)
+        assert m.params is p
+        gamma = list(m.matE[0][0].values())
         for a in range(-4, 5):
-            assert m.omega_local(a) == p.omega(a)
+            assert sum(x ** a * g for x, g in zip(m.matX[0], gamma)) == p.omega(a)
+
+    @pytest.mark.parametrize("alpha", [1, -1])
+    @pytest.mark.parametrize("indices", [(1,), (4,), (2, 3, 5), (5, 1, 3), (1, 2, 3, 4, 5)])
+    def test_big_is_the_empty_shape_module_of_its_family(self, alpha, indices):
+        # over any odd subset of u the big kind is the (1, empty) module of
+        # the sub-family: rho^{-1} = alpha prod(v), the moments are the
+        # weighted power sums sum_t v_t^a gamma_t of the eigenvalues, the E
+        # row is the empty shape's residues, and the module passes that
+        # family's relations
+        base = generic_specialization(5, 2)
+        p = GroundParams(5, base.q, base.u, alpha=alpha)
+        m = br2_build(("big", indices), p)
+        v = [p.u[i - 1] for i in indices]
+        gamma = big_gamma(v, p)
+        fam = m.params
+        assert (fam.r, fam.q, fam.u, fam.alpha) == (len(v), p.q, tuple(v), alpha)
+        assert (m.lam, m.f, m.n, m.dim) == (rp_empty(len(v)), 1, 2, len(v))
+        assert m.matX == [v, [1 / x for x in v]]
+        assert fam.rho * alpha * prod(v) == 1
+        for a in range(-6, 7):
+            assert fam.omega(a) == sum(x ** a * g for x, g in zip(v, gamma)), a
+        assert all(row == dict(enumerate(gamma)) for row in m.matE[0])
+        assert gamma == [seminormal._e_diag_value(rp_empty(len(v)), x, fam) for x in v]
+        assert gamma == [E_diag(s, 1, fam) for s in m.basis]
+        rep = br2_verify(m)
+        assert rep["ok"] and [x["name"] for x in rep["relations"][-len(v):]] == [
+            f"row-sum({j})" for j in range(1, len(v) + 1)]
+
+    @pytest.mark.parametrize("r", [1, 3, 5])
+    @pytest.mark.parametrize("alpha", [1, -1])
+    def test_big_gauge(self, r, alpha):
+        # G M^T = M G with g = 1/gamma, and the residue layer's weights; on
+        # these parameters every gamma_t, and so every g_t, is negative at
+        # alpha = -1
+        base = generic_specialization(r, 2)
+        p = GroundParams(r, base.q, base.u, alpha=alpha)
+        m = br2_build(("big", None), p)
+        assert all(g * e == 1 for g, e in zip(m.gauge, m.matE[0][0].values()))
+        assert all((g > 0) == (alpha == 1) for g in m.gauge)
+        assert gauge_defects(m) == []
+        assert stored_zeros(m) == []
+
+    def test_big_reciprocal_pair_raises(self):
+        # the CLI's genericity gate answers first, but br2_build keeps its
+        # own guard against a zero denominator in T
+        p = GroundParams(3, 2, [F(4), F(1, 4), F(2) ** 10])
+        with pytest.raises(ValueError, match=r"singular entry: v_1 v_2 = 1"):
+            br2_build(("big", None), p)
+        with pytest.raises(ValueError, match=r"singular entry: v_1 v_2 = 1"):
+            br2_build(("big", (2, 1, 3)), p)
 
     @given(st.sampled_from([1, 3, 5]), st.sampled_from([1, -1]), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_generators_store_no_zero(self, r, alpha, seed):
-        # every kind, as br2_all builds them
+        # every module, as br2_all builds them
         base = generic_specialization(r, 2, seed=seed)
         p = GroundParams(r, base.q, base.u, alpha=alpha)
-        kinds = [("onedim", sign, i) for sign in (1, -1) for i in range(1, r + 1)]
-        kinds += [("twodim", i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
-        for kind in kinds + [("big", None)]:
-            m = br2_build(kind, p)
-            assert stored_zeros(m) == [], kind
-            assert br2_verify(m, p)["ok"], kind
+        mods = [build_module(lam, 0, p) for f, lam in shapes_with_f(2, r) if not f]
+        for m in mods + [br2_build(("big", None), p)]:
+            assert stored_zeros(m) == [], m.lam
+            assert br2_verify(m)["ok"], m.lam
 
     @pytest.mark.parametrize("r", [1, 3])
     @pytest.mark.parametrize("alpha", [1, -1])
@@ -856,14 +936,26 @@ class TestBr2:
         assert rep["ok"]
         assert rep["total_dim_sq"] == rep["expected"] == 3 * r * r
 
+    def test_kinds_cover_the_f0_labels(self):
+        # one kind per f = 0 label at n = 2, in br2_all's order
+        p = generic_specialization(3, 2)
+        kinds = [m["kind"] for m in br2_all(p)["modules"]]
+        assert kinds == [("onedim", 1, 1), ("onedim", 1, 2), ("onedim", 1, 3),
+                         ("onedim", -1, 1), ("onedim", -1, 2), ("onedim", -1, 3),
+                         ("twodim", 1, 2), ("twodim", 1, 3), ("twodim", 2, 3),
+                         ("big", None)]
+        labels = [lam for f, lam in shapes_with_f(2, 3) if not f]
+        assert sorted(seminormal._br2_kind(lam) for lam in labels) == sorted(kinds[:-1])
+
     def test_errors(self):
         p = generic_specialization(3, 2)
-        with pytest.raises(ValueError, match="distinct"):
-            br2_build(("twodim", 2, 2), p)
         with pytest.raises(ValueError, match="distinct"):
             br2_build(("big", (1, 1, 2)), p)
         with pytest.raises(ValueError, match="out of scope"):
             br2_build(("big", (1, 2)), p)
+        # the one- and two-dimensional kinds are build_module's f = 0 labels
+        with pytest.raises(ValueError, match="unknown kind"):
+            br2_build(("twodim", 1, 2), p)
         with pytest.raises(ValueError, match="unknown kind"):
             br2_build(("threedim",), p)
 
