@@ -120,8 +120,10 @@ class GroundParams:
         self._omega: dict[int, object] = {}
         # memos of the per-shape residue records (seminormal.ShapeResidues:
         # flank steps, W, W/y's Horner parts and the diagonal residues), the
-        # integer series of seminormal.omega_k_table, tableaux.content and
-        # the window-keyed results of seminormal.identity_suite
+        # integer series of seminormal.omega_k_table with its entries per
+        # step graph, tableaux.content, and the window-keyed results of
+        # seminormal.identity_suite with the step graph of each n; a command
+        # makes one GroundParams, so each graph is built once per command
         self._shape_cache: dict = {}
         self._series_cache: dict = {}
         self._content_cache: dict = {}

@@ -28,9 +28,13 @@ one-term sum.
 
 The identity suite keys each check by the window of the walk it reads (a
 shape, a shape and the step out of it, or shape(k-1) and steps k..k+2, or
-steps k and k+1), evaluates it once per window in
-GroundParams._identity_cache and replays the result for every (s, k) that
-shows the window.
+steps k and k+1) and evaluates it once per window in
+GroundParams._identity_cache.  It reads the windows of a label on the step
+graph of the command (tableaux.StepGraph), which holds the shapes by step
+and the number of walks to each: a check counted per (s, k) counts the
+walks through its window as the walks to its first shape times the walks
+from its last shape to the label, with no walk enumerated.  Only a label
+with a failing check is walked, so that each failure names its walk.
 
 The residue layer is one record per shape, ShapeResidues, kept in
 GroundParams._shape_cache: the flank steps (the steps that leave the shape
@@ -45,9 +49,10 @@ sums, b-squared-form, swap-symmetry, e-reciprocal, b-e-transport) sum each
 side over one integer denominator and compare cross-multiplied.
 
 The eigenvalue table runs on truncated integer series at infinity: every
-series it expands is expanded once per parameter family, and route one's
-series of each distinct step prefix is its parent prefix's series times one
-content factor's series.
+series it expands is expanded once per parameter family, and route one is
+built once per step of the step graph, as the series of the shape the step
+leaves times one content factor's series; every step into a shape must give
+the same series, and then no walk can give another.
 
 The two-strand irreducibles that br2 checks are SeminormalModules too: the
 f = 0 labels at n = 2 are build_module's, and the (1, empty) label is
@@ -58,6 +63,7 @@ Every relation table reads only its family's parameters.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product, repeat
@@ -72,6 +78,7 @@ from .matrices import mat_add, mat_diag, mat_identity, mat_scale, mat_sub  # noq
 from .scalars import ball_sqrt  # noqa: F401
 from .tableaux import (
     RPartition,
+    StepGraph,
     UpDownTableau,
     addable_removable,
     content,
@@ -875,6 +882,66 @@ def _series(params: GroundParams, key: tuple, rational, a_max: int) -> tuple:
     return value
 
 
+def _route_one_ends(params: GroundParams, a_max: int) -> tuple:
+    """(base, shift): route one's one-strand series before the shift, and
+    the shift y^2/(y^2 - 1) - delta^{-1} rho, each expanded once per family.
+    """
+    y = RatFunc.y()
+
+    def shift_rational():
+        return y * y / (y * y - RatFunc.const(1)) - params.delta_inv * params.rho
+
+    return (_series(params, ("base",),
+                    lambda: wtilde_rational(params, "+") - shift_rational(), a_max),
+            _series(params, ("shift",), shift_rational, a_max))
+
+
+def _factor_series(params: GroundParams, c, a_max: int) -> tuple:
+    """The series of the content factor of c, expanded once per family."""
+    return _series(params, ("content", c), lambda: _content_factor(params, c), a_max)
+
+
+def _omega_entries(graph: StepGraph, params: GroundParams, a_max: int) -> dict:
+    """(k, shape before step k) -> route one's coefficients as Fractions, for
+    every shape at steps 0..n-1 of graph; None where route two differs or
+    where two steps into the shape at step k-1 give it different series.
+
+    Route one's series before the shift is built along every step of the
+    graph once, as the series of the shape the step leaves times the step's
+    content factor.  If every step into every shape of a label agrees with
+    the shape's series, then by induction on k every walk of the label
+    reaches each shape with that series, so route one does not depend on the
+    walk.  Kept in params._series_cache, one per command.
+    """
+    key = (("step-graph", graph.n), a_max)
+    entries = params._series_cache.get(key)
+    if entries is not None:
+        return entries
+    base, shift = _route_one_ends(params, a_max)
+    entries = {}
+    nodes = {rp_empty(graph.r): (base, True)}  # shape at step k-1 -> (series, steps agree)
+    for k in range(1, graph.n + 1):
+        after: dict = {}
+        for shape, (series, agree) in nodes.items():
+            route_one = _series_add(series, shift)
+            route_two = _series(params, ("shape", shape), lambda: _w_shape(shape, params), a_max)
+            nums, den = route_one
+            entries[(k, shape)] = ([Fraction(x, den) for x in nums]
+                                   if agree and route_one == route_two else None)
+            if k == graph.n:
+                continue
+            for (sign, nd), mu in graph.moves(shape):
+                c = content(nd, "add" if sign > 0 else "remove", params)
+                product = _series_mul(series, _factor_series(params, c, a_max))
+                if mu not in after:
+                    after[mu] = (product, True)
+                elif after[mu][0] != product:
+                    after[mu] = (after[mu][0], False)
+        nodes = after
+    params._series_cache[key] = entries
+    return entries
+
+
 def omega_k_table(lam: RPartition, f: int, params: GroundParams, a_max: int) -> OmegaKTable:
     """Eigenvalue tables of the central step elements, computed two ways.
 
@@ -888,40 +955,45 @@ def omega_k_table(lam: RPartition, f: int, params: GroundParams, a_max: int) -> 
     that is expanded is expanded once per parameter family and a_max: the
     one-strand series before the shift and the shift itself, the factor
     _content_factor(params, c) per content c, and W_k per shape before
-    step k, on which alone it depends.  Route one's series depends only on
-    the steps before step k, so it is built once per distinct step prefix,
-    as its parent prefix's series times one factor series: exact, since
-    every factor has no pole at infinity.  Every distinct prefix is compared
-    with its (k, shape before step k) entry, and Fractions are made once
-    per entry.
+    step k, on which alone it depends.  Route one runs once per command on
+    the step graph (_omega_entries): once per step, checked for every step
+    into a shape, and compared with route two once per (k, shape), where its
+    Fractions are made.  A label reads the entries of the shapes on its
+    walks.  When one of them disagrees, or raises, the walk loop
+    (_omega_k_table_walks) builds the label's table or raises its error,
+    naming the first walk that shows it.
     """
     n = rp_size(lam) + 2 * f
-    basis = enumerate_updown(n, lam)
-    y = RatFunc.y()
-    one = RatFunc.const(1)
+    try:
+        graph = _step_graph(params, n)
+        entries = _omega_entries(graph, params, a_max)
+        keys = [(k, shape) for k, level in enumerate(graph.backward(lam)[:n], 1)
+                for shape in level]
+    except (ValueError, ArithmeticError):
+        keys = None
+    if keys is None or any(entries[key] is None for key in keys):
+        return _omega_k_table_walks(lam, f, params, a_max)
+    return OmegaKTable(lam, f, n, a_max, {key: list(entries[key]) for key in keys})
 
-    def shift_rational():
-        return y * y / (y * y - one) - params.delta_inv * params.rho
 
-    shift = _series(params, ("shift",), shift_rational, a_max)
-    base = _series(params, ("base",),
-                   lambda: wtilde_rational(params, "+") - shift_rational(), a_max)
-    series: dict = {}  # step prefix -> route one's series before the shift
+def _omega_k_table_walks(lam: RPartition, f: int, params: GroundParams,
+                         a_max: int) -> OmegaKTable:
+    """omega_k_table walk by walk: route one along each walk, every (k, shape)
+    compared with its first walk and with route two.  Its errors name the
+    first walk, in sort order, at which the table depends on the walk or the
+    routes differ.
+    """
+    n = rp_size(lam) + 2 * f
+    base, shift = _route_one_ends(params, a_max)
     exact: dict = {}  # (k, shape before step k) -> its canonical series
     values: dict = {}
-    for s in basis:
+    for s in enumerate_updown(n, lam):
+        series = base
         for k in range(1, n + 1):
-            prefix = s.steps[:k - 1]
-            if prefix in series:
-                continue
-            if k == 1:
-                series[prefix] = base
-            else:
+            if k > 1:
                 c = s.content(k - 1, params)
-                factor = _series(params, ("content", c),
-                                 lambda: _content_factor(params, c), a_max)
-                series[prefix] = _series_mul(series[prefix[:-1]], factor)
-            route_one = _series_add(series[prefix], shift)
+                series = _series_mul(series, _factor_series(params, c, a_max))
+            route_one = _series_add(series, shift)
             shape = s.shape(k - 1)
             key = (k, shape)
             if key in exact:
@@ -1126,6 +1198,70 @@ def _swap_checks(s: UpDownTableau, k: int, params: GroundParams) -> tuple:
                                    and bsqw == bsq)
 
 
+def _step_graph(params: GroundParams, n: int) -> StepGraph:
+    """The step graph of n steps, built once per parameter family."""
+    return _memo(params, ("step-graph", n), StepGraph, n, params.r)
+
+
+def _graph_checks(lam: RPartition, n: int, params: GroundParams) -> dict | None:
+    """identity_suite's checks on the label lam at n steps, counted on the
+    step graph when every check passes; None when one fails.
+
+    Each check is evaluated through _memo under its key and counted as the
+    walk loop counts it: a shape- or step-keyed check once per distinct key
+    on the label's walks, a check counted per (s, k) once per walk through
+    its window (StepGraph.repeats and swaps).
+    """
+    graph = _step_graph(params, n)
+    back = graph.backward(lam)
+    counts: Counter = Counter()
+
+    def count(name: str, ok: bool, times: int = 1) -> bool:
+        counts[name] += times
+        return ok
+
+    if not all(count("content-product", _memo(params, ("content-product", shape),
+                                               content_product_identity, shape, params))
+               for shape in set().union(*back)):
+        return None
+    returns = set().union(*graph.returns(back))
+    for shape in returns.union(back[n - 1] if n else ()):
+        nonzero, pf = _memo(params, ("partial-fractions", shape), _partial_fractions, shape, params)
+        if not (all(count("e-nonzero", ok) for _, ok in nonzero)
+                and count("partial-fractions", pf)):
+            return None
+    for shape in returns:
+        for step, cs in _shape_residues(shape, params).steps:
+            linear, quadratic = _memo(params, ("neighbor-sum", shape, step),
+                                      _neighbor_sums, shape, cs, params)
+            if not (count("neighbor-sum-linear", linear)
+                    and count("neighbor-sum-quadratic", quadratic)):
+                return None
+    cross: dict = {}  # key -> its arguments
+    for shape, step in graph.crossings(back):
+        flank = _shape_residues(shape, params).steps
+        cs = dict(flank)[step]
+        for partner, ctp in flank:
+            if partner != step:
+                cross[("neighbor-sum-cross", shape, step, partner)] = (shape, cs, ctp)
+    if not all(count("neighbor-sum-cross", _memo(params, key, _neighbor_sum_cross, *args, params))
+               for key, args in cross.items()):
+        return None
+    for k, shape, window, times in graph.repeats(back):
+        recip, transports = _memo(
+            params, ("window", shape, window),
+            lambda: _window_checks(graph.walk(k - 1, shape, window), k, params))
+        if not (count("e-reciprocal", recip, times)
+                and all(count("b-e-transport", ok, times) for ok, _ in transports)):
+            return None
+    for k, shape, pair, times in graph.swaps(back):
+        form, name, ok = _memo(params, ("swap", *pair),
+                               lambda: _swap_checks(graph.walk(k - 1, shape, pair), k, params))
+        if not (count("b-squared-form", form, times) and count(name, ok, times)):
+            return None
+    return {name: {"instances": c, "failures": 0} for name, c in counts.items()}
+
+
 def identity_suite(lam: RPartition, f: int, params: GroundParams) -> dict:
     """Exact verification of the rational identities on one label (f, lam).
 
@@ -1142,8 +1278,28 @@ def identity_suite(lam: RPartition, f: int, params: GroundParams) -> dict:
     b-e-transport by (shape(k-1), steps k..k+2); b-squared-form,
     swap-symmetry and degenerate-step by (step k, step k+1).  The
     shape-keyed and neighbor-sum checks count one instance per distinct key
-    in the label, the others one per (s, k), and each failure names its
-    instance.
+    in the label, the others one per (s, k).
+
+    The checks are read on the step graph of the command (_graph_checks),
+    each key once per label, with no walk enumerated.  When one fails, or
+    raises, the walk loop (_identity_suite_walks) builds the label's report,
+    whose failures name their walks, or raises its error.
+    """
+    n = rp_size(lam) + 2 * f
+    try:
+        checks = _graph_checks(lam, n, params)
+    except (ValueError, ArithmeticError):
+        checks = None
+    if checks is None:
+        return _identity_suite_walks(lam, f, params)
+    return {"ok": True, "checks": checks, "failures": []}
+
+
+def _identity_suite_walks(lam: RPartition, f: int, params: GroundParams) -> dict:
+    """identity_suite walk by walk: every check is read at every (s, k) of
+    every walk s of the label, in sort order, through _memo, and each
+    failure names its instance; the report lists the first 20 failures in
+    that order.
     """
     n = rp_size(lam) + 2 * f
     basis = enumerate_updown(n, lam)

@@ -1,8 +1,9 @@
 """Multipartition and walk combinatorics.
 
 r-multipartitions, addable/removable nodes and their contents, up-down
-tableaux (add/remove walks), standard tableaux, permutation words, coset
-representatives, and the exponent vectors indexing the cellular basis.
+tableaux (add/remove walks) and the step graph of their shapes, standard
+tableaux, permutation words, coset representatives, and the exponent vectors
+indexing the cellular basis.
 All enumeration orders are deterministic.
 """
 
@@ -220,21 +221,120 @@ def enumerate_updown(n: int, lam: RPartition) -> list[UpDownTableau]:
     return out
 
 
+class StepGraph:
+    """The walks of n steps from the empty r-multipartition as one graph of
+    shapes by level, built by the branching recursion.
+
+    levels[k] maps each shape reachable in k steps to the number of k-step
+    walks from the empty shape that end there; first[k] maps it to the
+    steps of the first of those walks in sort order.  moves(shape) lists the
+    steps out of a shape with the shape each reaches, removals before
+    additions, each by (component, row): neighbors_k's and sort_key's order.
+    A step is undone by the step of opposite sign on the same node, so the
+    walks from a shape at step k to lam at step n are counted by the same
+    recursion run back from lam (backward).
+    """
+
+    __slots__ = ("n", "r", "levels", "first", "_moves")
+
+    def __init__(self, n: int, r: int):
+        self.n, self.r = n, r
+        self._moves: dict = {}
+        empty = rp_empty(r)
+        self.levels = [{empty: 1}]
+        self.first = [{empty: ()}]
+        for _ in range(n):
+            counts, first = {}, {}
+            for shape, c in self.levels[-1].items():
+                for step, mu in self.moves(shape):
+                    if mu in counts:
+                        counts[mu] += c
+                    else:
+                        counts[mu] = c
+                        first[mu] = self.first[-1][shape] + (step,)
+            self.levels.append(counts)
+            self.first.append(first)
+
+    def moves(self, shape: RPartition) -> list:
+        """[(step, shape after it)] for every step out of shape, listed once
+        per graph.
+        """
+        out = self._moves.get(shape)
+        if out is None:
+            addable, removable = addable_removable(shape)
+            out = self._moves[shape] = (
+                [((-1, nd), rp_remove(shape, nd)) for nd in removable]
+                + [((1, nd), rp_add(shape, nd)) for nd in addable])
+        return out
+
+    def backward(self, lam: RPartition) -> list[dict]:
+        """back[k]: each shape at step k on a walk to lam at step n, mapped
+        to the number of walks from it to lam.  A walk of the label passes
+        through the window of steps k+1..m from mu at step k to nu at step m
+        fwd·back times, fwd = levels[k][mu] and back = back[m][nu].
+        """
+        if lam not in self.levels[self.n]:
+            raise ValueError(f"no length-{self.n} walks end at {lam}")
+        back = [None] * self.n + [{lam: 1}]
+        for k in range(self.n, 0, -1):
+            level, prev = self.levels[k - 1], {}
+            for shape, c in back[k].items():
+                for _, mu in self.moves(shape):
+                    if mu in level:
+                        prev[mu] = prev.get(mu, 0) + c
+            back[k - 1] = prev
+        return back
+
+    def walk(self, k: int, shape: RPartition, tail: tuple = ()) -> UpDownTableau:
+        """The first walk to shape at step k, followed by the steps of tail."""
+        return UpDownTableau(self.r, self.first[k][shape] + tail)
+
+    # The windows of the walks to one label, from back = backward(lam).  A
+    # window starts at a shape at step k-1; times counts the walks through it.
+
+    def returns(self, back: list) -> list:
+        """For k = 1..n-1, the shapes at step k-1 that step k+1 returns to."""
+        return [back[k - 1].keys() & back[k + 1].keys() for k in range(1, self.n)]
+
+    def crossings(self, back: list):
+        """(shape, step) for every step k out of a shape that step k+1
+        returns to, where step k+2 can leave the shape another way.
+        """
+        for k, shapes in enumerate(self.returns(back)[:self.n - 2], start=1):
+            for shape in shapes:
+                onward = [step for step, mu in self.moves(shape) if mu in back[k + 2]]
+                for step, _ in self.moves(shape):
+                    if onward != [step]:
+                        yield shape, step
+
+    def repeats(self, back: list):
+        """(k, shape, steps k..k+2, times) for every window whose steps k+1
+        and k+2 undo step k and take it again.
+        """
+        for k in range(1, self.n - 1):
+            for shape in back[k - 1]:
+                fwd = self.levels[k - 1][shape]
+                for (sign, nd), mu in self.moves(shape):
+                    if mu in back[k + 2]:
+                        yield k, shape, ((sign, nd), (-sign, nd), (sign, nd)), fwd * back[k + 2][mu]
+
+    def swaps(self, back: list):
+        """(k, shape, steps k and k+1, times) for every window whose step k+1
+        does not undo step k.
+        """
+        for k in range(1, self.n):
+            for shape in back[k - 1]:
+                fwd = self.levels[k - 1][shape]
+                for step, mu in self.moves(shape):
+                    if mu in back[k]:
+                        for step1, nu in self.moves(mu):
+                            if nu != shape and nu in back[k + 1]:
+                                yield k, shape, (step, step1), fwd * back[k + 1][nu]
+
+
 def count_updown(n: int, r: int) -> dict[RPartition, int]:
     """Branching-recursion counts |T^ud_n(lam)| for every reachable lam."""
-    counts: dict[RPartition, int] = {rp_empty(r): 1}
-    for _ in range(n):
-        nxt: dict[RPartition, int] = {}
-        for shape, c in counts.items():
-            addable, removable = addable_removable(shape)
-            for node in addable:
-                mu = rp_add(shape, node)
-                nxt[mu] = nxt.get(mu, 0) + c
-            for node in removable:
-                mu = rp_remove(shape, node)
-                nxt[mu] = nxt.get(mu, 0) + c
-        counts = nxt
-    return counts
+    return StepGraph(n, r).levels[n]
 
 
 def rpartitions(m: int, r: int) -> list[RPartition]:

@@ -4,8 +4,8 @@ Each case pins the exit code and the sha256 of the command's canonical JSON
 (``sort_keys``, compact separators, ``rank``'s volatile ``elapsed`` dropped).
 A usage error prints no JSON and pins ``None``.  ``rank`` at (3, 3) is D=405
 and is left to the ``BMW_EXTENDED`` run.  ``LARGE`` adds ``identities`` and
-``omega`` at the sizes where most of their exact arithmetic is repeated
-across walks, and ``params`` and ``br2`` at r=5, where the Q_a coefficients
+``omega`` at the sizes where one window or step is shared by the most walks
+and labels, and ``params`` and ``br2`` at r=5, where the Q_a coefficients
 of the omega family run to the highest a.  It also adds ``rep`` at (1, 4),
 which the benchmark's relation workload runs and the grid does not reach,
 and at (3, 1), where no relation has a step; and ``identities`` at (5, 4)
@@ -14,7 +14,10 @@ integers of the residue layer; ``tabs --list`` at (3, 4), which pins the
 order of the walks, and ``basis`` at (5, 4), the benchmark's size.  Last,
 ``gram`` at n=4, the largest n whose value is cross-checked on the module:
 ``--ell 1`` at r=3 and ``--ell 0`` at r=1, plus ``--ell 1`` at r=1, which
-lies outside the moment window and is a usage error.
+lies outside the moment window and is a usage error.  ``EXTENDED`` pins
+``identities`` at (3, 5) and ``omega`` at (3, 5) and (5, 4), the largest
+cases of ROADMAP item 7, in the ``BMW_EXTENDED`` run (``identities`` at
+(5, 4) is in ``LARGE``).
 
 Print the table for the current tree with
 ``PYTHONPATH=src python3 tests/test_cli_golden.py``.
@@ -24,6 +27,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 
 import pytest
 
@@ -35,6 +39,8 @@ LARGE = (("identities", 3, 4), ("identities", 5, 3), ("omega", 1, 4),
          ("params", 5, 2), ("br2", 5, 2), ("rep", 1, 4), ("rep", 3, 1),
          ("identities", 5, 4), ("omega", 3, 4), ("tabs --list", 3, 4), ("basis", 5, 4),
          ("gram --ell 1", 1, 4), ("gram --ell 1", 3, 4), ("gram --ell 0", 1, 4))
+
+EXTENDED = (("identities", 3, 5), ("omega", 3, 5), ("omega", 5, 4))
 
 
 def _grid():
@@ -48,6 +54,12 @@ def _grid():
                     argv += ["--ell", "0"]
                 yield " ".join(argv)
     for cmd, r, n in LARGE:
+        for seed in (0, 7):
+            yield f"{cmd} --r {r} --n {n} --seed {seed}"
+
+
+def _extended():
+    for cmd, r, n in EXTENDED:
         for seed in (0, 7):
             yield f"{cmd} --r {r} --n {n} --seed {seed}"
 
@@ -283,10 +295,32 @@ GOLDEN = {
         (0, "949282a1d480684c0337b699262b8ea8b963d8761d4081ec7fa0417a67b3a182"),
 }
 
+GOLDEN_EXTENDED = {
+    "identities --r 3 --n 5 --seed 0":
+        (0, "8b904bf4ff6f718a7fcb43d55c3f02d3834aa4e491c531034229a274597d5819"),
+    "identities --r 3 --n 5 --seed 7":
+        (0, "8b904bf4ff6f718a7fcb43d55c3f02d3834aa4e491c531034229a274597d5819"),
+    "omega --r 3 --n 5 --seed 0":
+        (0, "121d7a3616b81b06d7225694c5ee82c2557ea71e823750266bd09c223b56aa00"),
+    "omega --r 3 --n 5 --seed 7":
+        (0, "5510348552ab72cc239791bfcbe6c3b2a4de709707ab56f6e20230e99de890dd"),
+    "omega --r 5 --n 4 --seed 0":
+        (0, "e078d76c9b4035c32ec599646e49352b89b8e229038bf2fca2ea4cacf31caf6f"),
+    "omega --r 5 --n 4 --seed 7":
+        (0, "5cd2bb9c0741c7b9aabe44ad7ae88d6efceaec450385ce6aa32fdfbaeaf07677"),
+}
+
 
 @pytest.mark.parametrize("case", list(_grid()))
 def test_cli_output_pinned(case):
     assert _run(case) == GOLDEN[case]
+
+
+@pytest.mark.skipif(not os.environ.get("BMW_EXTENDED"),
+                    reason="extended identities and omega runs; set BMW_EXTENDED=1 to enable")
+@pytest.mark.parametrize("case", list(_extended()))
+def test_cli_output_pinned_extended(case):
+    assert _run(case) == GOLDEN_EXTENDED[case]
 
 
 if __name__ == "__main__":
