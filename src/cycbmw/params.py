@@ -1,13 +1,14 @@
 """Admissible ground data for the cyclotomic BMW algebra B_{r,n}.
 
 Ground data are rationals: GroundParams converts q and u_1..u_r to Fraction
-once, so every derived scalar (q^{-1}, delta, rho, omega_a) is plain Fraction
+once, so every derived scalar (q^{-1}, delta, rho) is plain Fraction
 arithmetic.  From (q, u_1..u_r, alpha) it constructs the family
 Omega = {omega_a} together with rho, validates the admissibility equations,
 and produces generic rational specializations on which the seminormal
-matrices are real and well conditioned.  The symmetric-function coefficients
-Q_a behind the omega_a come from one order-1 recurrence per u_i, and
-SymCache keeps Q_0..Q_A in one list per family, grown geometrically.
+matrices are real and well conditioned.  Omega is computed on integers:
+SymCache keeps sigma_0..sigma_r and the lists Q_a, Q'_a as integer numerators
+over one denominator each, omega_a is one integer sum over them, and
+check_admissible cross-multiplies both families over the omega numerators.
 """
 
 from __future__ import annotations
@@ -15,76 +16,69 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Callable, Sequence
 
 from .scalars import RatFunc, expand_series
 
 
-def elem_symmetric(u: Sequence, i: int):
-    """Elementary symmetric polynomial sigma_i(u_1..u_r)."""
-    r = len(u)
-    if not 0 <= i <= r:
-        raise ValueError(f"elementary symmetric index {i} out of range 0..{r}")
-    es = [Fraction(1)] + [Fraction(0)] * r
-    for x in u:
-        for j in range(r, 0, -1):
-            es[j] = es[j] + es[j - 1] * x
-    return es[i]
+def _q_ints(pairs: Sequence[tuple[int, int]], length: int) -> tuple[list, int]:
+    """Numerators N_0..N_{length-1} over one denominator D of the coefficients
+    Q_k of prod (y - u)/(u y - 1) at y=0, u = n/d over the pairs (n, d).
 
-
-def _q_poly_list(u: Sequence, a_max: int) -> list:
-    """Coefficients Q_0..Q_{a_max} of Prod_i (y-u_i)/(u_i y - 1) at y=0.
-
-    Each factor is applied by its order-1 recurrence: multiplying by (y - u)
-    gives s_k = Q_{k-1} - u Q_k, and dividing by (u y - 1) gives
-    t_k = u t_{k-1} - s_k, so the list costs O(r a_max) ring operations.
-    The u_i are Fractions for ground data; any ring elements that mix with
-    Fraction (rational functions in y, for symbolic checks) work too.
+    Each factor is one order-1 recurrence: s_k = d Q_{k-1} - n Q_k and
+    t_k = (n t_{k-1} - s_k)/d; over D d^length, T_k = n (T_{k-1}/d) -
+    S_k d^(length-1), and the division is exact, so no gcd is taken.
     """
-    out = [Fraction(1)] + [Fraction(0)] * a_max
-    for ui in u:
-        prev_q, t = Fraction(0), Fraction(0)
-        for k in range(a_max + 1):
-            qk = out[k]
-            t = ui * t - (prev_q - ui * qk)
-            prev_q, out[k] = qk, t
-    return out
-
-
-def q_poly(a: int, u: Sequence, primed: bool = False):
-    """Symmetric-function coefficient Q_a(u) (Q'_a when primed); 0 for a<0."""
-    if a < 0:
-        return Fraction(0)
-    if primed:
-        u = [1 / x for x in u]
-    return _q_poly_list(u, a)[a]
+    nums, den = [1] + [0] * (length - 1), 1
+    for n, d in pairs:
+        top = d ** (length - 1)
+        prev, t = 0, 0
+        for k in range(length):
+            nk = nums[k]
+            t = n * (t // d) - (d * prev - n * nk) * top
+            prev, nums[k] = nk, t
+        den *= top * d
+    return nums, den
 
 
 @dataclass
 class SymCache:
-    """Memoized symmetric-function data for a fixed u-tuple.
+    """Symmetric-function data of a fixed tuple of rationals u = n/d.
 
-    Q_0..Q_A and Q'_0..Q'_A are kept as one list each, recomputed with twice
-    the length whenever a larger a is asked for.
+    sigma_nums are the coefficients of prod (d_i + n_i t), sigma_0..sigma_r
+    over prod d_i.  Q (Q' over the 1/u_i) is kept as (N, S, D): Q_k = N[k]/D
+    and S[k] = N[k] + N[k-2] + ..., rebuilt twice as long when a passes its end.
     """
 
     u: tuple
     sigma: list = field(default_factory=list)
-    _qlist: list = field(default_factory=list)
-    _qlist_primed: list = field(default_factory=list)
+    sigma_nums: list = field(default_factory=list)
+    _lists: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.sigma = [elem_symmetric(self.u, i) for i in range(len(self.u) + 1)]
+        es = [1] + [0] * len(self.u)
+        for x in self.u:
+            es = [x.denominator * e + x.numerator * f for e, f in zip(es, [0] + es)]
+        self.sigma_nums = es
+        self.sigma = [Fraction(e, es[0]) for e in es]  # es[0] = prod d_i
 
-    def q(self, a: int, primed: bool = False):
-        if a < 0:
-            return Fraction(0)
-        qs = self._qlist_primed if primed else self._qlist
-        if a >= len(qs):
-            u = [1 / x for x in self.u] if primed else self.u
-            qs[:] = _q_poly_list(u, max(a, 2 * len(qs)))
-        return qs[a]
+    def q_ints(self, a: int, primed: bool = False) -> tuple:
+        """The triple (N, S, D) of Q (Q' when primed), holding index a >= 0."""
+        lists = self._lists.get(primed, ([],))
+        if a >= len(lists[0]):
+            pairs = [(x.numerator, x.denominator)[::-1 if primed else 1] for x in self.u]
+            nums, den = _q_ints(pairs, max(a + 1, 2 * len(lists[0])))
+            sums = nums[:2] + [0] * (len(nums) - 2)
+            for k in range(2, len(nums)):
+                sums[k] = nums[k] + sums[k - 2]
+            lists = self._lists[primed] = (nums, sums, den)
+        return lists
+
+    def q(self, a: int, primed: bool = False) -> Fraction:
+        """Q_a (Q'_a when primed); 0 for a < 0."""
+        nums, _, den = self.q_ints(max(a, 0), primed)
+        return Fraction(nums[a], den) if a >= 0 else Fraction(0)
 
 
 class GroundParams:
@@ -138,19 +132,20 @@ class GroundParams:
             self._omega[a] = self._omega_closed_form(a)
         return self._omega[a]
 
-    def _omega_closed_form(self, a: int):
-        dr = self.delta_inv * self.rho
-        if a >= 0:
-            value = Fraction(1 + (-1) ** a, 2) + dr * self.sym.q(a) * self.u_prod
-            value += sum(Fraction(1 + (-1) ** k, 2) * self.sym.q(a - 1 - k)
-                         for k in range(a))
-            if a == 0:
-                value -= dr
-            return value
-        b = -a
-        value = Fraction(1 + (-1) ** b, 2) - dr * self.sym.q(b, primed=True) * self.u_prod
-        return value + sum(Fraction(1 + (-1) ** k, 2) * self.sym.q(b - 1 - k, primed=True)
-                           for k in range(b))
+    def _omega_closed_form(self, a: int) -> Fraction:
+        """omega_a = [a even] + c Q_a + sum_{even k < a} Q_{a-1-k} - [a = 0] dr
+        and omega_{-b} = [b even] - c Q'_b + sum_{even k < b} Q'_{b-1-k}, with
+        dr = delta^{-1} rho and c = dr u_1...u_r = alpha delta^{-1}.
+        """
+        b = abs(a)
+        nums, sums, den = self.sym.q_ints(b, primed=a < 0)
+        c = (-self.alpha if a < 0 else self.alpha) * self.delta_inv
+        tail = sums[b - 1] if b else 0
+        value = Fraction(c.denominator * ((1 - b % 2) * den + tail) + c.numerator * nums[b],
+                         c.denominator * den)
+        if a == 0:
+            value -= self.delta_inv * self.rho
+        return value
 
     def __repr__(self):
         return f"GroundParams(r={self.r}, q={self.q}, u={self.u}, alpha={self.alpha})"
@@ -170,6 +165,9 @@ def check_admissible(
     Family 1 (for each b): sum_{s=0}^r (-1)^(r-s) sigma_{r-s}(u) omega_{s+b} = 0.
     Family 2 (for each a>=0): omega_a = omega_{-a}
         + sum_{i=1}^a rho^{-1} delta (omega_{a-i} omega_{-i} - omega_{a-2i}).
+
+    Each omega_a is asked for once and written W_a/L over the family's
+    common denominator L; both families are then tested on integers.
     """
     r = params.r
     if b_range is None:
@@ -177,17 +175,20 @@ def check_admissible(
     if a_max is None:
         a_max = 3 * r
     om = omega or params.omega
+    values = {a: om(a) for a in sorted({*range(b_range[0], b_range[1] + r + 1),
+                                        *range(-a_max, a_max + 1)})}
+    den = lcm(*(v.denominator for v in values.values()))
+    w = {a: v.numerator * (den // v.denominator) for a, v in values.items()}
+    sig = params.sym.sigma_nums
     entries = []
     for b in range(b_range[0], b_range[1] + 1):
-        defect = sum((-1) ** (r - s) * params.sym.sigma[r - s] * om(s + b)
-                     for s in range(r + 1))
+        defect = sum((-1) ** (r - s) * sig[r - s] * w[s + b] for s in range(r + 1))
         entries.append({"family": 1, "b": b, "pass": defect == 0})
     rd = params.rho_inv * params.delta
+    m, k = rd.numerator, rd.denominator * den
     for a in range(a_max + 1):
-        rhs = om(-a)
-        for i in range(1, a + 1):
-            rhs = rhs + rd * (om(a - i) * om(-i) - om(a - 2 * i))
-        entries.append({"family": 2, "a": a, "pass": om(a) == rhs})
+        acc = sum(w[a - i] * w[-i] - den * w[a - 2 * i] for i in range(1, a + 1))
+        entries.append({"family": 2, "a": a, "pass": k * (w[a] - w[-a]) == m * acc})
     return {"ok": all(e["pass"] for e in entries), "entries": entries}
 
 

@@ -105,15 +105,14 @@ class ShapeResidues:
     comes back at the next step (adding an addable node or removing a
     removable one), in the order of the walks neighbors_k returns;
     pairs holds each of those contents as its integer pair (numerator,
-    denominator).  w is W_k(y,s) over the shape, built by _w_shape, and
-    horner the numerator, the denominator and the denominator's derivative
-    of the unreduced W/y, which the residue cross-check evaluates.
+    denominator).  horner holds the numerator, the denominator and the
+    denominator's derivative of the unreduced W/y, W = W_k(y,s) over the
+    shape built by _w_shape, which the residue checks read.
     residues maps each flank content asked for so far to its E(c).
     """
 
     steps: list
     pairs: list
-    w: RatFunc
     horner: tuple
     residues: dict = field(default_factory=dict)
 
@@ -168,10 +167,9 @@ def _shape_residues(shape: RPartition, params: GroundParams) -> ShapeResidues:
     record = cache.get(shape)
     if record is None:
         steps = _flank_steps(shape, params)
-        w = _w_shape(shape, params)
-        wy = w / RatFunc.y()
+        wy = _w_shape(shape, params) / RatFunc.y()
         record = cache[shape] = ShapeResidues(
-            steps, [(c.numerator, c.denominator) for _, c in steps], w,
+            steps, [(c.numerator, c.denominator) for _, c in steps],
             (wy.num, wy.den, wy.den.derivative()))
     return record
 
@@ -1046,7 +1044,8 @@ def _partial_fractions(shape: RPartition, params: GroundParams) -> tuple:
     contents c_a = p_a/q_a, Pi = prod (q_a y - p_a), E(c_a) = e_a/f_a and
     F = lcm f_a, sum_a E(c_a)/(y - c_a) = sum_a e_a q_a (F/f_a) Pi_a / (F Pi),
     each Pi_a = Pi/(q_a y - p_a) by exact synthetic division, and it is
-    compared with W/y by one cross-multiplication.
+    compared with W/y = A/B (horner) as A Pi == (rhs/F) B, products of
+    fraction-free polynomials, without a RatFunc.
     """
     record = _shape_residues(shape, params)
     pi = [1]  # coefficients from y^0 up
@@ -1061,9 +1060,9 @@ def _partial_fractions(shape: RPartition, params: GroundParams) -> tuple:
         for k in range(len(pi) - 1, 0, -1):
             b = (pi[k] + p * b) // q
             rhs[k - 1] += scale * b
-    expansion = RatFunc(LaurentPoly.from_ints(rhs, den), LaurentPoly.from_ints(pi))
+    wy_num, wy_den = record.horner[:2]
     return ([(c, e != 0) for (_, c), e in zip(record.steps, residues)],
-            record.w / RatFunc.y() == expansion)
+            wy_num * LaurentPoly.from_ints(pi) == LaurentPoly.from_ints(rhs, den) * wy_den)
 
 
 def _neighbor_sums(shape: RPartition, cs, params: GroundParams) -> tuple:

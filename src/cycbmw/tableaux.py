@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 from .params import GroundParams
@@ -100,15 +99,15 @@ def content(node: Node, mode: str, params: GroundParams):
 
 def content_product_identity(lam: RPartition, params: GroundParams) -> bool:
     """Exact check: the product of contents over all addable (as added) and
-    removable (as removed) nodes equals u_1 ... u_r.
+    removable (as removed) nodes equals u_1 ... u_r, compared on integers as
+    prod numerators * P.den == prod denominators * P.num.
     """
     addable, removable = addable_removable(lam)
-    prod = Fraction(1)
-    for a in addable:
-        prod *= content(a, "add", params)
-    for b in removable:
-        prod *= content(b, "remove", params)
-    return prod == params.u_prod
+    cs = [content(a, "add", params) for a in addable]
+    cs += [content(b, "remove", params) for b in removable]
+    p = params.u_prod
+    return (math.prod(c.numerator for c in cs) * p.denominator
+            == math.prod(c.denominator for c in cs) * p.numerator)
 
 
 class UpDownTableau:

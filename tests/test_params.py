@@ -8,16 +8,55 @@ from cycbmw.params import (
     GroundParams,
     check_admissible,
     certify_generic,
-    elem_symmetric,
     generic_specialization,
     SymCache,
-    _q_poly_list,
     parse_preset,
-    q_poly,
     wtilde_closed,
     wtilde_rational,
 )
 from cycbmw.scalars import LaurentPoly, RatFunc, expand_series
+
+
+# -- oracles: the generic Fraction forms of SymCache's integer tables ---------
+
+
+def elem_symmetric(u, i):
+    """Elementary symmetric polynomial sigma_i(u_1..u_r)."""
+    r = len(u)
+    if not 0 <= i <= r:
+        raise ValueError(f"elementary symmetric index {i} out of range 0..{r}")
+    es = [F(1)] + [F(0)] * r
+    for x in u:
+        for j in range(r, 0, -1):
+            es[j] = es[j] + es[j - 1] * x
+    return es[i]
+
+
+def _q_poly_list(u, a_max):
+    """Coefficients Q_0..Q_{a_max} of Prod_i (y-u_i)/(u_i y - 1) at y=0.
+
+    Each factor is applied by its order-1 recurrence: multiplying by (y - u)
+    gives s_k = Q_{k-1} - u Q_k, and dividing by (u y - 1) gives
+    t_k = u t_{k-1} - s_k.  Any ring elements that mix with Fraction work,
+    rational functions in y included.
+    """
+    out = [F(1)] + [F(0)] * a_max
+    for ui in u:
+        prev_q, t = F(0), F(0)
+        for k in range(a_max + 1):
+            qk = out[k]
+            t = ui * t - (prev_q - ui * qk)
+            prev_q, out[k] = qk, t
+    return out
+
+
+def q_poly(a, u, primed=False):
+    """Symmetric-function coefficient Q_a(u) (Q'_a when primed); 0 for a<0."""
+    if a < 0:
+        return F(0)
+    if primed:
+        u = [1 / x for x in u]
+    return _q_poly_list(u, a)[a]
 
 
 def exponents(params):
@@ -77,6 +116,7 @@ class TestElemSymmetric:
             prod = prod * (1 + x * t)
         for i in range(len(u) + 1):
             assert prod.terms.get(i, F(0)) == elem_symmetric(u, i)
+        assert SymCache(tuple(u)).sigma == [elem_symmetric(u, i) for i in range(len(u) + 1)]
 
 
 def q_poly_reference(u, a_max):
@@ -117,6 +157,7 @@ class TestQPoly:
         cache = SymCache(tuple(u))
         for a, primed in queries:
             assert cache.q(a, primed) == q_poly(a, u, primed)
+        assert cache.sigma == [elem_symmetric(u, i) for i in range(len(u) + 1)]
 
     def test_negative_index(self):
         assert q_poly(-3, [F(2)]) == 0
@@ -203,7 +244,44 @@ class TestGroundParams:
         assert p.omega(5) == first == p._omega_closed_form(5)
 
 
+def admissible_reference(params, b_range, a_max, omega):
+    """Oracle: both admissibility families summed term by term in Fraction
+    arithmetic, with sigma from elem_symmetric.
+    """
+    r = params.r
+    sigma = [elem_symmetric(params.u, i) for i in range(r + 1)]
+    entries = []
+    for b in range(b_range[0], b_range[1] + 1):
+        defect = sum((-1) ** (r - s) * sigma[r - s] * omega(s + b) for s in range(r + 1))
+        entries.append({"family": 1, "b": b, "pass": defect == 0})
+    rd = params.rho_inv * params.delta
+    for a in range(a_max + 1):
+        rhs = omega(-a)
+        for i in range(1, a + 1):
+            rhs = rhs + rd * (omega(a - i) * omega(-i) - omega(a - 2 * i))
+        entries.append({"family": 2, "a": a, "pass": omega(a) == rhs})
+    return entries
+
+
 class TestAdmissibility:
+    @settings(max_examples=25, deadline=None)
+    @given(r=st.sampled_from([1, 3, 5]), alpha=st.sampled_from([1, -1]),
+           q=st.sampled_from(["-3", "-2", "1/3", "3", "7/2"]),
+           k=st.lists(st.integers(-12, 12), min_size=5, max_size=5))
+    def test_integer_check_matches_fraction_reference(self, r, alpha, q, k):
+        # check_admissible's cross-multiplied integer families flip exactly
+        # the entries of the term-by-term Fraction loop, for the family's
+        # omega and for omega_a + 1 at every a of the checked window
+        p = GroundParams(r, F(q), [F(q) ** (2 * x) for x in k[:r]], alpha=alpha)
+        window = ((-2 * r, 2 * r), 3 * r)
+        rep = check_admissible(p)
+        assert rep["ok"] and rep["entries"] == admissible_reference(p, *window, p.omega)
+        for a in range(-3 * r, 3 * r + 1):
+            bumped = lambda x, a=a: p.omega(x) + (1 if x == a else 0)
+            entries = check_admissible(p, omega=bumped)["entries"]
+            assert entries == admissible_reference(p, *window, bumped), a
+            assert not all(e["pass"] for e in entries), a
+
     @pytest.mark.parametrize("r", [1, 3, 5])
     def test_both_families_pass(self, r):
         p = generic_specialization(r, 2)
